@@ -3,7 +3,6 @@ NOMA system enabled over-the-air by a hybrid active/passive RIS."""
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend
 from .analytic import (AccuracyError, QfComponent, QuadFormSpec, TermStats,
                        analytic_outage, build_quadform, cf_eval,
                        gil_pelaez_cdf, stats_a, stats_b, stats_c, stats_d,
@@ -20,8 +19,8 @@ from .montecarlo import (GammaFit, OutageResult, empirical_moments,
 from .optimizer import (OptimizationOutcome, OptimizerSettings, objective_gap,
                         optimize)
 from .ris import (HybridRisState, align_phases, alpha_from_power,
-                  amplifier_gain, element_output_power, pa_consumption,
-                  resolve_alpha, ris_state)
+                  amplifier_gain, element_output_power, resolve_alpha,
+                  ris_state)
 from .sinr import LinkTerms, SinrPair, compute_link_terms, sinr, synthesize_received
 from .sweep import (PresetVariant, ResultRow, SweepSpec, determinism_signature,
                     parse_values, preset, run_point, run_preset, run_sweep)

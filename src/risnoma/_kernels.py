@@ -1,9 +1,4 @@
-"""Hot per-block kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen once at import from the ``RISNOMA_BACKEND``
-environment variable: ``numba`` (default when importable) or ``numpy``.
-Both paths compute identical quantities; `benchmarks/backend_bench.py`
-compares them.
+"""Batched link-term reduction over a block of channel realizations.
 
 The phase-aligned products are simplified before vectorizing: with
 theta = conj(h_a h_bs) / |h_a h_bs| the cross term collapses to
@@ -14,14 +9,10 @@ which removes one complex division per element (same for the passive
 partition with beta).
 """
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "RISNOMA_BACKEND"
 
-
-def _link_terms_block_numpy(h_a, h_p, h_bs, g_a, g_p, g_bs, sqrt_alpha):
+def link_terms_block(h_a, h_p, h_bs, g_a, g_p, g_bs, sqrt_alpha):
     q_ha = h_a.real**2 + h_a.imag**2
     q_hb = h_bs.real**2 + h_bs.imag**2
     s = np.sqrt(q_ha * q_hb)
@@ -36,87 +27,3 @@ def _link_terms_block_numpy(h_a, h_p, h_bs, g_a, g_p, g_bs, sqrt_alpha):
     ratio2 = np.divide(s2, q_gp, out=np.zeros_like(s2), where=q_gp > 0)
     b = np.sum(g_a * np.conj(g_p) * ratio2, axis=1)
     return a, b, c, d, ang
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _link_terms_fill(h_a, h_p, h_bs, g_a, g_p, g_bs, sqrt_alpha, a, b, c, d, ang):
-        nt, m = h_a.shape
-        n = g_a.shape[1]
-        for t in range(nt):
-            sa = 0.0
-            sang = 0.0
-            sc = 0.0 + 0.0j
-            for j in range(m):
-                ha = h_a[t, j]
-                hb = h_bs[t, j]
-                q_ha = ha.real * ha.real + ha.imag * ha.imag
-                q_hb = hb.real * hb.real + hb.imag * hb.imag
-                s = np.sqrt(q_ha * q_hb)
-                sa += s
-                sang += q_hb
-                if q_ha > 0.0:
-                    sc += h_p[t, j] * ha.conjugate() * (s / q_ha)
-            sb = 0.0 + 0.0j
-            sd = 0.0
-            for j in range(n):
-                gp = g_p[t, j]
-                gb = g_bs[t, j]
-                q_gp = gp.real * gp.real + gp.imag * gp.imag
-                q_gb = gb.real * gb.real + gb.imag * gb.imag
-                s = np.sqrt(q_gp * q_gb)
-                sd += s
-                if q_gp > 0.0:
-                    sb += g_a[t, j] * gp.conjugate() * (s / q_gp)
-            a[t] = sqrt_alpha * sa
-            b[t] = sb
-            c[t] = sqrt_alpha * sc
-            d[t] = sd
-            ang[t] = sang
-
-    def _link_terms_block_numba(h_a, h_p, h_bs, g_a, g_p, g_bs, sqrt_alpha):
-        nt = h_a.shape[0]
-        a = np.empty(nt)
-        b = np.empty(nt, dtype=np.complex128)
-        c = np.empty(nt, dtype=np.complex128)
-        d = np.empty(nt)
-        ang = np.empty(nt)
-        _link_terms_fill(
-            np.ascontiguousarray(h_a), np.ascontiguousarray(h_p),
-            np.ascontiguousarray(h_bs), np.ascontiguousarray(g_a),
-            np.ascontiguousarray(g_p), np.ascontiguousarray(g_bs),
-            sqrt_alpha, a, b, c, d, ang,
-        )
-        return a, b, c, d, ang
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _link_terms_block_numba = None
-    _HAS_NUMBA = False
-
-
-def _select_backend() -> str:
-    requested = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise RuntimeError(
-            f"{_ENV_FLAG}={requested!r} not understood; use 'numba' or 'numpy'"
-        )
-    if requested == "numba" and not _HAS_NUMBA:
-        raise RuntimeError(f"{_ENV_FLAG}=numba requested but numba is not importable")
-    if requested:
-        return requested
-    return "numba" if _HAS_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    link_terms_block = _link_terms_block_numba
-else:
-    link_terms_block = _link_terms_block_numpy
-
-
-def active_backend() -> str:
-    return BACKEND

@@ -84,22 +84,26 @@ class ChannelRealization:
     g_bs: np.ndarray  # passive part -> BS, length N
 
 
-def draw_realization(config: SystemConfig, stream: RandomStream) -> ChannelRealization:
-    """Draw one channel realization, deterministic given (seed, stream_id)."""
+def _draw_block(config: SystemConfig, stream: RandomStream, nb: int):
+    """Channel matrices (nb, M) x3 and (nb, N) x3 for a block of nb trials.
+
+    The one draw layout: a flat standard-normal draw viewed as complex,
+    each trial's row split as [h1 | h2 | h_bs | g1 | g2 | g_bs].
+    """
     m, n = config.m_active, config.n_passive
     var = link_variances(config)
     rng = stream.generator()
-    # one flat draw, viewed as complex, split in a fixed layout
-    raw = rng.standard_normal(2 * (3 * m + 3 * n)).view(np.complex128)
-    h1, h2, h_bs = raw[0:m], raw[m:2 * m], raw[2 * m:3 * m]
-    g1 = raw[3 * m:3 * m + n]
-    g2 = raw[3 * m + n:3 * m + 2 * n]
-    g_bs = raw[3 * m + 2 * n:3 * m + 3 * n]
-    return ChannelRealization(
-        h1=h1 * np.sqrt(var.u1 / 2.0),
-        h2=h2 * np.sqrt(var.u2 / 2.0),
-        h_bs=h_bs * np.sqrt(var.bs / 2.0),
-        g1=g1 * np.sqrt(var.u1 / 2.0),
-        g2=g2 * np.sqrt(var.u2 / 2.0),
-        g_bs=g_bs * np.sqrt(var.bs / 2.0),
-    )
+    raw = rng.standard_normal(nb * 2 * (3 * m + 3 * n)).view(np.complex128)
+    raw = raw.reshape(nb, 3 * m + 3 * n)
+    h1 = raw[:, 0:m] * np.sqrt(var.u1 / 2.0)
+    h2 = raw[:, m:2 * m] * np.sqrt(var.u2 / 2.0)
+    h_bs = raw[:, 2 * m:3 * m] * np.sqrt(var.bs / 2.0)
+    g1 = raw[:, 3 * m:3 * m + n] * np.sqrt(var.u1 / 2.0)
+    g2 = raw[:, 3 * m + n:3 * m + 2 * n] * np.sqrt(var.u2 / 2.0)
+    g_bs = raw[:, 3 * m + 2 * n:] * np.sqrt(var.bs / 2.0)
+    return h1, h2, h_bs, g1, g2, g_bs
+
+
+def draw_realization(config: SystemConfig, stream: RandomStream) -> ChannelRealization:
+    """Draw one channel realization, deterministic given (seed, stream_id)."""
+    return ChannelRealization(*(x[0] for x in _draw_block(config, stream, 1)))

@@ -7,20 +7,15 @@ if every produced row succeeded (and, for MC rows, met the noise bar or
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields, replace
 
 from . import __version__
-from ._kernels import active_backend
-from .analytic import analytic_outage
 from .config import (ConfigError, SystemConfig, apply_overrides, load_config,
                      validate)
-from .montecarlo import estimate_outage_pair
 from .optimizer import OptimizerSettings, optimize
-from .ris import resolve_alpha
-from .sweep import (PRESET_NAMES, SweepSpec, is_noisy, parse_values,
-                    run_preset, run_sweep)
+from .sweep import (NOISY_REL_STD_ERR, PRESET_NAMES, SweepSpec, is_noisy,
+                    parse_values, run_point, run_preset, run_sweep)
 
 
 def _add_common(p):
@@ -54,33 +49,27 @@ def _cmd_validate(args) -> int:
 def _cmd_point(args) -> int:
     cfg = _build_config(args)
     methods = ("mc", "analytic") if args.method == "both" else (args.method,)
-    alpha = resolve_alpha(cfg) if cfg.alpha_mode != "optimized" else None
-    results = []
-    failed = False
-    for method in methods:
-        if method == "mc":
-            pair = estimate_outage_pair(cfg, workers=args.workers)
-        else:
-            pair = (analytic_outage(cfg, 1), analytic_outage(cfg, 2))
-        for res in pair:
-            noisy = (method == "mc" and res.op > 0
-                     and res.std_err > 0.2 * res.op)
-            if noisy and not args.allow_noisy:
-                failed = True
-            results.append({
-                "user": res.user, "method": res.method, "op": res.op,
-                "err": res.std_err, "trials": res.trials, "noisy": noisy,
-                "alpha": alpha, "config_digest": res.config_digest,
-            })
+    rows = run_point(cfg, methods, workers=args.workers)
+    errors = [r for r in rows if r.mode.startswith("error")]
+    noisy = [r for r in rows if is_noisy(r)]
     if args.json:
-        print(json.dumps(results, indent=2))
+        print(json.dumps([{
+            "user": r.user, "method": r.method, "op": r.op, "err": r.err,
+            "trials": r.trials, "noisy": is_noisy(r), "alpha": r.alpha,
+            "mode": r.mode, "config_digest": r.config_digest,
+        } for r in rows], indent=2))
     else:
-        for r in results:
-            flag = "  [noisy]" if r["noisy"] else ""
-            print(f"user {r['user']}  {r['method']:>8}  op={r['op']:.6g}  "
-                  f"err={r['err']:.3g}{flag}")
-    if failed:
-        print("error: noisy MC estimates (std_err > 20% of op); "
+        for r in rows:
+            flag = "  [noisy]" if is_noisy(r) else ""
+            if r.mode.startswith("error"):
+                flag = f"  [{r.mode}]"
+            print(f"user {r.user}  {r.method:>8}  op={r.op:.6g}  "
+                  f"err={r.err:.3g}{flag}")
+    if errors:
+        print(f"error: {len(errors)} failed rows", file=sys.stderr)
+        return 1
+    if noisy and not args.allow_noisy:
+        print(f"error: noisy MC estimates (std_err > {NOISY_REL_STD_ERR:.0%} of op); "
               "raise --trials or pass --allow-noisy", file=sys.stderr)
         return 1
     return 0
@@ -144,8 +133,7 @@ def _cmd_preset(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="risnoma",
-        description="Hybrid-RIS uplink NOMA outage simulator "
-                    f"(v{__version__}, kernel backend: {active_backend()})",
+        description=f"Hybrid-RIS uplink NOMA outage simulator (v{__version__})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

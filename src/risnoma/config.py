@@ -76,7 +76,6 @@ class SystemConfig:
     alpha_mode: str = "fixed"    # fixed | from_power | optimized
     alpha_linear: float = 8.5    # power gain per active element, used when fixed
     g_max_db: float = 30.0       # amplifier power-gain cap [dB]
-    pa_efficiency: float = 1.0   # PA efficiency nu in (0, 1]
 
     # RIS partition sizes and role assignment
     m_active: int = 512          # active elements M
@@ -148,8 +147,6 @@ def validate(config: SystemConfig) -> SystemConfig:
         problems.append(f"alpha_mode must be one of {ALPHA_MODES}, got {config.alpha_mode!r}")
     if not (0.0 <= config.epsilon_sic <= 1.0):
         problems.append(f"epsilon_sic must be in [0, 1], got {config.epsilon_sic}")
-    if not (0.0 < config.pa_efficiency <= 1.0):
-        problems.append(f"pa_efficiency must be in (0, 1], got {config.pa_efficiency}")
     if config.rate_threshold_bps_hz < 0.0:
         problems.append(f"rate_threshold_bps_hz must be >= 0, got {config.rate_threshold_bps_hz}")
     if not (math.isfinite(config.alpha_linear) and config.alpha_linear > 0.0):

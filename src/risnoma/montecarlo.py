@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
-from scipy import stats as sstats
 
 from ._kernels import link_terms_block
-from .channel import RandomStream, link_variances
+from .channel import RandomStream, _draw_block
 from .config import SystemConfig, dbm_to_watt
 from .ris import resolve_alpha
+from .sinr import LinkTerms, sinr
 
 BLOCK_FLOAT_BUDGET = 2_000_000  # floats drawn per block; fixes the block size
 
@@ -49,24 +49,8 @@ def block_size(m_active: int, n_passive: int) -> int:
     return max(128, BLOCK_FLOAT_BUDGET // (6 * (m_active + n_passive)))
 
 
-def _draw_block(config: SystemConfig, block_id: int, nb: int):
-    """Channel matrices (nb, M) x3 and (nb, N) x3 for one block of trials."""
-    m, n = config.m_active, config.n_passive
-    var = link_variances(config)
-    rng = RandomStream(config.seed, block_id).generator()
-    raw = rng.standard_normal(nb * 2 * (3 * m + 3 * n)).view(np.complex128)
-    raw = raw.reshape(nb, 3 * m + 3 * n)
-    h1 = raw[:, 0:m] * np.sqrt(var.u1 / 2.0)
-    h2 = raw[:, m:2 * m] * np.sqrt(var.u2 / 2.0)
-    h_bs = raw[:, 2 * m:3 * m] * np.sqrt(var.bs / 2.0)
-    g1 = raw[:, 3 * m:3 * m + n] * np.sqrt(var.u1 / 2.0)
-    g2 = raw[:, 3 * m + n:3 * m + 2 * n] * np.sqrt(var.u2 / 2.0)
-    g_bs = raw[:, 3 * m + 2 * n:] * np.sqrt(var.bs / 2.0)
-    return h1, h2, h_bs, g1, g2, g_bs
-
-
 def _block_terms(config: SystemConfig, block_id: int, nb: int, alpha: float):
-    h1, h2, h_bs, g1, g2, g_bs = _draw_block(config, block_id, nb)
+    h1, h2, h_bs, g1, g2, g_bs = _draw_block(config, RandomStream(config.seed, block_id), nb)
     if config.active_user == 1:
         h_a, h_p, g_a, g_p = h1, h2, g1, g2
     else:
@@ -76,15 +60,12 @@ def _block_terms(config: SystemConfig, block_id: int, nb: int, alpha: float):
 
 def _block_sinrs(config: SystemConfig, block_id: int, nb: int, alpha: float):
     a, b, c, d, ang = _block_terms(config, block_id, nb, alpha)
-    pt = dbm_to_watt(config.pt_user_dbm)
-    w0 = dbm_to_watt(config.w0_dbm)
-    sz2 = dbm_to_watt(config.namp_dbm)
-    s_ab = np.abs(a + b) ** 2
-    s_cd = np.abs(c + d) ** 2
-    forwarded = sz2 * alpha * ang
-    gamma1 = pt * s_ab / (pt * s_cd + forwarded + w0)
-    gamma2 = pt * s_cd / (config.epsilon_sic * pt * s_ab + forwarded + w0)
-    return gamma1, gamma2
+    lt = LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang,
+                   w0=dbm_to_watt(config.w0_dbm),
+                   sigma_z2=dbm_to_watt(config.namp_dbm),
+                   alpha=alpha, epsilon=config.epsilon_sic)
+    pair = sinr(lt, config)
+    return pair.gamma1, pair.gamma2
 
 
 def _outage_counts_worker(args):
@@ -211,5 +192,8 @@ def fit_gamma(samples) -> GammaFit:
         raise ValueError("samples are degenerate (zero variance)")
     shape = mean * mean / var
     scale = var / mean
+    # deferred: scipy.stats takes about a second to import, and only this needs it
+    from scipy import stats as sstats
+
     ks = sstats.kstest(x, sstats.gamma(a=shape, scale=scale).cdf).statistic
     return GammaFit(shape=shape, scale=scale, ks_stat=float(ks))

@@ -55,13 +55,6 @@ def element_output_power(pt_ris_watt: float, m_active: int) -> float:
     return pt_ris_watt / m_active
 
 
-def pa_consumption(p_out_watt: float, nu: float) -> float:
-    """Power consumed by one amplifier producing p_out at efficiency nu."""
-    if not (0.0 < nu <= 1.0):
-        raise ValueError(f"pa efficiency must be in (0, 1], got {nu}")
-    return p_out_watt / nu
-
-
 def amplifier_gain(p_o_watt: float, pt_user_watt: float,
                    mean_sq_channel: float, g_max: float) -> float:
     """Amplitude gain G = min(sqrt(p_o / (pt * mean_sq_channel)), g_max).

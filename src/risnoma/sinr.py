@@ -72,7 +72,10 @@ def compute_link_terms(ch: ChannelRealization, ris: HybridRisState,
 
 
 def sinr(lt: LinkTerms, config: SystemConfig) -> SinrPair:
-    """Both users' SINRs from one set of link terms."""
+    """Both users' SINRs from one set of link terms.
+
+    The terms may be scalars or equal-length arrays over a block of trials.
+    """
     pt = dbm_to_watt(config.pt_user_dbm)
     s_ab = abs(lt.a + lt.b) ** 2
     s_cd = abs(lt.c + lt.d) ** 2

@@ -65,6 +65,7 @@ class ResultRow:
     mode: str
     ms: float
     config_digest: str = ""
+    trials: int = 0        # MC trials behind op; 0 for analytic and error rows
 
     def csv_fields(self):
         return (
@@ -151,6 +152,7 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
                     sweep_param=sweep_param, sweep_value=sweep_value,
                     user=res.user, method=method, op=res.op, err=res.std_err,
                     alpha=alpha, mode=mode, ms=ms, config_digest=digest,
+                    trials=res.trials,
                 ))
         except Exception as exc:  # per-row failure; the run continues
             ms = (time.perf_counter() - t0) * 1e3 + opt_ms
@@ -169,9 +171,9 @@ def is_noisy(row: ResultRow) -> bool:
             and row.err > NOISY_REL_STD_ERR * row.op)
 
 
-def _floor_limited(row: ResultRow, trials: int) -> bool:
+def _floor_limited(row: ResultRow) -> bool:
     return (row.method == "mc" and math.isfinite(row.op)
-            and row.op < FLOOR_EVENTS / trials)
+            and row.op < FLOOR_EVENTS / row.trials)
 
 
 def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
@@ -228,9 +230,8 @@ def write_csv(path, rows, base: SystemConfig, spec: SweepSpec | None = None):
         ",".join(CSV_COLUMNS),
     ]
     lines += [",".join(r.csv_fields()) for r in rows]
-    trials = base.mc_trials
     floor = sorted(
-        f"{r.sweep_value:.10g}/u{r.user}" for r in rows if _floor_limited(r, trials)
+        f"{r.sweep_value:.10g}/u{r.user}" for r in rows if _floor_limited(r)
     )
     if floor:
         lines.append(f"# floor-limited (fewer than {FLOOR_EVENTS} events): "

@@ -12,18 +12,6 @@ def _block(rng, nt, m, n):
 
 
 class TestBackends:
-    def test_backend_reported(self):
-        assert rn.active_backend() in ("numba", "numpy")
-
-    @pytest.mark.skipif(_kernels._link_terms_block_numba is None,
-                        reason="numba unavailable")
-    def test_numba_matches_numpy(self, rng):
-        arrays = _block(rng, 37, 24, 18)
-        out_np = _kernels._link_terms_block_numpy(*arrays, 1.7)
-        out_nb = _kernels._link_terms_block_numba(*arrays, 1.7)
-        for x, y in zip(out_np, out_nb):
-            assert np.allclose(x, y, rtol=1e-10, atol=1e-12)
-
     def test_matches_scalar_path(self, rng):
         # the batched kernel against the readable single-realization path
         cfg = unit_config(m_active=16, n_passive=12, alpha_linear=3.0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -148,3 +153,11 @@ class TestFitGamma:
             rn.fit_gamma(rng.exponential(1.0, 50))  # too few
         with pytest.raises(ValueError):
             rn.fit_gamma(np.linspace(-1.0, 1.0, 500))  # non-positive
+
+    def test_scipy_stats_not_imported_with_package(self):
+        # scipy.stats costs about a second at import; only fit_gamma needs it
+        src = str(Path(rn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, risnoma; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

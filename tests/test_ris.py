@@ -66,13 +66,6 @@ class TestPowerModel:
         assert rn.element_output_power(0.5, 1) == 0.5
         assert rn.element_output_power(0.0, 512) == 0.0
 
-    def test_pa_consumption(self):
-        assert rn.pa_consumption(1e-10, 1.0) == 1e-10  # ideal amplifier
-        assert rn.pa_consumption(1e-10, 0.5) == pytest.approx(2e-10)
-        assert rn.pa_consumption(0.0, 0.7) == 0.0
-        with pytest.raises(ValueError):
-            rn.pa_consumption(1.0, 0.0)
-
     def test_amplifier_gain_unit_ratio(self):
         assert rn.amplifier_gain(2.0, 1.0, 2.0, 100.0) == pytest.approx(1.0)
 

@@ -6,7 +6,7 @@ import pytest
 
 import risnoma as rn
 from risnoma.cli import main
-from risnoma.sweep import CSV_COLUMNS, apply_param
+from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param
 from conftest import unit_config
 
 
@@ -78,6 +78,19 @@ class TestRunSweep:
         bad = [r for r in rows if r.sweep_value == 9.0]
         assert bad and all(r.mode.startswith("error") for r in bad)
         assert all(np.isnan(r.op) for r in bad)
+
+    def test_floor_limited_uses_each_rows_trials(self, tmp_path):
+        # user 2 is near 0.41 here: under 1000 events at 2000 trials, over at 3000
+        out = tmp_path / "f.csv"
+        spec = rn.SweepSpec(param="mc_trials", values=(2000, 3000), methods=("mc",))
+        rows, _ = rn.run_sweep(spec, _fast_base(), out)
+        assert [r.trials for r in rows] == [2000, 2000, 3000, 3000]
+        few = sorted(f"{r.sweep_value:.10g}/u{r.user}" for r in rows
+                     if r.op * r.trials < FLOOR_EVENTS)
+        assert "2000/u2" in few
+        lines = out.read_text().splitlines()
+        assert lines[-1] == (f"# floor-limited (fewer than {FLOOR_EVENTS} events): "
+                             + " ".join(few))
 
     def test_determinism_across_workers(self, tmp_path):
         spec = rn.SweepSpec(param="pt_user_dbm", values=(28.0, 30.0, 32.0),
@@ -153,6 +166,22 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 4  # 2 users x 2 methods
         assert {r["method"] for r in rows} == {"mc", "analytic"}
+
+    def test_point_optimized_gain(self, capsys):
+        code = main(["point", "--method", "analytic", "--set",
+                     "alpha_mode=optimized", "--json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        ref = rn.run_point(rn.validate(rn.SystemConfig(alpha_mode="optimized")),
+                           ("analytic",))
+        assert ([(r["op"], r["err"], r["alpha"]) for r in rows]
+                == [(r.op, r.err, r.alpha) for r in ref])
+
+    def test_point_failed_method_is_error_row(self, capsys):
+        code = main(["point", "--method", "analytic", "--set", "joint_outage_u2=true"])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and all("[error:NotImplementedError]" in l for l in out)
 
     def test_point_noisy_exit(self, capsys):
         # tiny trial count at a small probability: std err above the bar
