@@ -1,29 +1,35 @@
-"""Batched link-term reduction over a block of channel realizations.
+"""Batched link terms over a block of phase-aligned trials.
 
-The phase-aligned products are simplified before vectorizing: with
-theta = conj(h_a h_bs) / |h_a h_bs| the cross term collapses to
+With theta = conj(h_a h_bs) / |h_a h_bs| the aligned sums depend on the
+hop magnitudes only, and the leakage sums collapse to
 
-    h_p theta h_bs = h_p conj(h_a) |h_bs| / |h_a|
+    c = sqrt(alpha) sum h_p conj(h_a) |h_bs| / |h_a|
+    b = sum g_a conj(g_p) |g_bs| / |g_p|
 
-which removes one complex division per element (same for the passive
-partition with beta).
+h_p conj(h_a) / |h_a| ~ CN(0, s_p) and g_a conj(g_p) / |g_p| ~ CN(0, s_a)
+independently of every magnitude, so given the BS-hop magnitudes
+
+    c ~ CN(0, alpha s_p sum |h_bs|^2),   b ~ CN(0, s_a sum |g_bs|^2)
+
+exactly.  A trial therefore needs the squared magnitudes (s * Exp(1))
+and four standard normals.
 """
 
 import numpy as np
 
 
-def link_terms_block(h_a, h_p, h_bs, g_a, g_p, g_bs, sqrt_alpha):
-    q_ha = h_a.real**2 + h_a.imag**2
-    q_hb = h_bs.real**2 + h_bs.imag**2
-    s = np.sqrt(q_ha * q_hb)
-    a = sqrt_alpha * np.sum(s, axis=1)
-    ang = np.sum(q_hb, axis=1)
-    ratio = np.divide(s, q_ha, out=np.zeros_like(s), where=q_ha > 0)
-    c = sqrt_alpha * np.sum(h_p * np.conj(h_a) * ratio, axis=1)
-    q_gp = g_p.real**2 + g_p.imag**2
-    q_gb = g_bs.real**2 + g_bs.imag**2
-    s2 = np.sqrt(q_gp * q_gb)
-    d = np.sum(s2, axis=1)
-    ratio2 = np.divide(s2, q_gp, out=np.zeros_like(s2), where=q_gp > 0)
-    b = np.sum(g_a * np.conj(g_p) * ratio2, axis=1)
-    return a, b, c, d, ang
+def link_terms_block(qa, qhb, qgp, qgb, z, s_a, s_p, s_bs, sqrt_alpha):
+    """(a, b, c, d, ang) per trial from unit-scale squared magnitudes.
+
+    qa, qhb: |h_a|^2, |h_bs|^2 of shape (nb, M); qgp, qgb: |g_p|^2,
+    |g_bs|^2 of shape (nb, N); z: standard normals of shape (nb, 4);
+    s_a, s_p, s_bs: link variances of the active-part user, the other
+    user and the BS hops.
+    """
+    hb_sum = qhb.sum(axis=1)
+    gb_sum = qgb.sum(axis=1)
+    a = sqrt_alpha * np.sqrt(s_a * s_bs) * np.sqrt(qa * qhb).sum(axis=1)
+    d = np.sqrt(s_p * s_bs) * np.sqrt(qgp * qgb).sum(axis=1)
+    c = sqrt_alpha * np.sqrt(s_p * s_bs * hb_sum / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    b = np.sqrt(s_a * s_bs * gb_sum / 2.0) * (z[:, 2] + 1j * z[:, 3])
+    return a, b, c, d, s_bs * hb_sum

@@ -4,6 +4,10 @@ Channel entries are circularly-symmetric complex Gaussians whose total
 variance per link is the inverse linear path loss; real and imaginary
 parts carry half of it each.  Randomness comes from counter-based Philox
 substreams so that draws are bit-reproducible and order-independent.
+
+`draw_realization` draws all six fading vectors of one trial; the
+Monte-Carlo block draw `_draw_block` draws only what the phase-aligned
+link terms depend on (see `_kernels`).
 """
 
 from dataclasses import dataclass
@@ -85,25 +89,35 @@ class ChannelRealization:
 
 
 def _draw_block(config: SystemConfig, stream: RandomStream, nb: int):
-    """Channel matrices (nb, M) x3 and (nb, N) x3 for a block of nb trials.
+    """Unit-scale draws for a block of nb phase-aligned trials.
 
-    The one draw layout: a flat standard-normal draw viewed as complex,
-    each trial's row split as [h1 | h2 | h_bs | g1 | g2 | g_bs].
+    Returns Exp(1) squared magnitudes (|h_a|^2, |h_bs|^2) of shape (nb, M)
+    and (|g_p|^2, |g_bs|^2) of shape (nb, N), and standard normals z of
+    shape (nb, 4) for the two leakage sums, all from the one substream;
+    `_kernels` says why these determine a trial's link terms.
     """
     m, n = config.m_active, config.n_passive
-    var = link_variances(config)
     rng = stream.generator()
-    raw = rng.standard_normal(nb * 2 * (3 * m + 3 * n)).view(np.complex128)
-    raw = raw.reshape(nb, 3 * m + 3 * n)
-    h1 = raw[:, 0:m] * np.sqrt(var.u1 / 2.0)
-    h2 = raw[:, m:2 * m] * np.sqrt(var.u2 / 2.0)
-    h_bs = raw[:, 2 * m:3 * m] * np.sqrt(var.bs / 2.0)
-    g1 = raw[:, 3 * m:3 * m + n] * np.sqrt(var.u1 / 2.0)
-    g2 = raw[:, 3 * m + n:3 * m + 2 * n] * np.sqrt(var.u2 / 2.0)
-    g_bs = raw[:, 3 * m + 2 * n:] * np.sqrt(var.bs / 2.0)
-    return h1, h2, h_bs, g1, g2, g_bs
+    q = rng.standard_exponential((nb, 2 * m + 2 * n))
+    z = rng.standard_normal((nb, 4))
+    return q[:, :m], q[:, m:2 * m], q[:, 2 * m:2 * m + n], q[:, 2 * m + n:], z
 
 
 def draw_realization(config: SystemConfig, stream: RandomStream) -> ChannelRealization:
-    """Draw one channel realization, deterministic given (seed, stream_id)."""
-    return ChannelRealization(*(x[0] for x in _draw_block(config, stream, 1)))
+    """Draw one full channel realization, deterministic given (seed, stream_id).
+
+    A flat standard-normal draw viewed as complex, split as
+    [h1 | h2 | h_bs | g1 | g2 | g_bs]; the paper-faithful oracle that the
+    reduced block draw is tested against.
+    """
+    m, n = config.m_active, config.n_passive
+    var = link_variances(config)
+    raw = stream.generator().standard_normal(2 * (3 * m + 3 * n)).view(np.complex128)
+    return ChannelRealization(
+        h1=raw[0:m] * np.sqrt(var.u1 / 2.0),
+        h2=raw[m:2 * m] * np.sqrt(var.u2 / 2.0),
+        h_bs=raw[2 * m:3 * m] * np.sqrt(var.bs / 2.0),
+        g1=raw[3 * m:3 * m + n] * np.sqrt(var.u1 / 2.0),
+        g2=raw[3 * m + n:3 * m + 2 * n] * np.sqrt(var.u2 / 2.0),
+        g_bs=raw[3 * m + 2 * n:] * np.sqrt(var.bs / 2.0),
+    )

@@ -7,6 +7,7 @@ if every produced row succeeded (and, for MC rows, met the noise bar or
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -46,6 +47,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _finite_or_none(x: float):
+    return x if math.isfinite(x) else None
+
+
+def _report_errors(rows):
+    """One stderr line per failed (point, method), with the failure's message."""
+    lines = dict.fromkeys(
+        f"error: {r.sweep_param}={r.sweep_value:.10g} {r.method}: "
+        f"{r.mode.removeprefix('error:')}: {r.error}"
+        for r in rows if r.mode.startswith("error"))
+    for line in lines:
+        print(line, file=sys.stderr)
+
+
 def _cmd_point(args) -> int:
     cfg = _build_config(args)
     methods = ("mc", "analytic") if args.method == "both" else (args.method,)
@@ -54,23 +69,28 @@ def _cmd_point(args) -> int:
     noisy = [r for r in rows if is_noisy(r)]
     if args.json:
         print(json.dumps([{
-            "user": r.user, "method": r.method, "op": r.op, "err": r.err,
-            "trials": r.trials, "noisy": is_noisy(r), "alpha": r.alpha,
-            "mode": r.mode, "config_digest": r.config_digest,
-        } for r in rows], indent=2))
+            "user": r.user, "method": r.method, "op": _finite_or_none(r.op),
+            "err": _finite_or_none(r.err), "trials": r.trials,
+            "noisy": is_noisy(r), "alpha": _finite_or_none(r.alpha),
+            "mode": r.mode, "error": r.error or None,
+            "config_digest": r.config_digest,
+        } for r in rows], indent=2, allow_nan=False))
     else:
         for r in rows:
             flag = "  [noisy]" if is_noisy(r) else ""
             if r.mode.startswith("error"):
-                flag = f"  [{r.mode}]"
+                flag = f"  [{r.mode}] {r.error}"
             print(f"user {r.user}  {r.method:>8}  op={r.op:.6g}  "
                   f"err={r.err:.3g}{flag}")
     if errors:
         print(f"error: {len(errors)} failed rows", file=sys.stderr)
         return 1
     if noisy and not args.allow_noisy:
-        print(f"error: noisy MC estimates (std_err > {NOISY_REL_STD_ERR:.0%} of op); "
-              "raise --trials or pass --allow-noisy", file=sys.stderr)
+        for r in noisy:
+            why = (f"no outage event in {r.trials} trials" if r.op == 0.0 else
+                   f"std_err {r.err:.3g} > {NOISY_REL_STD_ERR:.0%} of op {r.op:.3g}")
+            print(f"error: noisy MC estimate for user {r.user}: {why}", file=sys.stderr)
+        print("error: raise --trials or pass --allow-noisy", file=sys.stderr)
         return 1
     return 0
 
@@ -84,6 +104,7 @@ def _cmd_sweep(args) -> int:
                      alpha_mode=args.alpha_mode)
     rows, noisy = run_sweep(spec, cfg, args.out, workers=args.workers)
     errors = [r for r in rows if r.mode.startswith("error")]
+    _report_errors(rows)
     print(f"wrote {args.out}: {len(rows)} rows "
           f"({len(errors)} failed, {len(noisy)} noisy)", file=sys.stderr)
     if errors:
@@ -120,6 +141,7 @@ def _cmd_preset(args) -> int:
                                         workers=args.workers,
                                         trials=args.trials):
         errors = [r for r in rows if r.mode.startswith("error")]
+        _report_errors(rows)
         print(f"wrote {path}: {len(rows)} rows "
               f"({len(errors)} failed, {len(noisy)} noisy)", file=sys.stderr)
         if errors or (noisy and not args.allow_noisy):

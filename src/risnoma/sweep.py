@@ -66,6 +66,7 @@ class ResultRow:
     ms: float
     config_digest: str = ""
     trials: int = 0        # MC trials behind op; 0 for analytic and error rows
+    error: str = ""        # why an error row failed (not a CSV column)
 
     def csv_fields(self):
         return (
@@ -161,14 +162,16 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
                     sweep_param=sweep_param, sweep_value=sweep_value,
                     user=user, method=method, op=float("nan"), err=float("nan"),
                     alpha=alpha, mode=f"error:{type(exc).__name__}", ms=ms,
-                    config_digest=digest,
+                    config_digest=digest, error=str(exc),
                 ))
     return rows
 
 
 def is_noisy(row: ResultRow) -> bool:
-    return (row.method == "mc" and math.isfinite(row.op) and row.op > 0.0
-            and row.err > NOISY_REL_STD_ERR * row.op)
+    """An MC estimate that is not yet a result: no outage event in its
+    trials, or a standard error above NOISY_REL_STD_ERR of the estimate."""
+    return (row.method == "mc" and row.trials > 0
+            and (row.op == 0.0 or row.err > NOISY_REL_STD_ERR * row.op))
 
 
 def _floor_limited(row: ResultRow) -> bool:
@@ -198,7 +201,7 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
                         sweep_param=spec.param, sweep_value=float(value),
                         user=user, method=method, op=float("nan"),
                         err=float("nan"), alpha=float("nan"),
-                        mode="error:ConfigError", ms=0.0,
+                        mode="error:ConfigError", ms=0.0, error=str(exc),
                     ))
             continue
         rows.extend(run_point(

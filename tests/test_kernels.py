@@ -1,37 +1,96 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 import risnoma as rn
 from risnoma import _kernels
 from conftest import unit_config
 
 
-def _block(rng, nt, m, n):
-    mk = lambda k: rng.standard_normal((nt, k)) + 1j * rng.standard_normal((nt, k))
-    return mk(m), mk(m), mk(m), mk(n), mk(n), mk(n)
+def _oracle_config():
+    # unequal variances and active_user=2, so a swapped variance shows
+    return unit_config(m_active=6, n_passive=5, alpha_linear=3.0, sigma2_u1=0.5,
+                       sigma2_u2=2.0, sigma2_bs=1.5, active_user=2,
+                       rate_threshold_bps_hz=3.0, seed=31)
 
 
-class TestBackends:
-    def test_matches_scalar_path(self, rng):
-        # the batched kernel against the readable single-realization path
-        cfg = unit_config(m_active=16, n_passive=12, alpha_linear=3.0)
-        arrays = _block(rng, 6, 16, 12)
-        h1, h2, h_bs, g1, g2, g_bs = arrays
+class TestLinkTermsBlock:
+    def test_closed_form_on_fixed_inputs(self):
+        m, n, alpha = 4, 3, 2.5
+        s_a, s_p, s_bs = 0.5, 2.0, 3.0
+        z = np.array([[0.3, -1.2, 0.7, 2.0],
+                      [-0.4, 0.1, -1.5, 0.25]])
+        ones_m, ones_n = np.ones((2, m)), np.ones((2, n))
         a, b, c, d, ang = _kernels.link_terms_block(
-            h1, h2, h_bs, g1, g2, g_bs, np.sqrt(3.0))
-        for t in range(6):
-            ch = rn.ChannelRealization(h1=h1[t], h2=h2[t], h_bs=h_bs[t],
-                                       g1=g1[t], g2=g2[t], g_bs=g_bs[t])
-            lt = rn.compute_link_terms(ch, rn.ris_state(ch, cfg), cfg)
-            assert a[t] == pytest.approx(lt.a, rel=1e-10)
-            assert b[t] == pytest.approx(lt.b, rel=1e-10)
-            assert c[t] == pytest.approx(lt.c, rel=1e-10)
-            assert d[t] == pytest.approx(lt.d, rel=1e-10)
-            assert ang[t] == pytest.approx(lt.active_noise_gain, rel=1e-10)
+            ones_m, ones_m, ones_n, ones_n, z, s_a, s_p, s_bs, math.sqrt(alpha))
+        for t in range(2):
+            assert a[t] == pytest.approx(math.sqrt(alpha * s_a * s_bs) * m, rel=1e-14)
+            assert ang[t] == pytest.approx(s_bs * m, rel=1e-14)
+            assert d[t] == pytest.approx(math.sqrt(s_p * s_bs) * n, rel=1e-14)
+            assert c[t] == pytest.approx(
+                math.sqrt(alpha * s_p * s_bs * m / 2.0) * complex(z[t, 0], z[t, 1]), rel=1e-14)
+            assert b[t] == pytest.approx(
+                math.sqrt(s_a * s_bs * n / 2.0) * complex(z[t, 2], z[t, 3]), rel=1e-14)
+
+    def test_sums_of_magnitude_products(self):
+        # sqrt(4*1) + sqrt(1*9) = 5 and sqrt(2*8) + sqrt(9*1) = 7
+        qa, qhb = np.array([[4.0, 1.0]]), np.array([[1.0, 9.0]])
+        qgp, qgb = np.array([[2.0, 9.0]]), np.array([[8.0, 1.0]])
+        a, b, c, d, ang = _kernels.link_terms_block(
+            qa, qhb, qgp, qgb, np.ones((1, 4)), 1.0, 1.0, 1.0, 2.0)
+        assert a[0] == pytest.approx(10.0) and d[0] == pytest.approx(7.0)
+        assert ang[0] == pytest.approx(10.0)
+        assert c[0] == pytest.approx(2.0 * math.sqrt(5.0) * (1 + 1j))
+        assert b[0] == pytest.approx(math.sqrt(4.5) * (1 + 1j))
 
     def test_zero_channels(self):
-        z = np.zeros((3, 4), dtype=complex)
-        zn = np.zeros((3, 5), dtype=complex)
-        a, b, c, d, ang = _kernels.link_terms_block(z, z, z, zn, zn, zn, 2.0)
+        zm, zn = np.zeros((3, 4)), np.zeros((3, 5))
+        a, b, c, d, ang = _kernels.link_terms_block(
+            zm, zm, zn, zn, np.ones((3, 4)), 1.0, 1.0, 1.0, 2.0)
         assert not a.any() and not d.any() and not ang.any()
         assert not b.any() and not c.any()
+
+
+N_ORACLE = 4000
+
+
+@pytest.fixture(scope="module")
+def oracle_terms():
+    """Link terms of N_ORACLE full-vector realizations, one at a time."""
+    cfg = _oracle_config()
+    rows = []
+    for i in range(N_ORACLE):
+        ch = rn.draw_realization(cfg, rn.RandomStream(977, i))
+        lt = rn.compute_link_terms(ch, rn.ris_state(ch, cfg), cfg)
+        rows.append((lt.a, lt.b, lt.c, lt.d, lt.active_noise_gain))
+    a, b, c, d, ang = (np.array(col) for col in zip(*rows))
+    return dict(a=a, b=b, c=c, d=d, ang=ang)
+
+
+class TestReducedSampler:
+    """The MC block draw against the paper-faithful full-vector oracle."""
+
+    @pytest.mark.parametrize("key, part", [
+        ("a", np.real), ("b", np.real), ("c", np.imag), ("d", np.real), ("ang", np.real),
+    ])
+    def test_link_term_distributions(self, oracle_terms, key, part):
+        sampled = rn.sample_link_terms(_oracle_config(), N_ORACLE)[key]
+        p = sstats.ks_2samp(part(oracle_terms[key]), part(sampled)).pvalue
+        assert p > 1e-3, f"{key}: KS p-value {p:.2g}"
+
+    def test_outage_fraction(self, oracle_terms):
+        cfg = _oracle_config()
+        lt = rn.LinkTerms(a=oracle_terms["a"], b=oracle_terms["b"], c=oracle_terms["c"],
+                          d=oracle_terms["d"], active_noise_gain=oracle_terms["ang"],
+                          w0=rn.dbm_to_watt(cfg.w0_dbm), sigma_z2=rn.dbm_to_watt(cfg.namp_dbm),
+                          alpha=cfg.alpha_linear, epsilon=cfg.epsilon_sic)
+        v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
+        # active_user=2: gamma1 of the SINR pair belongs to user 2
+        p_oracle = float(np.mean(rn.sinr(lt, cfg).gamma1 < v))
+        p_mc = rn.estimate_outage(cfg, 2, trials=N_ORACLE).op
+        pooled = (p_oracle + p_mc) / 2.0
+        se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / N_ORACLE)
+        assert 0.1 < pooled < 0.9
+        assert abs(p_oracle - p_mc) <= 4.0 * se

@@ -1,12 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import risnoma as rn
 from risnoma.cli import main
-from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param
+from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param, is_noisy
 from conftest import unit_config
 
 
@@ -182,6 +183,49 @@ class TestCli:
         assert code == 1
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2 and all("[error:NotImplementedError]" in l for l in out)
+
+    def test_point_error_rows_say_why(self, capsys):
+        args = ["point", "--method", "analytic", "--set", "joint_outage_u2=true"]
+        assert main(args) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert all("joint decode outage is simulation-only" in l for l in out)
+        assert main(args + ["--json"]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert all("simulation-only" in r["error"] for r in rows)
+
+    def test_point_json_is_strict(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        args = ["point", "--method", "both", "--trials", "500", "--json",
+                "--set", "joint_outage_u2=true"]
+        assert main(args) == 1
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        failed = [r for r in rows if r["method"] == "analytic"]
+        assert failed and all(r["op"] is None and r["err"] is None for r in failed)
+        assert all(r["error"] is None for r in rows if r["method"] == "mc")
+
+    def test_point_zero_events_is_noisy(self, capsys):
+        # the default config is a deep-tail point: 2000 trials see no outage
+        args = ["point", "--method", "mc", "--trials", "2000"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "no outage event in 2000 trials" in err
+        assert main(args + ["--allow-noisy"]) == 0
+
+    def test_zero_event_row_rule(self):
+        row = rn.ResultRow(sweep_param="p", sweep_value=0.0, user=1, method="mc",
+                           op=0.0, err=0.0, alpha=1.0, mode="fixed", ms=0.0,
+                           trials=2000)
+        assert is_noisy(row)
+        assert not is_noisy(replace(row, op=0.5, err=0.01))
+        assert not is_noisy(replace(row, method="analytic", trials=0))
+
+    def test_sweep_reports_error_messages(self, tmp_path, capsys):
+        code = main(["sweep", "--param", "fc_ghz", "--values", "3,9",
+                     "--method", "analytic", "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert "fc_ghz must be in" in capsys.readouterr().err
 
     def test_point_noisy_exit(self, capsys):
         # tiny trial count at a small probability: std err above the bar
