@@ -106,17 +106,28 @@ def cf_eval(spec: QuadFormSpec, omega):
 
     Each component contributes the standard chi-square CF evaluated at the
     weighted frequency (the CF scaling rule for cX), and independence turns
-    the sum into a product.  Principal logs are safe: Re(1 - 2j u s^2) = 1.
+    the sum into a product.  With t = 2 u s^2 the principal log of
+    1 - j t is (1/2) log1p(t^2) - j atan(t), so the log-CF is summed in
+    real arithmetic and exponentiated once.
     """
     w = np.asarray(omega, dtype=float)
-    log_psi = np.zeros(w.shape, dtype=np.complex128)
+    log_mag = np.zeros(w.shape)
+    phase = np.zeros(w.shape)
     for comp in spec.components:
         u = comp.weight * w
-        denom = 1.0 - 2.0j * u * comp.var
-        log_psi += -(comp.dof / 2.0) * np.log(denom)
+        t = 2.0 * comp.var * u
+        tt = t * t
+        log_mag -= (comp.dof / 4.0) * np.log1p(tt)
+        phase += (comp.dof / 2.0) * np.arctan(t)
         if comp.mean != 0.0:
-            log_psi += 1.0j * u * (comp.dof * comp.mean**2) / denom
-    psi = np.exp(log_psi)
+            # j u lam / (1 - j t) = u lam (j - t) / (1 + t^2)
+            q = (comp.dof * comp.mean**2) * u / (1.0 + tt)
+            log_mag -= q * t
+            phase += q
+    mag = np.exp(log_mag)
+    psi = np.empty(w.shape, dtype=np.complex128)
+    psi.real = mag * np.cos(phase)
+    psi.imag = mag * np.sin(phase)
     if np.isscalar(omega):
         return complex(psi)
     return psi
@@ -198,6 +209,27 @@ def _gk15(f, lo, hi):
     return kron, np.abs(kron - gauss)
 
 
+_TRUNC_MAX_DOUBLINGS = 200
+_TRUNC_CHUNK = 40           # divides _TRUNC_MAX_DOUBLINGS
+
+
+def _truncation_limit(cf, g: float, tol: float) -> tuple[float, float]:
+    """First omega = 2^k (k < 200) where both tail gauges are negligible.
+
+    The candidates are probed in chunks, one `cf` call per chunk; returns
+    the limit and |cf| there, which also bounds the tail beyond it.
+    """
+    for start in range(0, _TRUNC_MAX_DOUBLINGS, _TRUNC_CHUNK):
+        omega = np.ldexp(1.0, np.arange(start, start + _TRUNC_CHUNK))
+        psi_mag = np.abs(np.asarray(cf(omega)))
+        osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega)
+        done = (psi_mag / omega < 1e-12) | (np.minimum(psi_mag, osc_tail) < tol / 8.0)
+        if done.any():
+            k = int(np.argmax(done))
+            return float(omega[k]), float(psi_mag[k])
+    raise AccuracyError("could not find a finite truncation limit")
+
+
 def gil_pelaez_cdf(cf, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
                    omega_max: float = 0.0, max_panels: int = 60_000,
                    max_refinements: int = 200) -> tuple[float, float]:
@@ -205,8 +237,8 @@ def gil_pelaez_cdf(cf, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
 
     `cf` must accept a float ndarray of frequencies.  The integrand has a
     finite limit at zero frequency; the sliver below `omega0` is added in
-    closed form at first order.  The truncation limit is doubled until the
-    tail is negligible (or taken from `omega_max` when positive), and
+    closed form at first order.  The truncation limit is the first power of
+    two where the tail is negligible (or `omega_max` when positive), and
     panels are bisected until the error estimate meets `tol`.  Raises
     :class:`AccuracyError` instead of returning a silently degraded value.
     """
@@ -214,19 +246,11 @@ def gil_pelaez_cdf(cf, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
     def integrand(w):
         return np.imag(np.exp(-1j * w * g) * cf(w)) / w
 
-    # truncation limit: extend while both tail gauges are significant
     if omega_max > 0.0:
         omega_hi = omega_max
+        psi_end = abs(complex(np.asarray(cf(np.array([omega_hi])))[0]))
     else:
-        omega_hi = 1.0
-        for _ in range(200):
-            psi_mag = abs(complex(np.asarray(cf(np.array([omega_hi])))[0]))
-            osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega_hi)
-            if psi_mag / omega_hi < 1e-12 or min(psi_mag, osc_tail) < tol / 8.0:
-                break
-            omega_hi *= 2.0
-        else:
-            raise AccuracyError("could not find a finite truncation limit")
+        omega_hi, psi_end = _truncation_limit(cf, g, tol)
 
     # dyadic panel boundaries from omega0 up to the truncation limit
     bounds = [omega_hi]
@@ -269,7 +293,6 @@ def gil_pelaez_cdf(cf, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
     # finite-limit sliver below omega0, first-order rectangle
     sliver = integrand(np.array([omega0 / 2.0]))[0] * omega0
     # post-truncation tail, bounded by the oscillation-cancelled envelope
-    psi_end = abs(complex(np.asarray(cf(np.array([omega_hi])))[0]))
     tail = min(psi_end, 2.0 * psi_end / (max(abs(g), 1e-3) * omega_hi))
 
     p = 0.5 - (vals.sum() + sliver) / math.pi

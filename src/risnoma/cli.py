@@ -15,8 +15,8 @@ from . import __version__
 from .config import (ConfigError, SystemConfig, apply_overrides, load_config,
                      validate)
 from .optimizer import OptimizerSettings, optimize
-from .sweep import (NOISY_REL_STD_ERR, PRESET_NAMES, SweepSpec, is_noisy,
-                    parse_values, run_point, run_preset, run_sweep)
+from .sweep import (INT_PARAMS, NOISY_REL_STD_ERR, PRESET_NAMES, SweepSpec,
+                    is_noisy, parse_values, run_point, run_preset, run_sweep)
 
 
 def _add_common(p):
@@ -97,8 +97,7 @@ def _cmd_point(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    as_int = args.param in ("m_active", "n_passive", "ris_size", "mc_trials")
-    values = parse_values(args.values, as_int=as_int)
+    values = parse_values(args.values, as_int=args.param in INT_PARAMS)
     methods = ("mc", "analytic") if args.method == "both" else (args.method,)
     spec = SweepSpec(param=args.param, values=values, methods=methods,
                      alpha_mode=args.alpha_mode)

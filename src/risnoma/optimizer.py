@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import analytic_outage
+from .channel import link_variances
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pair
 from .ris import alpha_from_power
@@ -51,7 +52,7 @@ class OptimizationOutcome:
     gap: float       # |op1 - op2| at the optimum
     delta: float     # max(op1, op2) at the optimum, the fairness ceiling
     mode: str        # balanced | fallback_user1 | fallback_user2
-    evaluations: int
+    evaluations: int  # distinct gains evaluated (budgets sharing a gain count once)
 
 
 def _outage_pair_at(pt_ris_dbm: float, config: SystemConfig,
@@ -138,12 +139,16 @@ def optimize(config: SystemConfig,
     if settings.method not in ("golden", "annealing"):
         raise ValueError(f"method must be 'golden' or 'annealing', got {settings.method!r}")
 
+    # both evaluators see the budget only through the gain it implies, and
+    # the gain clamps at 0 and 30 dB, so many budgets share one evaluation
+    variances = link_variances(config)
     cache: dict[float, tuple[float, float]] = {}
 
     def pair_at(x: float) -> tuple[float, float]:
-        if x not in cache:
-            cache[x] = _outage_pair_at(x, config, settings)
-        return cache[x]
+        gain = alpha_from_power(replace(config, pt_ris_dbm=x), variances)
+        if gain not in cache:
+            cache[gain] = _outage_pair_at(x, config, settings)
+        return cache[gain]
 
     grid = [float(x) for x in
             np.arange(lo, hi + settings.grid_step_db / 2.0, settings.grid_step_db)]

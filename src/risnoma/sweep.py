@@ -28,7 +28,7 @@ CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
 VIRTUAL_PARAMS = {"ris_size": ("m_active", "n_passive")}
 
 _CONFIG_KEYS = {f.name for f in fields(SystemConfig)}
-_INT_PARAMS = {"m_active", "n_passive", "ris_size", "active_user", "mc_trials", "seed"}
+INT_PARAMS = {"m_active", "n_passive", "ris_size", "active_user", "mc_trials", "seed"}
 
 NOISY_REL_STD_ERR = 0.2    # MC rows noisier than this need --allow-noisy
 FLOOR_EVENTS = 1000        # events below which an MC tail point is floor-limited
@@ -56,7 +56,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ResultRow:
     sweep_param: str
-    sweep_value: float
+    sweep_value: float     # an int for an integer parameter
     user: int
     method: str
     op: float
@@ -77,13 +77,19 @@ class ResultRow:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, int):
+        return str(x)  # an integer parameter's value, exact however large
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return f"{x:.10g}"
 
 
 def parse_values(text: str, as_int: bool = False):
-    """Value lists: 'a,b,c', 'start:stop:step', or 'log:start:stop:npoints'."""
+    """Value lists: 'a,b,c', 'start:stop:step', or 'log:start:stop:npoints'.
+
+    With `as_int`, a comma list is read with int(), so large integers
+    (seeds) keep every digit.
+    """
     text = text.strip()
     if text.startswith("log:"):
         parts = text[4:].split(":")
@@ -102,7 +108,10 @@ def parse_values(text: str, as_int: bool = False):
             raise ValueError("step must be positive")
         vals = np.arange(start, stop + step / 2.0, step)
     else:
-        vals = np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        parts = [p for p in text.split(",") if p.strip() != ""]
+        if as_int:
+            return tuple(int(p) for p in parts)
+        vals = np.array([float(p) for p in parts])
     if as_int:
         return tuple(int(round(v)) for v in vals)
     return tuple(float(v) for v in vals)
@@ -112,7 +121,7 @@ def apply_param(config: SystemConfig, param: str, value) -> SystemConfig:
     if param in VIRTUAL_PARAMS:
         updates = {k: int(round(value)) for k in VIRTUAL_PARAMS[param]}
         return replace(config, **updates)
-    if param in _INT_PARAMS:
+    if param in INT_PARAMS:
         value = int(round(value))
     return replace(config, **{param: value})
 
@@ -126,9 +135,23 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
     digest = config.digest()
     mode = config.alpha_mode
     eval_config = config
+
+    def error_rows(method, exc, alpha, ms):
+        return [ResultRow(
+            sweep_param=sweep_param, sweep_value=sweep_value,
+            user=user, method=method, op=float("nan"), err=float("nan"),
+            alpha=alpha, mode=f"error:{type(exc).__name__}", ms=ms,
+            config_digest=digest, error=str(exc),
+        ) for user in (1, 2)]
+
     if config.alpha_mode == "optimized":
         t0 = time.perf_counter()
-        outcome = optimize(config, optimizer_settings or OptimizerSettings())
+        try:
+            outcome = optimize(config, optimizer_settings or OptimizerSettings())
+        except Exception as exc:  # the point fails; the run continues
+            ms = (time.perf_counter() - t0) * 1e3
+            return [row for method in methods
+                    for row in error_rows(method, exc, float("nan"), ms)]
         opt_ms = (time.perf_counter() - t0) * 1e3
         eval_config = replace(config, pt_ris_dbm=outcome.pt_ris_dbm,
                               alpha_mode="from_power")
@@ -157,13 +180,7 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
                 ))
         except Exception as exc:  # per-row failure; the run continues
             ms = (time.perf_counter() - t0) * 1e3 + opt_ms
-            for user in (1, 2):
-                rows.append(ResultRow(
-                    sweep_param=sweep_param, sweep_value=sweep_value,
-                    user=user, method=method, op=float("nan"), err=float("nan"),
-                    alpha=alpha, mode=f"error:{type(exc).__name__}", ms=ms,
-                    config_digest=digest, error=str(exc),
-                ))
+            rows.extend(error_rows(method, exc, alpha, ms))
     return rows
 
 
@@ -198,7 +215,7 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
             for user in (1, 2):
                 for method in spec.methods:
                     rows.append(ResultRow(
-                        sweep_param=spec.param, sweep_value=float(value),
+                        sweep_param=spec.param, sweep_value=value,
                         user=user, method=method, op=float("nan"),
                         err=float("nan"), alpha=float("nan"),
                         mode="error:ConfigError", ms=0.0, error=str(exc),
@@ -207,7 +224,7 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
         rows.extend(run_point(
             point, spec.methods, workers=workers,
             optimizer_settings=optimizer_settings,
-            sweep_param=spec.param, sweep_value=float(value),
+            sweep_param=spec.param, sweep_value=value,
         ))
 
     noisy = [r for r in rows if is_noisy(r)]
@@ -234,7 +251,7 @@ def write_csv(path, rows, base: SystemConfig, spec: SweepSpec | None = None):
     ]
     lines += [",".join(r.csv_fields()) for r in rows]
     floor = sorted(
-        f"{r.sweep_value:.10g}/u{r.user}" for r in rows if _floor_limited(r)
+        f"{_fmt(r.sweep_value)}/u{r.user}" for r in rows if _floor_limited(r)
     )
     if floor:
         lines.append(f"# floor-limited (fewer than {FLOOR_EVENTS} events): "

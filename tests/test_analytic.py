@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadFormSpec
+from risnoma.analytic import QfComponent, QuadFormSpec, _truncation_limit
 from conftest import unit_config
 
 PI = np.pi
@@ -149,6 +149,27 @@ class TestCfEval:
         expected = denom**-0.5 * np.exp(1j * w / denom)
         assert np.allclose(rn.cf_eval(spec, w), expected, rtol=1e-12)
 
+    def test_matches_complex_log_form(self):
+        # the textbook log-CF summed in complex arithmetic, per component:
+        # -(k/2) log(1 - 2j u s^2) + j u k m^2 / (1 - 2j u s^2), u = weight w
+        spec = QuadFormSpec(components=(
+            QfComponent(weight=1.0, dof=1, var=0.7, mean=1.3),
+            QfComponent(weight=-0.6, dof=1, var=0.4, mean=-0.9),
+            QfComponent(weight=-0.25, dof=6, var=0.5),
+            QfComponent(weight=0.4, dof=2, var=1.1, mean=0.5),
+        ))
+        mag = np.logspace(-8, 6, 500)
+        w = np.concatenate([-mag[::-1], mag])
+        log_psi = np.zeros(w.shape, dtype=complex)
+        for c in spec.components:
+            u = c.weight * w
+            denom = 1.0 - 2.0j * u * c.var
+            log_psi += -(c.dof / 2.0) * np.log(denom) + 1.0j * u * c.dof * c.mean**2 / denom
+        expected = np.exp(log_psi)
+        psi = rn.cf_eval(spec, w)
+        assert np.all(np.abs(psi - expected) <= 1e-13 * np.abs(expected))
+        assert isinstance(rn.cf_eval(spec, 2.5), complex)
+
 
 class TestGilPelaez:
     def test_standard_normal_quantiles(self):
@@ -182,6 +203,47 @@ class TestGilPelaez:
         cf = lambda w: np.exp(-w**2 / 2.0)
         ps = [rn.gil_pelaez_cdf(cf, g)[0] for g in np.linspace(-3, 3, 13)]
         assert all(a <= b + 1e-9 for a, b in zip(ps, ps[1:]))
+
+    def test_truncation_limit_matches_doubling_search(self):
+        # the limit is the first power of two passing the tail test, as a
+        # one-frequency-at-a-time doubling search would find it
+        def doubling_limit(cf, g, tol=1e-6):
+            omega_hi = 1.0
+            for _ in range(200):
+                psi_mag = abs(complex(np.asarray(cf(np.array([omega_hi])))[0]))
+                osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega_hi)
+                if psi_mag / omega_hi < 1e-12 or min(psi_mag, osc_tail) < tol / 8.0:
+                    return omega_hi
+                omega_hi *= 2.0
+            raise AssertionError("no limit below 2^200")
+
+        cfg = rn.validate(rn.SystemConfig())
+        spec = TestQuadForm()._spec(cfg, 2)
+        norm = spec.scaled(1.0 / math.sqrt(spec.variance()))
+        slow = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
+        cases = [
+            (lambda w: np.exp(-w**2 / 2.0), (-2.0, 0.0, 1.5)),
+            (lambda w: 1.0 / (1.0 - 1j * w), (0.5, 2.0)),
+            (lambda w: rn.cf_eval(slow, w), (0.5, 3.0)),
+            (lambda w: rn.cf_eval(norm, w), (norm.mean() - 1.0, norm.mean() + 2.0)),
+        ]
+        limits = set()
+        for cf, gs in cases:
+            for g in gs:
+                limit = doubling_limit(cf, g)
+                limits.add(limit)
+                assert _truncation_limit(cf, g, 1e-6)[0] == limit
+                p, err = rn.gil_pelaez_cdf(cf, g)
+                p_at, err_at = rn.gil_pelaez_cdf(cf, g, omega_max=limit)
+                # |cf| at the limit comes from a many-frequency call in one
+                # and a one-frequency call in the other: equal to rounding
+                assert p == p_at and err == pytest.approx(err_at, rel=1e-12)
+        assert min(limits) < 2.0**4 and max(limits) > 2.0**15
+        # an undamped CF (a point mass) at a tight tolerance runs to the
+        # last gauge, 2^40, past the first chunk of probed frequencies
+        point_mass = lambda w: np.exp(0.3j * w)
+        assert doubling_limit(point_mass, 0.0, tol=1e-9) == 2.0**40
+        assert _truncation_limit(point_mass, 0.0, 1e-9)[0] == 2.0**40
 
     def test_accuracy_error_is_loud(self):
         cf = lambda w: 1.0 / (1.0 - 1j * w)

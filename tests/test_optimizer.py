@@ -3,6 +3,9 @@ import pytest
 from dataclasses import replace
 
 import risnoma as rn
+from risnoma import optimizer
+from risnoma.config import ALPHA_MAX
+from risnoma.ris import alpha_from_power
 from conftest import unit_config
 
 
@@ -106,6 +109,35 @@ class TestOptimize:
         a = rn.optimize(cfg, settings)
         b = rn.optimize(cfg, settings)
         assert a == b  # common random numbers make the search reproducible
+
+    @pytest.mark.parametrize("evaluator", ["analytic", "mc"])
+    def test_one_evaluation_per_gain(self, evaluator, monkeypatch):
+        # an interval straddling the 30 dB gain cap: every budget past the
+        # cap implies the same gain, so it is evaluated once
+        cfg = rn.validate(rn.SystemConfig(m_active=64, n_passive=64, mc_trials=2000))
+        grid = np.arange(-80.0, 20.0, 0.5)
+        gains = [alpha_from_power(replace(cfg, pt_ris_dbm=float(x))) for x in grid]
+        x_cap = float(grid[gains.index(ALPHA_MAX)])
+        settings = rn.OptimizerSettings(evaluator=evaluator, grid_step_db=1.0,
+                                        interval_dbm=(x_cap - 4.0, x_cap + 6.0))
+
+        seen = []
+        evaluate = optimizer._outage_pair_at
+
+        def counted(x, config, s):
+            seen.append(alpha_from_power(replace(config, pt_ris_dbm=x)))
+            return evaluate(x, config, s)
+
+        monkeypatch.setattr(optimizer, "_outage_pair_at", counted)
+        out = rn.optimize(cfg, settings)
+        monkeypatch.undo()
+
+        assert len(seen) == len(set(seen)) == out.evaluations
+        assert ALPHA_MAX in seen and min(seen) < ALPHA_MAX
+        assert out.evaluations < 11  # the 11 grid budgets alone share gains
+        # the cached pair is the one evaluated at the chosen budget itself
+        assert (out.op1, out.op2) == evaluate(out.pt_ris_dbm, cfg, settings)
+        assert rn.optimize(cfg, settings) == out
 
     def test_bad_settings(self):
         cfg = rn.validate(rn.SystemConfig())

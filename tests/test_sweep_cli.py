@@ -34,6 +34,9 @@ class TestParseValues:
 
     def test_int_cast(self):
         assert rn.parse_values("64,128", as_int=True) == (64, 128)
+        # 2^53 + 1 and + 3 are not floats; a float parse rounds them
+        vals = rn.parse_values("9007199254740993,9007199254740995", as_int=True)
+        assert vals == (9007199254740993, 9007199254740995)
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -226,6 +229,33 @@ class TestCli:
                      "--method", "analytic", "--out", str(tmp_path / "e.csv")])
         assert code == 1
         assert "fc_ghz must be in" in capsys.readouterr().err
+
+    def test_sweep_optimizer_failure_is_error_rows(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        code = main(["sweep", "--param", "pt_user_dbm", "--values", "10,12",
+                     "--alpha-mode", "optimized", "--method", "analytic",
+                     "--set", "joint_outage_u2=true", "--out", str(out)])
+        assert code == 1
+        assert "joint decode outage is simulation-only" in capsys.readouterr().err
+        body = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [(r[1], r[2]) for r in body] == [("10", "1"), ("10", "2"),
+                                                ("12", "1"), ("12", "2")]
+        assert all(r[7] == "error:NotImplementedError" and r[4] == "nan"
+                   for r in body)
+
+    def test_sweep_int_param_values_exact(self, tmp_path, capsys):
+        out = tmp_path / "seed.csv"
+        seeds = [9007199254740993, 9007199254740995]
+        code = main(["sweep", "--param", "seed", "--values",
+                     ",".join(map(str, seeds)), "--method", "analytic",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        header = json.loads(lines[0][2:])
+        assert header["sweep"]["values"] == seeds
+        body = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert [int(r[1]) for r in body] == [s for s in seeds for _ in (1, 2)]
 
     def test_point_noisy_exit(self, capsys):
         # tiny trial count at a small probability: std err above the bar
