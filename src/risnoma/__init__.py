@@ -4,7 +4,7 @@ NOMA system enabled over-the-air by a hybrid active/passive RIS."""
 __version__ = "0.1.0"
 
 from .analytic import (AccuracyError, QfComponent, QuadFormSpec, TermStats,
-                       analytic_outage, build_quadform, cf_eval,
+                       analytic_outage, build_quadform, log_cf,
                        gil_pelaez_cdf, stats_a, stats_b, stats_c, stats_d,
                        term_statistics)
 from .channel import (ChannelRealization, LinkVariances, RandomStream,

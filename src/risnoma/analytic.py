@@ -5,9 +5,9 @@ Gaussian.  The coherent sums (a, d) are real with a Rayleigh-product mean;
 the leakage sums (b, c) are zero-mean complex.  Squared magnitudes are
 then noncentral / central chi-square variables, the outage event becomes
 a sign test on a weighted sum of independent chi-square components, and
-its CDF follows from the characteristic function by Gil-Pelaez inversion:
+its CDF follows from the log characteristic function by Gil-Pelaez inversion:
 
-    F(g) = 1/2 - (1/pi) * integral_0^inf Im{exp(-j w g) Psi(w)} / w dw
+    F(g) = 1/2 - (1/pi) * integral_0^inf |Psi(w)| sin(arg Psi(w) - w g) / w dw
 
 The quadrature is adaptive Gauss-Kronrod (G7/K15) on dyadic panels with
 automatic extension of the truncation limit.
@@ -101,14 +101,14 @@ class QuadFormSpec:
         )
 
 
-def cf_eval(spec: QuadFormSpec, omega):
-    """Characteristic function of the quadratic form at omega (scalar or array).
+def log_cf(spec: QuadFormSpec, omega):
+    """Log characteristic function of the quadratic form: log|Psi| + j arg Psi.
 
     Each component contributes the standard chi-square CF evaluated at the
     weighted frequency (the CF scaling rule for cX), and independence turns
-    the sum into a product.  With t = 2 u s^2 the principal log of
-    1 - j t is (1/2) log1p(t^2) - j atan(t), so the log-CF is summed in
-    real arithmetic and exponentiated once.
+    the product into a sum of logs.  With t = 2 u s^2 the principal log of
+    1 - j t is (1/2) log1p(t^2) - j atan(t), so the sum is formed in real
+    arithmetic.  exp(log_cf(spec, omega)) is the CF itself.
     """
     w = np.asarray(omega, dtype=float)
     log_mag = np.zeros(w.shape)
@@ -124,13 +124,9 @@ def cf_eval(spec: QuadFormSpec, omega):
             q = (comp.dof * comp.mean**2) * u / (1.0 + tt)
             log_mag -= q * t
             phase += q
-    mag = np.exp(log_mag)
-    psi = np.empty(w.shape, dtype=np.complex128)
-    psi.real = mag * np.cos(phase)
-    psi.imag = mag * np.sin(phase)
-    if np.isscalar(omega):
-        return complex(psi)
-    return psi
+    out = log_mag.astype(np.complex128)
+    out.imag = phase
+    return complex(out) if np.isscalar(omega) else out
 
 
 def build_quadform(sa: TermStats, sb: TermStats, sc: TermStats, sd: TermStats, *,
@@ -213,15 +209,15 @@ _TRUNC_MAX_DOUBLINGS = 200
 _TRUNC_CHUNK = 40           # divides _TRUNC_MAX_DOUBLINGS
 
 
-def _truncation_limit(cf, g: float, tol: float) -> tuple[float, float]:
+def _truncation_limit(log_psi, g: float, tol: float) -> tuple[float, float]:
     """First omega = 2^k (k < 200) where both tail gauges are negligible.
 
-    The candidates are probed in chunks, one `cf` call per chunk; returns
-    the limit and |cf| there, which also bounds the tail beyond it.
+    The candidates are probed in chunks, one `log_psi` call per chunk;
+    returns the limit and |Psi| there, which also bounds the tail beyond it.
     """
     for start in range(0, _TRUNC_MAX_DOUBLINGS, _TRUNC_CHUNK):
         omega = np.ldexp(1.0, np.arange(start, start + _TRUNC_CHUNK))
-        psi_mag = np.abs(np.asarray(cf(omega)))
+        psi_mag = np.exp(np.real(log_psi(omega)))
         osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega)
         done = (psi_mag / omega < 1e-12) | (np.minimum(psi_mag, osc_tail) < tol / 8.0)
         if done.any():
@@ -230,27 +226,30 @@ def _truncation_limit(cf, g: float, tol: float) -> tuple[float, float]:
     raise AccuracyError("could not find a finite truncation limit")
 
 
-def gil_pelaez_cdf(cf, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
+def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
                    omega_max: float = 0.0, max_panels: int = 60_000,
                    max_refinements: int = 200) -> tuple[float, float]:
-    """CDF value F(g) from a characteristic function, with an error bound.
+    """CDF value F(g) from a log characteristic function, with an error bound.
 
-    `cf` must accept a float ndarray of frequencies.  The integrand has a
-    finite limit at zero frequency; the sliver below `omega0` is added in
-    closed form at first order.  The truncation limit is the first power of
-    two where the tail is negligible (or `omega_max` when positive), and
-    panels are bisected until the error estimate meets `tol`.  Raises
+    `log_psi` maps a float ndarray of frequencies to log Psi on any branch,
+    such as `np.log` of a closed-form CF.  The integrand has a finite limit
+    at zero frequency; the sliver below `omega0` is added in closed form at
+    first order.  The truncation limit is the first power of two where the
+    tail is negligible (or `omega_max` when positive), and panels are
+    bisected until the error estimate meets `tol`.  Raises
     :class:`AccuracyError` instead of returning a silently degraded value.
     """
 
     def integrand(w):
-        return np.imag(np.exp(-1j * w * g) * cf(w)) / w
+        # polar form: one exp and one sin per node
+        log_w = log_psi(w)
+        return np.exp(log_w.real) * np.sin(log_w.imag - w * g) / w
 
     if omega_max > 0.0:
         omega_hi = omega_max
-        psi_end = abs(complex(np.asarray(cf(np.array([omega_hi])))[0]))
+        psi_end = float(np.exp(np.real(log_psi(np.array([omega_hi])))[0]))
     else:
-        omega_hi, psi_end = _truncation_limit(cf, g, tol)
+        omega_hi, psi_end = _truncation_limit(log_psi, g, tol)
 
     # dyadic panel boundaries from omega0 up to the truncation limit
     bounds = [omega_hi]
@@ -356,7 +355,7 @@ def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
                             user=user, config_digest=digest)
     norm = spec.scaled(1.0 / scale)
     p, err = gil_pelaez_cdf(
-        lambda w: cf_eval(norm, w), g / scale,
+        lambda w: log_cf(norm, w), g / scale,
         tol=config.quad_tol, omega_max=config.quad_omega_max,
     )
     return OutageResult(op=p, trials=0, std_err=err, method="analytic",

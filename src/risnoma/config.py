@@ -119,11 +119,13 @@ class SystemConfig:
     quad_omega_max: float = 0.0  # truncation limit; 0 selects automatic extension
 
     def digest(self) -> str:
-        """Short stable hash of the full configuration."""
-        payload = json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        """Short stable hash of the full configuration, memoized outside the fields."""
+        if "_digest" not in self.__dict__:
+            payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                                 sort_keys=True)
+            digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
+            object.__setattr__(self, "_digest", digest)
+        return self._digest
 
 
 def validate(config: SystemConfig) -> SystemConfig:

@@ -24,7 +24,7 @@ from .analytic import analytic_outage
 from .channel import link_variances
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pair
-from .ris import alpha_from_power
+from .ris import _alpha_at_budget
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,7 +145,7 @@ def optimize(config: SystemConfig,
     cache: dict[float, tuple[float, float]] = {}
 
     def pair_at(x: float) -> tuple[float, float]:
-        gain = alpha_from_power(replace(config, pt_ris_dbm=x), variances)
+        gain = _alpha_at_budget(config, x, variances)
         if gain not in cache:
             cache[gain] = _outage_pair_at(x, config, settings)
         return cache[gain]
@@ -164,7 +164,9 @@ def optimize(config: SystemConfig,
         candidates = grid
     else:
         mode = "balanced"
-        objective = lambda x: abs(pair_at(x)[0] - pair_at(x)[1])
+        def objective(x):
+            op1, op2 = pair_at(x)
+            return abs(op1 - op2)
         deltas = [max(p) for p in grid_pairs]
         delta_star = min(deltas)
         slack = max(1e-9, 0.05 * delta_star)
@@ -192,10 +194,9 @@ def optimize(config: SystemConfig,
             x = best_x
 
     op1, op2 = pair_at(x)
-    probe = replace(config, pt_ris_dbm=x, alpha_mode="from_power")
     return OptimizationOutcome(
         pt_ris_dbm=x,
-        alpha=alpha_from_power(probe),
+        alpha=_alpha_at_budget(config, x, variances),
         op1=op1,
         op2=op2,
         gap=abs(op1 - op2),

@@ -72,10 +72,16 @@ def alpha_from_power(config: SystemConfig, variances: LinkVariances | None = Non
     Uses the per-element average channel power of the amplified user's
     uplink hop as the reference input power.
     """
+    return _alpha_at_budget(config, config.pt_ris_dbm, variances)
+
+
+def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float,
+                     variances: LinkVariances | None = None) -> float:
+    """`alpha_from_power` at another budget, without copying the config."""
     if variances is None:
         variances = link_variances(config)
     sigma2_active = variances.u1 if config.active_user == 1 else variances.u2
-    p_o = element_output_power(dbm_to_watt(config.pt_ris_dbm), config.m_active)
+    p_o = element_output_power(dbm_to_watt(pt_ris_dbm), config.m_active)
     pt = dbm_to_watt(config.pt_user_dbm)
     g_cap = math.sqrt(db_to_linear(min(config.g_max_db, 30.0)))  # amplitude cap
     g = amplifier_gain(p_o, pt, sigma2_active, g_cap)

@@ -11,6 +11,19 @@ from conftest import unit_config
 PI = np.pi
 
 
+def log_of(cf):
+    """np.log of a closed-form CF, the form gil_pelaez_cdf takes (any branch)."""
+    def log_psi(w):
+        with np.errstate(divide="ignore"):     # log(0) = -inf where cf underflows
+            return np.log(cf(w))
+    return log_psi
+
+
+def cf_of(spec):
+    """The CF itself, through the log-CF."""
+    return lambda w: np.exp(rn.log_cf(spec, w))
+
+
 def ncx2_cdf_series(x: float, dof: int, lam: float, terms: int = 200) -> float:
     """Poisson-weighted central chi-square mixture; independent oracle."""
     total = 0.0
@@ -122,12 +135,12 @@ class TestCfEval:
     def test_normalized_at_zero(self):
         cfg = rn.validate(rn.SystemConfig())
         spec = TestQuadForm()._spec(cfg, 1)
-        assert rn.cf_eval(spec, 0.0) == pytest.approx(1.0 + 0j)
+        assert np.exp(rn.log_cf(spec, 0.0)) == pytest.approx(1.0 + 0j)
 
     def test_unit_exponential(self):
         # one central 2-dof component with per-component variance 1/2
         spec = QuadFormSpec(components=(QfComponent(1.0, 2, 0.5),))
-        assert rn.cf_eval(spec, 1.0) == pytest.approx(0.5 + 0.5j, rel=1e-12)
+        assert np.exp(rn.log_cf(spec, 1.0)) == pytest.approx(0.5 + 0.5j, rel=1e-12)
 
     def test_conjugate_symmetry_and_bound(self, rng):
         for _ in range(10):
@@ -136,8 +149,8 @@ class TestCfEval:
                             var=rng.uniform(0.1, 2.0), mean=rng.normal())
                 for _ in range(4)))
             w = rng.uniform(-50, 50, 64)
-            psi = rn.cf_eval(spec, w)
-            psi_neg = rn.cf_eval(spec, -w)
+            psi = cf_of(spec)(w)
+            psi_neg = cf_of(spec)(-w)
             assert np.allclose(psi_neg, np.conj(psi), rtol=1e-12)
             assert np.all(np.abs(psi) <= 1.0 + 1e-12)
 
@@ -147,7 +160,7 @@ class TestCfEval:
         w = np.linspace(-5, 5, 11)
         denom = 1 - 2j * w
         expected = denom**-0.5 * np.exp(1j * w / denom)
-        assert np.allclose(rn.cf_eval(spec, w), expected, rtol=1e-12)
+        assert np.allclose(cf_of(spec)(w), expected, rtol=1e-12)
 
     def test_matches_complex_log_form(self):
         # the textbook log-CF summed in complex arithmetic, per component:
@@ -166,51 +179,65 @@ class TestCfEval:
             denom = 1.0 - 2.0j * u * c.var
             log_psi += -(c.dof / 2.0) * np.log(denom) + 1.0j * u * c.dof * c.mean**2 / denom
         expected = np.exp(log_psi)
-        psi = rn.cf_eval(spec, w)
+        psi = cf_of(spec)(w)
         assert np.all(np.abs(psi - expected) <= 1e-13 * np.abs(expected))
-        assert isinstance(rn.cf_eval(spec, 2.5), complex)
+        assert isinstance(rn.log_cf(spec, 2.5), complex)
+
+    def test_polar_integrand_matches_complex_form(self, rng):
+        # |Psi| sin(arg Psi - w g) is Im{exp(-j w g) Psi}, the textbook integrand
+        for _ in range(10):
+            spec = QuadFormSpec(components=tuple(
+                QfComponent(weight=rng.normal(), dof=int(rng.integers(1, 6)),
+                            var=rng.uniform(0.1, 2.0), mean=rng.normal())
+                for _ in range(4)))
+            w = np.logspace(-6, 3, 400)
+            g = rng.normal(0.0, 3.0)
+            log_psi = rn.log_cf(spec, w)
+            polar = np.exp(log_psi.real) * np.sin(log_psi.imag - w * g)
+            expected = np.imag(np.exp(-1j * w * g) * np.exp(log_psi))
+            assert np.allclose(polar, expected, rtol=0.0, atol=1e-12)
 
 
 class TestGilPelaez:
     def test_standard_normal_quantiles(self):
         cf = lambda w: np.exp(-w**2 / 2.0)
         for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            p, err = rn.gil_pelaez_cdf(cf, q)
+            p, err = rn.gil_pelaez_cdf(log_of(cf), q)
             assert p == pytest.approx(sstats.norm.cdf(q), abs=1e-4)
 
     def test_unit_exponential(self):
         cf = lambda w: 1.0 / (1.0 - 1j * w)
         for g in (0.5, 1.0, 2.0):
-            p, err = rn.gil_pelaez_cdf(cf, g)
+            p, err = rn.gil_pelaez_cdf(log_of(cf), g)
             assert p == pytest.approx(1.0 - np.exp(-g), abs=1e-4)
 
     def test_central_chi2_2dof(self):
         cf = lambda w: 1.0 / (1.0 - 2j * w)
-        p, err = rn.gil_pelaez_cdf(cf, 2.0)
+        p, err = rn.gil_pelaez_cdf(log_of(cf), 2.0)
         assert p == pytest.approx(1.0 - np.exp(-1.0), abs=1e-4)
 
     def test_noncentral_chi2_series_oracle(self):
         spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
-        cf = lambda w: rn.cf_eval(spec, w)
+        log_psi = lambda w: rn.log_cf(spec, w)
         for g in (0.5, 1.0, 3.0):
             expected = ncx2_cdf_series(g, 1, 1.0)
             # oracle sanity: the series must agree with scipy's ncx2
             assert expected == pytest.approx(sstats.ncx2.cdf(g, 1, 1.0), abs=1e-10)
-            p, err = rn.gil_pelaez_cdf(cf, g)
+            p, err = rn.gil_pelaez_cdf(log_psi, g)
             assert p == pytest.approx(expected, abs=1e-4)
 
     def test_monotone_in_g(self):
         cf = lambda w: np.exp(-w**2 / 2.0)
-        ps = [rn.gil_pelaez_cdf(cf, g)[0] for g in np.linspace(-3, 3, 13)]
+        ps = [rn.gil_pelaez_cdf(log_of(cf), g)[0] for g in np.linspace(-3, 3, 13)]
         assert all(a <= b + 1e-9 for a, b in zip(ps, ps[1:]))
 
     def test_truncation_limit_matches_doubling_search(self):
         # the limit is the first power of two passing the tail test, as a
         # one-frequency-at-a-time doubling search would find it
-        def doubling_limit(cf, g, tol=1e-6):
+        def doubling_limit(log_psi, g, tol=1e-6):
             omega_hi = 1.0
             for _ in range(200):
-                psi_mag = abs(complex(np.asarray(cf(np.array([omega_hi])))[0]))
+                psi_mag = math.exp(np.real(log_psi(np.array([omega_hi])))[0])
                 osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega_hi)
                 if psi_mag / omega_hi < 1e-12 or min(psi_mag, osc_tail) < tol / 8.0:
                     return omega_hi
@@ -222,10 +249,10 @@ class TestGilPelaez:
         norm = spec.scaled(1.0 / math.sqrt(spec.variance()))
         slow = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
         cases = [
-            (lambda w: np.exp(-w**2 / 2.0), (-2.0, 0.0, 1.5)),
-            (lambda w: 1.0 / (1.0 - 1j * w), (0.5, 2.0)),
-            (lambda w: rn.cf_eval(slow, w), (0.5, 3.0)),
-            (lambda w: rn.cf_eval(norm, w), (norm.mean() - 1.0, norm.mean() + 2.0)),
+            (log_of(lambda w: np.exp(-w**2 / 2.0)), (-2.0, 0.0, 1.5)),
+            (log_of(lambda w: 1.0 / (1.0 - 1j * w)), (0.5, 2.0)),
+            (lambda w: rn.log_cf(slow, w), (0.5, 3.0)),
+            (lambda w: rn.log_cf(norm, w), (norm.mean() - 1.0, norm.mean() + 2.0)),
         ]
         limits = set()
         for cf, gs in cases:
@@ -235,23 +262,30 @@ class TestGilPelaez:
                 assert _truncation_limit(cf, g, 1e-6)[0] == limit
                 p, err = rn.gil_pelaez_cdf(cf, g)
                 p_at, err_at = rn.gil_pelaez_cdf(cf, g, omega_max=limit)
-                # |cf| at the limit comes from a many-frequency call in one
+                # |Psi| at the limit comes from a many-frequency call in one
                 # and a one-frequency call in the other: equal to rounding
                 assert p == p_at and err == pytest.approx(err_at, rel=1e-12)
         assert min(limits) < 2.0**4 and max(limits) > 2.0**15
         # an undamped CF (a point mass) at a tight tolerance runs to the
         # last gauge, 2^40, past the first chunk of probed frequencies
-        point_mass = lambda w: np.exp(0.3j * w)
+        point_mass = log_of(lambda w: np.exp(0.3j * w))
         assert doubling_limit(point_mass, 0.0, tol=1e-9) == 2.0**40
         assert _truncation_limit(point_mass, 0.0, 1e-9)[0] == 2.0**40
 
     def test_accuracy_error_is_loud(self):
-        cf = lambda w: 1.0 / (1.0 - 1j * w)
+        cf = log_of(lambda w: 1.0 / (1.0 - 1j * w))
         with pytest.raises(rn.AccuracyError):
             rn.gil_pelaez_cdf(cf, 1.0, max_panels=2, max_refinements=2)
 
 
 class TestAnalyticOutage:
+    def test_default_config_values_pinned(self):
+        # OP1 and OP2 of the default point, as the complex-arithmetic
+        # integrand gave them; the polar form moves only rounding
+        cfg = rn.validate(rn.SystemConfig())
+        assert rn.analytic_outage(cfg, 1).op == pytest.approx(9.940767585758792e-07, rel=1e-12)
+        assert rn.analytic_outage(cfg, 2).op == pytest.approx(2.2967393045747464e-05, rel=1e-12)
+
     def test_zero_rate_exact(self):
         cfg = unit_config(rate_threshold_bps_hz=0.0)
         res = rn.analytic_outage(cfg, 1)

@@ -1,6 +1,8 @@
+import hashlib
+import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,21 @@ class TestDigest:
         b = rn.SystemConfig()
         assert a.digest() == b.digest()
         assert a.digest() != replace(a, seed=1).digest()
+
+    def test_memoized_value_is_the_fresh_hash(self):
+        cfg = rn.SystemConfig(seed=7)
+        payload = json.dumps({f.name: getattr(cfg, f.name) for f in fields(cfg)},
+                             sort_keys=True)
+        fresh = hashlib.sha256(payload.encode()).hexdigest()[:12]
+        assert cfg.digest() == fresh
+        assert cfg.digest() == fresh            # the memoized value
+        # the memo is no field: equality, replace and the field list ignore it
+        assert cfg == rn.SystemConfig(seed=7)
+        assert "_digest" not in {f.name for f in fields(cfg)}
+
+    def test_replaced_config_gets_its_own_digest(self):
+        a = rn.SystemConfig()
+        a.digest()
+        b = replace(a, pt_ris_dbm=-40.0)
+        assert b.digest() != a.digest()
+        assert b.digest() == rn.SystemConfig(pt_ris_dbm=-40.0).digest()

@@ -38,6 +38,15 @@ class TestParseValues:
         vals = rn.parse_values("9007199254740993,9007199254740995", as_int=True)
         assert vals == (9007199254740993, 9007199254740995)
 
+    def test_int_range_exact(self):
+        # a range of integer literals expands in integers, not through float
+        vals = rn.parse_values("9007199254740993:9007199254740997:2", as_int=True)
+        assert vals == (9007199254740993, 9007199254740995, 9007199254740997)
+        # the same values as the float rule where floats are exact
+        assert rn.parse_values("64:512:64", as_int=True) == tuple(range(64, 513, 64))
+        assert rn.parse_values("1:4:4", as_int=True) == (1, 5)
+        assert rn.parse_values("1:3:4", as_int=True) == (1,)
+
     def test_bad_specs(self):
         with pytest.raises(ValueError):
             rn.parse_values("1:2:0")
@@ -254,6 +263,18 @@ class TestCli:
         lines = out.read_text().splitlines()
         header = json.loads(lines[0][2:])
         assert header["sweep"]["values"] == seeds
+        body = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert [int(r[1]) for r in body] == [s for s in seeds for _ in (1, 2)]
+
+    def test_sweep_int_param_range_exact(self, tmp_path):
+        out = tmp_path / "seed_range.csv"
+        seeds = [9007199254740993, 9007199254740995, 9007199254740997]
+        code = main(["sweep", "--param", "seed", "--values",
+                     "9007199254740993:9007199254740997:2", "--method", "analytic",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[0][2:])["sweep"]["values"] == seeds
         body = [l.split(",") for l in lines if not l.startswith("#")][1:]
         assert [int(r[1]) for r in body] == [s for s in seeds for _ in (1, 2)]
 
