@@ -126,7 +126,12 @@ def log_cf(spec: QuadFormSpec, omega):
             phase += q
     out = log_mag.astype(np.complex128)
     out.imag = phase
-    return complex(out) if np.isscalar(omega) else out
+    return complex(out) if w.ndim == 0 else out
+
+
+# perfbench's `analytic.cf` span times the per-node evaluator under this
+# older name; it returns the log-CF, and it is not exported
+cf_eval = log_cf
 
 
 def build_quadform(sa: TermStats, sb: TermStats, sc: TermStats, sd: TermStats, *,
@@ -231,13 +236,14 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega0: float = 1e-8
                    max_refinements: int = 200) -> tuple[float, float]:
     """CDF value F(g) from a log characteristic function, with an error bound.
 
-    `log_psi` maps a float ndarray of frequencies to log Psi on any branch,
-    such as `np.log` of a closed-form CF.  The integrand has a finite limit
-    at zero frequency; the sliver below `omega0` is added in closed form at
-    first order.  The truncation limit is the first power of two where the
-    tail is negligible (or `omega_max` when positive), and panels are
-    bisected until the error estimate meets `tol`.  Raises
-    :class:`AccuracyError` instead of returning a silently degraded value.
+    `log_psi` maps a float ndarray of frequencies to a complex log Psi on
+    any branch, such as `np.log` of a complex-valued closed-form CF.  The
+    integrand has a finite limit at zero frequency; the sliver below
+    `omega0` is added in closed form at first order.  The truncation limit
+    is the first power of two where the tail is negligible (or `omega_max`
+    when positive), and panels are bisected until the error estimate meets
+    `tol`.  Raises :class:`AccuracyError` instead of returning a silently
+    degraded value.
     """
 
     def integrand(w):

@@ -87,8 +87,8 @@ def _fmt(x) -> str:
 def parse_values(text: str, as_int: bool = False):
     """Value lists: 'a,b,c', 'start:stop:step', or 'log:start:stop:npoints'.
 
-    With `as_int`, a comma list, or a range of integer literals, is read
-    with int(), so large integers (seeds) keep every digit.
+    With `as_int`, a comma list or a start:stop:step range is read with
+    int(), so large integers (seeds) keep every digit.
     """
     text = text.strip()
     if text.startswith("log:"):
@@ -103,11 +103,10 @@ def parse_values(text: str, as_int: bool = False):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range spec needs start:stop:step, got {text!r}")
-        exact = as_int and all(p.strip().lstrip("+-").isdecimal() for p in parts)
-        start, stop, step = (int(p) if exact else float(p) for p in parts)
+        start, stop, step = (int(p) if as_int else float(p) for p in parts)
         if step <= 0:
             raise ValueError("step must be positive")
-        if exact:
+        if as_int:
             # the float rule below, values < stop + step/2, in exact integers
             return tuple(range(start, stop + (step + 1) // 2, step))
         vals = np.arange(start, stop + step / 2.0, step)
@@ -292,41 +291,72 @@ class PresetVariant:
 
 
 def preset(name: str):
-    """The sweep(s) behind one canned experiment, at desk-scale trial counts.
-
-    Each variant is (label, overrides, swept parameter, values, alpha mode).
-    An optimized-gain variant runs the analytic route alone; every other one
-    runs both methods at 20k MC trials.
-    """
+    """The sweep(s) behind one canned experiment, at desk-scale trial counts."""
     ris_budget = tuple(float(x) for x in range(-70, -9, 3))
-    sizes = (64, 128, 192, 256, 320, 384, 448, 512)
-    powers = tuple(float(x) for x in range(0, 24, 2))
-    rates = tuple(float(x) for x in range(0, 10))
-    eps_values = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.5)
-    both = lambda size: {"m_active": size, "n_passive": size}
-    fixed_opt = (("fixed", "fixed"), ("opt", "optimized"))    # (label, alpha mode)
-    table = {
-        "fig3": [("", {}, "pt_ris_dbm", ris_budget, "from_power")],
-        "fig4": [(lab, {}, "ris_size", sizes, mode) for lab, mode in fixed_opt],
-        "fig5": [(f"m{size}_{lab}", both(size), "pt_user_dbm", powers, mode)
-                 for size in (128, 512) for lab, mode in fixed_opt],
-        "fig6": [(lab, {}, "rate_threshold_bps_hz", rates, mode) for lab, mode in fixed_opt],
-        "fig7": [(f"eps{lab}", {"epsilon_sic": eps}, "pt_ris_dbm", ris_budget, "from_power")
-                 for lab, eps in (("0", 0.0), ("001", 0.01), ("01", 0.1))],
-        "fig8": [(f"m{size}_fixed", both(size), "epsilon_sic", eps_values, "fixed")
-                 for size in (256, 512)]
-                + [("m512_opt", both(512), "epsilon_sic", eps_values, "optimized")],
-    }
-    if name not in table:
-        raise ValueError(f"unknown preset {name!r}; choose fig3..fig8")
-    return [
-        PresetVariant(label, overrides, SweepSpec(
-            param=param, values=values, alpha_mode=mode,
-            label=f"{name}_{label}" if label else name,
-            methods=("analytic",) if mode == "optimized" else ("mc", "analytic"),
-            trials=None if mode == "optimized" else 20_000))
-        for label, overrides, param, values, mode in table[name]
-    ]
+    if name == "fig3":
+        return [PresetVariant("", {}, SweepSpec(
+            param="pt_ris_dbm", values=ris_budget, methods=("mc", "analytic"),
+            alpha_mode="from_power", label="fig3", trials=20_000))]
+    if name == "fig4":
+        sizes = (64, 128, 192, 256, 320, 384, 448, 512)
+        return [
+            PresetVariant("fixed", {}, SweepSpec(
+                param="ris_size", values=sizes, methods=("mc", "analytic"),
+                alpha_mode="fixed", label="fig4_fixed", trials=20_000)),
+            PresetVariant("opt", {}, SweepSpec(
+                param="ris_size", values=sizes, methods=("analytic",),
+                alpha_mode="optimized", label="fig4_opt")),
+        ]
+    if name == "fig5":
+        powers = tuple(float(x) for x in range(0, 24, 2))
+        out = []
+        for size in (128, 512):
+            out.append(PresetVariant(f"m{size}_fixed", {"m_active": size, "n_passive": size},
+                                     SweepSpec(param="pt_user_dbm", values=powers,
+                                               methods=("mc", "analytic"),
+                                               alpha_mode="fixed",
+                                               label=f"fig5_m{size}_fixed",
+                                               trials=20_000)))
+            out.append(PresetVariant(f"m{size}_opt", {"m_active": size, "n_passive": size},
+                                     SweepSpec(param="pt_user_dbm", values=powers,
+                                               methods=("analytic",),
+                                               alpha_mode="optimized",
+                                               label=f"fig5_m{size}_opt")))
+        return out
+    if name == "fig6":
+        rates = tuple(float(x) for x in range(0, 10))
+        return [
+            PresetVariant("fixed", {}, SweepSpec(
+                param="rate_threshold_bps_hz", values=rates,
+                methods=("mc", "analytic"), alpha_mode="fixed",
+                label="fig6_fixed", trials=20_000)),
+            PresetVariant("opt", {}, SweepSpec(
+                param="rate_threshold_bps_hz", values=rates,
+                methods=("analytic",), alpha_mode="optimized", label="fig6_opt")),
+        ]
+    if name == "fig7":
+        return [
+            PresetVariant(f"eps{label}", {"epsilon_sic": eps}, SweepSpec(
+                param="pt_ris_dbm", values=ris_budget, methods=("mc", "analytic"),
+                alpha_mode="from_power", label=f"fig7_eps{label}", trials=20_000))
+            for label, eps in (("0", 0.0), ("001", 0.01), ("01", 0.1))
+        ]
+    if name == "fig8":
+        eps_values = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.5)
+        out = [
+            PresetVariant(f"m{size}_fixed", {"m_active": size, "n_passive": size},
+                          SweepSpec(param="epsilon_sic", values=eps_values,
+                                    methods=("mc", "analytic"), alpha_mode="fixed",
+                                    label=f"fig8_m{size}_fixed", trials=20_000))
+            for size in (256, 512)
+        ]
+        out.append(PresetVariant("m512_opt", {"m_active": 512, "n_passive": 512},
+                                 SweepSpec(param="epsilon_sic", values=eps_values,
+                                           methods=("analytic",),
+                                           alpha_mode="optimized",
+                                           label="fig8_m512_opt")))
+        return out
+    raise ValueError(f"unknown preset {name!r}; choose fig3..fig8")
 
 
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")

@@ -12,10 +12,14 @@ PI = np.pi
 
 
 def log_of(cf):
-    """np.log of a closed-form CF, the form gil_pelaez_cdf takes (any branch)."""
+    """np.log of a closed-form CF, the form gil_pelaez_cdf takes (any branch).
+
+    The cast to complex keeps a real CF that turns negative, such as
+    sin(w)/w, on a complex branch instead of giving nan.
+    """
     def log_psi(w):
         with np.errstate(divide="ignore"):     # log(0) = -inf where cf underflows
-            return np.log(cf(w))
+            return np.log(np.asarray(cf(w), dtype=complex))
     return log_psi
 
 

@@ -46,6 +46,10 @@ class TestParseValues:
         assert rn.parse_values("64:512:64", as_int=True) == tuple(range(64, 513, 64))
         assert rn.parse_values("1:4:4", as_int=True) == (1, 5)
         assert rn.parse_values("1:3:4", as_int=True) == (1,)
+        # fractional parts are refused, as in a comma list, not rounded
+        for spec in ("1.5:4:1", "64:66:0.5", "64.5,65"):
+            with pytest.raises(ValueError):
+                rn.parse_values(spec, as_int=True)
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
