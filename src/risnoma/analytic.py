@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import link_variances
+from .channel import LinkVariances, link_variances
 from .config import SystemConfig, dbm_to_watt
 from .montecarlo import OutageResult, rate_to_threshold
 from .ris import resolve_alpha
@@ -307,9 +307,10 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega0: float = 1e-8
 
 # ---------------------------------------------------------------------------
 
-def term_statistics(config: SystemConfig, alpha: float | None = None):
+def term_statistics(config: SystemConfig, alpha: float | None = None,
+                    variances: LinkVariances | None = None):
     """The four TermStats implied by a config's geometry and gain."""
-    var = link_variances(config)
+    var = link_variances(config) if variances is None else variances
     if alpha is None:
         alpha = resolve_alpha(config, var)
     s_act = math.sqrt(var.u1 if config.active_user == 1 else var.u2)
@@ -339,7 +340,7 @@ def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
 
     var = link_variances(config)
     alpha = resolve_alpha(config, var)
-    sa, sb, sc, sd = term_statistics(config, alpha)
+    sa, sb, sc, sd = term_statistics(config, alpha, var)
     role = "active" if user == config.active_user else "passive"
     spec = build_quadform(
         sa, sb, sc, sd,

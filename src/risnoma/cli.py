@@ -13,18 +13,18 @@ from dataclasses import fields, replace
 
 from . import __version__
 from .config import (ConfigError, SystemConfig, apply_overrides, load_config,
-                     validate)
+                     read_int, validate)
 from .optimizer import OptimizerSettings, optimize
-from .sweep import (INT_PARAMS, NOISY_REL_STD_ERR, PRESET_NAMES, SweepSpec,
-                    is_noisy, parse_values, run_point, run_preset, run_sweep)
+from .sweep import (INT_PARAMS, PRESET_NAMES, SweepSpec, fmt_value, is_noisy,
+                    noisy_reason, parse_values, run_point, run_preset, run_sweep)
 
 
 def _add_common(p):
     p.add_argument("--config", help="config file (key = value lines)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config key (repeatable)")
-    p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--trials", type=int, help="override the MC trial count")
+    p.add_argument("--seed", type=read_int, help="override the RNG seed")
+    p.add_argument("--trials", type=read_int, help="override the MC trial count")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for MC blocks (default 1)")
 
@@ -51,22 +51,29 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
-def _report_errors(rows):
-    """One stderr line per failed (point, method), with the failure's message."""
-    lines = dict.fromkeys(
-        f"error: {r.sweep_param}={r.sweep_value:.10g} {r.method}: "
+def _exit_status(rows, allow_noisy: bool) -> int:
+    """Print each failure's message and each noisy row's reason to stderr.
+
+    Returns 1 if a row failed, or is noisy without --allow-noisy, else 0.
+    """
+    failures = dict.fromkeys(
+        f"error: {r.sweep_param}={fmt_value(r.sweep_value)} {r.method}: "
         f"{r.mode.removeprefix('error:')}: {r.error}"
         for r in rows if r.mode.startswith("error"))
-    for line in lines:
+    noisy = [f"noisy: {r.sweep_param}={fmt_value(r.sweep_value)} {r.method} "
+             f"user {r.user}: {why}" for r in rows if (why := noisy_reason(r))]
+    for line in [*failures, *noisy]:
         print(line, file=sys.stderr)
+    if noisy and not allow_noisy:
+        print("error: noisy MC rows; raise --trials or pass --allow-noisy",
+              file=sys.stderr)
+    return int(bool(failures) or (bool(noisy) and not allow_noisy))
 
 
 def _cmd_point(args) -> int:
     cfg = _build_config(args)
     methods = ("mc", "analytic") if args.method == "both" else (args.method,)
     rows = run_point(cfg, methods, workers=args.workers)
-    errors = [r for r in rows if r.mode.startswith("error")]
-    noisy = [r for r in rows if is_noisy(r)]
     if args.json:
         print(json.dumps([{
             "user": r.user, "method": r.method, "op": _finite_or_none(r.op),
@@ -82,17 +89,7 @@ def _cmd_point(args) -> int:
                 flag = f"  [{r.mode}] {r.error}"
             print(f"user {r.user}  {r.method:>8}  op={r.op:.6g}  "
                   f"err={r.err:.3g}{flag}")
-    if errors:
-        print(f"error: {len(errors)} failed rows", file=sys.stderr)
-        return 1
-    if noisy and not args.allow_noisy:
-        for r in noisy:
-            why = (f"no outage event in {r.trials} trials" if r.op == 0.0 else
-                   f"std_err {r.err:.3g} > {NOISY_REL_STD_ERR:.0%} of op {r.op:.3g}")
-            print(f"error: noisy MC estimate for user {r.user}: {why}", file=sys.stderr)
-        print("error: raise --trials or pass --allow-noisy", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status(rows, args.allow_noisy)
 
 
 def _cmd_sweep(args) -> int:
@@ -101,18 +98,9 @@ def _cmd_sweep(args) -> int:
     methods = ("mc", "analytic") if args.method == "both" else (args.method,)
     spec = SweepSpec(param=args.param, values=values, methods=methods,
                      alpha_mode=args.alpha_mode)
-    rows, noisy = run_sweep(spec, cfg, args.out, workers=args.workers)
-    errors = [r for r in rows if r.mode.startswith("error")]
-    _report_errors(rows)
-    print(f"wrote {args.out}: {len(rows)} rows "
-          f"({len(errors)} failed, {len(noisy)} noisy)", file=sys.stderr)
-    if errors:
-        return 1
-    if noisy and not args.allow_noisy:
-        print("error: noisy MC rows present; raise --trials or pass "
-              "--allow-noisy", file=sys.stderr)
-        return 1
-    return 0
+    rows, _ = run_sweep(spec, cfg, args.out, workers=args.workers)
+    print(f"wrote {args.out}: {len(rows)} rows", file=sys.stderr)
+    return _exit_status(rows, args.allow_noisy)
 
 
 def _cmd_optimize(args) -> int:
@@ -136,18 +124,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_preset(args) -> int:
     cfg = _build_config(args)
     status = 0
-    for path, rows, noisy in run_preset(args.name, cfg, args.out_dir,
-                                        workers=args.workers,
-                                        trials=args.trials):
-        errors = [r for r in rows if r.mode.startswith("error")]
-        _report_errors(rows)
-        print(f"wrote {path}: {len(rows)} rows "
-              f"({len(errors)} failed, {len(noisy)} noisy)", file=sys.stderr)
-        if errors or (noisy and not args.allow_noisy):
-            status = 1
-    if status:
-        print("error: failed or noisy rows; see messages above",
-              file=sys.stderr)
+    for path, rows, _ in run_preset(args.name, cfg, args.out_dir,
+                                    workers=args.workers, trials=args.trials):
+        print(f"wrote {path}: {len(rows)} rows", file=sys.stderr)
+        status |= _exit_status(rows, args.allow_noisy)
     return status
 
 

@@ -203,55 +203,73 @@ def validate(config: SystemConfig) -> SystemConfig:
 # ---------------------------------------------------------------------------
 # config file / override parsing
 
-_INT_KEYS = {"m_active", "n_passive", "active_user", "mc_trials", "seed"}
-_BOOL_KEYS = {"joint_outage_u2"}
-_STR_KEYS = {"alpha_mode"}
-_OPTIONAL_KEYS = {"sigma2_u1", "sigma2_u2", "sigma2_bs"}
-_ALL_KEYS = {f.name for f in fields(SystemConfig)}
+FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
+
+
+def read_int(value) -> int:
+    """An integer key's value, from text or a number.
+
+    Integer text is read exactly with int(), so a 64-bit seed keeps every
+    digit; an integral float such as 1e3 is accepted; a fractional or
+    non-finite value is refused.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if isinstance(value, int) or float(value).is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _parse_value(key: str, raw: str):
+    kind = FIELD_TYPES[key]
     raw = raw.strip()
-    if key in _OPTIONAL_KEYS and raw.lower() in ("none", ""):
+    if kind == float | None and raw.lower() in ("none", ""):
         return None
-    if key in _STR_KEYS:
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        val = float(raw)
-        if val != int(val):
-            raise ValueError(f"{key}: expected an integer, got {raw!r}")
-        return int(val)
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    if kind is int:
+        return read_int(raw)
     return float(raw)
 
 
-def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConfig:
-    """Parse `key = value` lines into a config.  Unknown keys are errors."""
+def _apply_pairs(config: SystemConfig, items) -> SystemConfig:
+    """Apply (label, 'key = value') items; every bad item is reported under its label."""
     values = {}
     problems = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+    for label, text in items:
+        if "=" not in text:
+            problems.append(f"{label}: expected 'key = value'")
             continue
-        if "=" not in stripped:
-            problems.append(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-            continue
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
-            problems.append(f"line {lineno}: unknown key {key!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in FIELD_TYPES:
+            problems.append(f"{label}: unknown key {key!r}")
             continue
         try:
             values[key] = _parse_value(key, raw)
         except ValueError as exc:
-            problems.append(f"line {lineno}: {exc}")
+            problems.append(f"{label}: {key}: {exc}")
     if problems:
         raise ConfigError(problems)
-    return replace(base if base is not None else SystemConfig(), **values)
+    return replace(config, **values)
+
+
+def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConfig:
+    """Parse `key = value` lines into a config.  Unknown keys are errors."""
+    items = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            items.append((f"line {lineno}", stripped))
+    return _apply_pairs(base if base is not None else SystemConfig(), items)
 
 
 def load_config(path, base: SystemConfig | None = None) -> SystemConfig:
@@ -262,20 +280,4 @@ def load_config(path, base: SystemConfig | None = None) -> SystemConfig:
 
 def apply_overrides(config: SystemConfig, pairs) -> SystemConfig:
     """Apply `key=value` override strings (CLI `--set`) on top of a config."""
-    values = {}
-    problems = []
-    for pair in pairs:
-        if "=" not in pair:
-            problems.append(f"override {pair!r}: expected key=value")
-            continue
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in _ALL_KEYS:
-            problems.append(f"override {pair!r}: unknown key {key!r}")
-            continue
-        try:
-            values[key] = _parse_value(key, raw)
-        except ValueError as exc:
-            problems.append(f"override {pair!r}: {exc}")
-    if problems:
-        raise ConfigError(problems)
-    return replace(config, **values)
+    return _apply_pairs(config, [(f"override {pair!r}", pair) for pair in pairs])

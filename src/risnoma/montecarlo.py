@@ -59,8 +59,8 @@ def _block_terms(config: SystemConfig, block_id: int, nb: int, alpha: float):
     return link_terms_block(qa, qhb, qgp, qgb, z, s_a, s_p, var.bs, math.sqrt(alpha))
 
 
-def _block_sinrs(config: SystemConfig, block_id: int, nb: int, alpha: float):
-    a, b, c, d, ang = _block_terms(config, block_id, nb, alpha)
+def _sinrs(config: SystemConfig, alpha: float, a, b, c, d, ang):
+    """Both users' SINRs, amplified user first, from link-term arrays."""
     lt = LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang,
                    w0=dbm_to_watt(config.w0_dbm),
                    sigma_z2=dbm_to_watt(config.namp_dbm),
@@ -71,15 +71,10 @@ def _block_sinrs(config: SystemConfig, block_id: int, nb: int, alpha: float):
 
 def _outage_counts_worker(args):
     config, block_id, nb, alpha, v = args
-    gamma1, gamma2 = _block_sinrs(config, block_id, nb, alpha)
+    gamma1, gamma2 = _sinrs(config, alpha, *_block_terms(config, block_id, nb, alpha))
     out1 = gamma1 < v
     out2 = gamma2 < v
     return int(out1.sum()), int(out2.sum()), int((out1 | out2).sum())
-
-
-def _sinr_samples_worker(args):
-    config, block_id, nb, alpha = args
-    return _block_sinrs(config, block_id, nb, alpha)
 
 
 def _terms_worker(args):
@@ -144,13 +139,9 @@ def sample_sinr(config: SystemConfig, user: int, n: int, *,
     """n i.i.d. linear SINR samples for one user, deterministic given seed."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    alpha = resolve_alpha(config)
-    argses = [(config, b, sz, alpha) for b, sz in _block_plan(config, n)]
-    parts = _map_blocks(_sinr_samples_worker, argses, workers)
-    idx = 0 if user == config.active_user else 1
-    return np.concatenate([p[idx] for p in parts])
+    terms = sample_link_terms(config, n, workers=workers)
+    gammas = _sinrs(config, resolve_alpha(config), **terms)
+    return gammas[0 if user == config.active_user else 1]
 
 
 def sample_link_terms(config: SystemConfig, n: int, *, workers: int = 1) -> dict:

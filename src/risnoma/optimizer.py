@@ -28,6 +28,11 @@ from .ris import _alpha_at_budget
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# simulated annealing schedule (method="annealing")
+ANNEAL_T0 = 0.05
+ANNEAL_COOLING = 0.93
+ANNEAL_ITERS = 80
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -37,9 +42,6 @@ class OptimizerSettings:
     evaluator: str = "analytic"           # analytic | mc
     tau: float = 0.9                      # outage ceiling declaring a user unservable
     grid_step_db: float = 1.0             # coarse scan used for mode detection
-    anneal_t0: float = 0.05
-    anneal_cooling: float = 0.93
-    anneal_iters: int = 80
     mc_workers: int = 1
 
 
@@ -99,17 +101,17 @@ def _anneal_min(fun, lo: float, hi: float, settings: OptimizerSettings,
     x = rng.uniform(lo, hi)
     fx = fun(x)
     best_x, best_f = x, fx
-    temp = settings.anneal_t0
+    temp = ANNEAL_T0
     step = (hi - lo) / 8.0
-    for _ in range(settings.anneal_iters):
+    for _ in range(ANNEAL_ITERS):
         cand = min(max(x + rng.normal(0.0, step), lo), hi)
         fc = fun(cand)
         if fc < fx or rng.random() < math.exp(-(fc - fx) / max(temp, 1e-12)):
             x, fx = cand, fc
         if fx < best_f:
             best_x, best_f = x, fx
-        temp *= settings.anneal_cooling
-        step = max(step * settings.anneal_cooling, settings.tol_db / 2.0)
+        temp *= ANNEAL_COOLING
+        step = max(step * ANNEAL_COOLING, settings.tol_db / 2.0)
     px, pf = _golden_min(fun, max(lo, best_x - 1.0), min(hi, best_x + 1.0),
                          settings.tol_db)
     return (px, pf) if pf <= best_f else (best_x, best_f)

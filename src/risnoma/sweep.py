@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .analytic import analytic_outage
-from .config import ConfigError, SystemConfig, validate
+from .config import FIELD_TYPES, ConfigError, SystemConfig, read_int, validate
 from .montecarlo import estimate_outage_pair
 from .optimizer import OptimizerSettings, optimize
 from .ris import resolve_alpha
@@ -27,8 +27,7 @@ CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
 # sets both partition sizes at once (the default experiments keep M = N)
 VIRTUAL_PARAMS = {"ris_size": ("m_active", "n_passive")}
 
-_CONFIG_KEYS = {f.name for f in fields(SystemConfig)}
-INT_PARAMS = {"m_active", "n_passive", "ris_size", "active_user", "mc_trials", "seed"}
+INT_PARAMS = {k for k, kind in FIELD_TYPES.items() if kind is int} | set(VIRTUAL_PARAMS)
 
 NOISY_REL_STD_ERR = 0.2    # MC rows noisier than this need --allow-noisy
 FLOOR_EVENTS = 1000        # events below which an MC tail point is floor-limited
@@ -46,7 +45,7 @@ class SweepSpec:
     def check(self):
         if len(self.values) < 2:
             raise ConfigError([f"sweep needs at least 2 values, got {len(self.values)}"])
-        if self.param not in _CONFIG_KEYS and self.param not in VIRTUAL_PARAMS:
+        if self.param not in FIELD_TYPES and self.param not in VIRTUAL_PARAMS:
             raise ConfigError([f"unknown sweep parameter {self.param!r}"])
         bad = [m for m in self.methods if m not in ("mc", "analytic")]
         if bad:
@@ -70,13 +69,14 @@ class ResultRow:
 
     def csv_fields(self):
         return (
-            self.sweep_param, _fmt(self.sweep_value), str(self.user), self.method,
-            _fmt(self.op), _fmt(self.err), _fmt(self.alpha), self.mode,
+            self.sweep_param, fmt_value(self.sweep_value), str(self.user), self.method,
+            fmt_value(self.op), fmt_value(self.err), fmt_value(self.alpha), self.mode,
             f"{self.ms:.1f}",
         )
 
 
-def _fmt(x) -> str:
+def fmt_value(x) -> str:
+    """A CSV cell: integers exact, floats to 10 significant digits."""
     if isinstance(x, int):
         return str(x)  # an integer parameter's value, exact however large
     if isinstance(x, float) and math.isnan(x):
@@ -88,7 +88,9 @@ def parse_values(text: str, as_int: bool = False):
     """Value lists: 'a,b,c', 'start:stop:step', or 'log:start:stop:npoints'.
 
     With `as_int`, a comma list or a start:stop:step range is read with
-    int(), so large integers (seeds) keep every digit.
+    config.read_int, so large integers (seeds) keep every digit and a
+    fractional value is refused; log-spaced values round to the nearest
+    integer.
     """
     text = text.strip()
     if text.startswith("log:"):
@@ -103,7 +105,7 @@ def parse_values(text: str, as_int: bool = False):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range spec needs start:stop:step, got {text!r}")
-        start, stop, step = (int(p) if as_int else float(p) for p in parts)
+        start, stop, step = (read_int(p) if as_int else float(p) for p in parts)
         if step <= 0:
             raise ValueError("step must be positive")
         if as_int:
@@ -113,7 +115,7 @@ def parse_values(text: str, as_int: bool = False):
     else:
         parts = [p for p in text.split(",") if p.strip() != ""]
         if as_int:
-            return tuple(int(p) for p in parts)
+            return tuple(read_int(p) for p in parts)
         vals = np.array([float(p) for p in parts])
     if as_int:
         return tuple(int(round(v)) for v in vals)
@@ -121,12 +123,25 @@ def parse_values(text: str, as_int: bool = False):
 
 
 def apply_param(config: SystemConfig, param: str, value) -> SystemConfig:
-    if param in VIRTUAL_PARAMS:
-        updates = {k: int(round(value)) for k in VIRTUAL_PARAMS[param]}
-        return replace(config, **updates)
+    """The config with one sweep parameter set; a fractional value for an
+    integer parameter raises ConfigError."""
     if param in INT_PARAMS:
-        value = int(round(value))
-    return replace(config, **{param: value})
+        try:
+            value = read_int(value)
+        except ValueError as exc:
+            raise ConfigError([f"{param}: {exc}"]) from None
+    keys = VIRTUAL_PARAMS.get(param, (param,))
+    return replace(config, **dict.fromkeys(keys, value))
+
+
+def _error_rows(param, value, methods, exc, alpha, ms, digest=""):
+    """NaN rows for a failed point or method, (method, user) ordered like result rows."""
+    return [ResultRow(
+        sweep_param=param, sweep_value=value, user=user, method=method,
+        op=float("nan"), err=float("nan"), alpha=alpha,
+        mode=f"error:{type(exc).__name__}", ms=ms, config_digest=digest,
+        error=str(exc),
+    ) for method in methods for user in (1, 2)]
 
 
 def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
@@ -139,22 +154,14 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
     mode = config.alpha_mode
     eval_config = config
 
-    def error_rows(method, exc, alpha, ms):
-        return [ResultRow(
-            sweep_param=sweep_param, sweep_value=sweep_value,
-            user=user, method=method, op=float("nan"), err=float("nan"),
-            alpha=alpha, mode=f"error:{type(exc).__name__}", ms=ms,
-            config_digest=digest, error=str(exc),
-        ) for user in (1, 2)]
-
     if config.alpha_mode == "optimized":
         t0 = time.perf_counter()
         try:
             outcome = optimize(config, optimizer_settings or OptimizerSettings())
         except Exception as exc:  # the point fails; the run continues
             ms = (time.perf_counter() - t0) * 1e3
-            return [row for method in methods
-                    for row in error_rows(method, exc, float("nan"), ms)]
+            return _error_rows(sweep_param, sweep_value, methods, exc,
+                               float("nan"), ms, digest)
         opt_ms = (time.perf_counter() - t0) * 1e3
         eval_config = replace(config, pt_ris_dbm=outcome.pt_ris_dbm,
                               alpha_mode="from_power")
@@ -183,15 +190,26 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
                 ))
         except Exception as exc:  # per-row failure; the run continues
             ms = (time.perf_counter() - t0) * 1e3 + opt_ms
-            rows.extend(error_rows(method, exc, alpha, ms))
+            rows.extend(_error_rows(sweep_param, sweep_value, (method,), exc,
+                                    alpha, ms, digest))
     return rows
 
 
+def noisy_reason(row: ResultRow) -> str:
+    """Why an MC estimate is not yet a result, or "" when it is one: no
+    outage event in its trials, or a standard error above NOISY_REL_STD_ERR
+    of the estimate."""
+    if row.method != "mc" or row.trials <= 0:
+        return ""
+    if row.op == 0.0:
+        return f"no outage event in {row.trials} trials"
+    if row.err > NOISY_REL_STD_ERR * row.op:
+        return f"std_err {row.err:.3g} > {NOISY_REL_STD_ERR:.0%} of op {row.op:.3g}"
+    return ""
+
+
 def is_noisy(row: ResultRow) -> bool:
-    """An MC estimate that is not yet a result: no outage event in its
-    trials, or a standard error above NOISY_REL_STD_ERR of the estimate."""
-    return (row.method == "mc" and row.trials > 0
-            and (row.op == 0.0 or row.err > NOISY_REL_STD_ERR * row.op))
+    return bool(noisy_reason(row))
 
 
 def _floor_limited(row: ResultRow) -> bool:
@@ -215,14 +233,8 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
         try:
             point = validate(apply_param(base, spec.param, value))
         except ConfigError as exc:
-            for user in (1, 2):
-                for method in spec.methods:
-                    rows.append(ResultRow(
-                        sweep_param=spec.param, sweep_value=value,
-                        user=user, method=method, op=float("nan"),
-                        err=float("nan"), alpha=float("nan"),
-                        mode="error:ConfigError", ms=0.0, error=str(exc),
-                    ))
+            rows.extend(_error_rows(spec.param, value, spec.methods, exc,
+                                    float("nan"), 0.0))
             continue
         rows.extend(run_point(
             point, spec.methods, workers=workers,
@@ -254,7 +266,7 @@ def write_csv(path, rows, base: SystemConfig, spec: SweepSpec | None = None):
     ]
     lines += [",".join(r.csv_fields()) for r in rows]
     floor = sorted(
-        f"{_fmt(r.sweep_value)}/u{r.user}" for r in rows if _floor_limited(r)
+        f"{fmt_value(r.sweep_value)}/u{r.user}" for r in rows if _floor_limited(r)
     )
     if floor:
         lines.append(f"# floor-limited (fewer than {FLOOR_EVENTS} events): "
@@ -290,72 +302,50 @@ class PresetVariant:
     spec: SweepSpec
 
 
+def _variant(fig: str, label: str, param: str, values: tuple, alpha_mode: str,
+             **overrides) -> PresetVariant:
+    """One preset sweep: analytic only for an optimized gain, MC at 20k
+    trials and analytic otherwise; the spec label is fig or fig_label."""
+    mc = alpha_mode != "optimized"
+    return PresetVariant(label, overrides, SweepSpec(
+        param=param, values=values,
+        methods=("mc", "analytic") if mc else ("analytic",),
+        alpha_mode=alpha_mode, label=f"{fig}_{label}" if label else fig,
+        trials=20_000 if mc else None))
+
+
+_GAIN_MODES = (("fixed", "fixed"), ("opt", "optimized"))   # (label, alpha_mode)
+
+
 def preset(name: str):
     """The sweep(s) behind one canned experiment, at desk-scale trial counts."""
     ris_budget = tuple(float(x) for x in range(-70, -9, 3))
     if name == "fig3":
-        return [PresetVariant("", {}, SweepSpec(
-            param="pt_ris_dbm", values=ris_budget, methods=("mc", "analytic"),
-            alpha_mode="from_power", label="fig3", trials=20_000))]
+        return [_variant("fig3", "", "pt_ris_dbm", ris_budget, "from_power")]
     if name == "fig4":
-        sizes = (64, 128, 192, 256, 320, 384, 448, 512)
-        return [
-            PresetVariant("fixed", {}, SweepSpec(
-                param="ris_size", values=sizes, methods=("mc", "analytic"),
-                alpha_mode="fixed", label="fig4_fixed", trials=20_000)),
-            PresetVariant("opt", {}, SweepSpec(
-                param="ris_size", values=sizes, methods=("analytic",),
-                alpha_mode="optimized", label="fig4_opt")),
-        ]
+        sizes = tuple(range(64, 513, 64))
+        return [_variant("fig4", label, "ris_size", sizes, mode)
+                for label, mode in _GAIN_MODES]
     if name == "fig5":
         powers = tuple(float(x) for x in range(0, 24, 2))
-        out = []
-        for size in (128, 512):
-            out.append(PresetVariant(f"m{size}_fixed", {"m_active": size, "n_passive": size},
-                                     SweepSpec(param="pt_user_dbm", values=powers,
-                                               methods=("mc", "analytic"),
-                                               alpha_mode="fixed",
-                                               label=f"fig5_m{size}_fixed",
-                                               trials=20_000)))
-            out.append(PresetVariant(f"m{size}_opt", {"m_active": size, "n_passive": size},
-                                     SweepSpec(param="pt_user_dbm", values=powers,
-                                               methods=("analytic",),
-                                               alpha_mode="optimized",
-                                               label=f"fig5_m{size}_opt")))
-        return out
+        return [_variant("fig5", f"m{size}_{label}", "pt_user_dbm", powers, mode,
+                         m_active=size, n_passive=size)
+                for size in (128, 512) for label, mode in _GAIN_MODES]
     if name == "fig6":
         rates = tuple(float(x) for x in range(0, 10))
-        return [
-            PresetVariant("fixed", {}, SweepSpec(
-                param="rate_threshold_bps_hz", values=rates,
-                methods=("mc", "analytic"), alpha_mode="fixed",
-                label="fig6_fixed", trials=20_000)),
-            PresetVariant("opt", {}, SweepSpec(
-                param="rate_threshold_bps_hz", values=rates,
-                methods=("analytic",), alpha_mode="optimized", label="fig6_opt")),
-        ]
+        return [_variant("fig6", label, "rate_threshold_bps_hz", rates, mode)
+                for label, mode in _GAIN_MODES]
     if name == "fig7":
-        return [
-            PresetVariant(f"eps{label}", {"epsilon_sic": eps}, SweepSpec(
-                param="pt_ris_dbm", values=ris_budget, methods=("mc", "analytic"),
-                alpha_mode="from_power", label=f"fig7_eps{label}", trials=20_000))
-            for label, eps in (("0", 0.0), ("001", 0.01), ("01", 0.1))
-        ]
+        return [_variant("fig7", f"eps{label}", "pt_ris_dbm", ris_budget, "from_power",
+                         epsilon_sic=eps)
+                for label, eps in (("0", 0.0), ("001", 0.01), ("01", 0.1))]
     if name == "fig8":
         eps_values = (0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.5)
-        out = [
-            PresetVariant(f"m{size}_fixed", {"m_active": size, "n_passive": size},
-                          SweepSpec(param="epsilon_sic", values=eps_values,
-                                    methods=("mc", "analytic"), alpha_mode="fixed",
-                                    label=f"fig8_m{size}_fixed", trials=20_000))
-            for size in (256, 512)
-        ]
-        out.append(PresetVariant("m512_opt", {"m_active": 512, "n_passive": 512},
-                                 SweepSpec(param="epsilon_sic", values=eps_values,
-                                           methods=("analytic",),
-                                           alpha_mode="optimized",
-                                           label="fig8_m512_opt")))
-        return out
+        return [_variant("fig8", f"m{size}_{label}", "epsilon_sic", eps_values, mode,
+                         m_active=size, n_passive=size)
+                for size, label, mode in ((256, "fixed", "fixed"),
+                                          (512, "fixed", "fixed"),
+                                          (512, "opt", "optimized"))]
     raise ValueError(f"unknown preset {name!r}; choose fig3..fig8")
 
 

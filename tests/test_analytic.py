@@ -310,6 +310,21 @@ class TestAnalyticOutage:
         assert res.trials == 0
         assert res.config_digest == cfg.digest()
 
+    def test_link_variances_computed_once(self, monkeypatch):
+        # resolve_alpha and term_statistics take the point's variances
+        calls = []
+        original = rn.analytic.link_variances
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(rn.analytic, "link_variances", counted)
+        monkeypatch.setattr(rn.ris, "link_variances", counted)
+        cfg = rn.validate(rn.SystemConfig(alpha_mode="from_power"))
+        rn.analytic_outage(cfg, 2)
+        assert len(calls) == 1
+
     def test_joint_flag_not_supported(self):
         cfg = unit_config(joint_outage_u2=True)
         with pytest.raises(NotImplementedError):

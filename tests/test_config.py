@@ -144,6 +144,36 @@ class TestConfigFile:
         with pytest.raises(rn.ConfigError, match="unknown key"):
             rn.apply_overrides(rn.SystemConfig(), ["nope=1"])
 
+    def test_integers_read_exactly(self):
+        # 2^53 + 1 is no float; reading through float() gives 2^53
+        big = 9007199254740993
+        assert rn.apply_overrides(rn.SystemConfig(), [f"seed={big}"]).seed == big
+        assert rn.parse_config_text(f"seed = {big}\n").seed == big
+        cfg = rn.apply_overrides(rn.SystemConfig(), ["mc_trials=1e3"])
+        assert cfg.mc_trials == 1000 and type(cfg.mc_trials) is int
+        for text in ("m_active = 64.5\n", "seed = 1e400\n", "seed = nan\n"):
+            with pytest.raises(rn.ConfigError, match="line 1: .*expected an integer"):
+                rn.parse_config_text(text)
+        with pytest.raises(rn.ConfigError, match="override 'm_active=64.5'"):
+            rn.apply_overrides(rn.SystemConfig(), ["m_active=64.5"])
+
+    def test_every_field_round_trips(self):
+        cfg = rn.validate(rn.SystemConfig(
+            pt_user_dbm=12.5, pt_ris_dbm=-41.25, alpha_mode="from_power",
+            alpha_linear=3.3, g_max_db=20.0, m_active=100, n_passive=200,
+            active_user=2, rate_threshold_bps_hz=1.5, epsilon_sic=0.01,
+            joint_outage_u2=True, w0_dbm=-120.5, namp_dbm=-110.0, fc_ghz=3.5,
+            d_u1_ris_m=40.0, d_u2_ris_m=45.0, d_ris_bs_m=25.0, d_u1_bs_m=60.0,
+            d_u2_bs_m=65.0, h_u1_m=11.0, h_u2_m=12.0, h_ris_m=5.0, h_bs_m=2.0,
+            sigma2_u1=0.5, sigma2_u2=0.25, sigma2_bs=2e-9, mc_trials=12345,
+            seed=9007199254740993, quad_tol=1e-8, quad_omega_max=50.0))
+        default = rn.SystemConfig()
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            assert value != getattr(default, f.name), f.name
+            back = getattr(rn.apply_overrides(default, [f"{f.name}={value}"]), f.name)
+            assert back == value and type(back) is type(value), f.name
+
 
 class TestDigest:
     def test_stable_and_sensitive(self):

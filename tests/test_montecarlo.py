@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -91,6 +92,18 @@ class TestEstimateOutage:
 
 
 class TestSampleSinr:
+    def test_bytes_pinned(self):
+        # recorded with the per-block SINR worker that sample_sinr replaced
+        # (numpy 2.4, x86-64): two blocks of the 64+64 unit config
+        cfg = unit_config()
+        digests = {
+            1: "42ab9fefded789c49df8da05bdc48d83394395bc415de5cff920534d9b5bb350",
+            2: "06bbc0c8f140c4f5be7702ed7885a494f6273611a9bb2ac6d27213de5417ed8f",
+        }
+        for user, digest in digests.items():
+            s = rn.sample_sinr(cfg, user, 3000)
+            assert hashlib.sha256(s.tobytes()).hexdigest() == digest
+
     def test_nonnegative(self):
         cfg = unit_config(w0_dbm=59.0, pt_user_dbm=30.0)
         s = rn.sample_sinr(cfg, 1, 5000)

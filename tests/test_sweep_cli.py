@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -50,6 +51,9 @@ class TestParseValues:
         for spec in ("1.5:4:1", "64:66:0.5", "64.5,65"):
             with pytest.raises(ValueError):
                 rn.parse_values(spec, as_int=True)
+        # integral floats are integers, as in --set
+        assert rn.parse_values("1e3,2e3", as_int=True) == (1000, 2000)
+        assert rn.parse_values("1e3:3e3:1e3", as_int=True) == (1000, 2000, 3000)
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -66,6 +70,13 @@ class TestApplyParam:
     def test_scalar_param(self):
         cfg = apply_param(rn.SystemConfig(), "pt_user_dbm", 7.0)
         assert cfg.pt_user_dbm == 7.0
+
+    def test_integer_param_refuses_fractions(self):
+        cfg = apply_param(rn.SystemConfig(), "m_active", 64.0)
+        assert cfg.m_active == 64 and type(cfg.m_active) is int
+        for param in ("m_active", "ris_size"):
+            with pytest.raises(rn.ConfigError, match=f"{param}: expected an integer"):
+                apply_param(rn.SystemConfig(), param, 64.6)
 
 
 class TestRunSweep:
@@ -96,6 +107,19 @@ class TestRunSweep:
         assert bad and all(r.mode.startswith("error") for r in bad)
         assert all(np.isnan(r.op) for r in bad)
 
+    def test_fractional_integer_point_is_error_rows(self, tmp_path):
+        spec = rn.SweepSpec(param="m_active", values=(64, 64.5), methods=("analytic",))
+        rows, _ = rn.run_sweep(spec, _fast_base(), tmp_path / "i.csv")
+        assert [r.mode for r in rows if r.sweep_value == 64.5] == ["error:ConfigError"] * 2
+        assert not any(r.mode.startswith("error") for r in rows if r.sweep_value == 64)
+
+    def test_config_error_rows_are_method_major(self, tmp_path):
+        spec = rn.SweepSpec(param="fc_ghz", values=(8.0, 9.0), methods=("mc", "analytic"))
+        rows, _ = rn.run_sweep(spec, rn.validate(rn.SystemConfig()), tmp_path / "o.csv")
+        assert [(r.sweep_value, r.method, r.user) for r in rows] == [
+            (v, m, u) for v in (8.0, 9.0) for m in ("mc", "analytic") for u in (1, 2)]
+        assert all(r.mode == "error:ConfigError" for r in rows)
+
     def test_floor_limited_uses_each_rows_trials(self, tmp_path):
         # user 2 is near 0.41 here: under 1000 events at 2000 trials, over at 3000
         out = tmp_path / "f.csv"
@@ -125,6 +149,14 @@ class TestRunSweep:
 
 
 class TestPresets:
+    def test_variants_pinned(self):
+        # repr of every variant as the literal table gave it; an int value
+        # turning into a float, or a changed label, trials or method, fails it
+        from risnoma.sweep import PRESET_NAMES
+        text = repr([rn.preset(name) for name in PRESET_NAMES])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1aca1b0ddf166f31db6aaf868be2140ee500a2a08217a936e061dcabaa4c6df8")
+
     def test_known_names(self):
         from risnoma.sweep import PRESET_NAMES
         for name in PRESET_NAMES:
@@ -281,6 +313,32 @@ class TestCli:
         assert json.loads(lines[0][2:])["sweep"]["values"] == seeds
         body = [l.split(",") for l in lines if not l.startswith("#")][1:]
         assert [int(r[1]) for r in body] == [s for s in seeds for _ in (1, 2)]
+
+    def test_sweep_mc_trials_accepts_integral_floats(self, tmp_path):
+        out = tmp_path / "trials.csv"
+        code = main(["sweep", "--param", "mc_trials", "--values", "1e3,2e3",
+                     "--method", "analytic", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text().splitlines()[0][2:])["sweep"]["values"] == [1000, 2000]
+
+    def test_validate_integer_keys(self, capsys):
+        big = 9007199254740993
+        assert main(["validate", "--set", f"seed={big}"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == big
+        assert main(["validate", "--seed", str(big), "--trials", "1e3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["seed"], payload["mc_trials"]) == (big, 1000)
+
+    def test_sweep_noisy_rows_say_why(self, tmp_path, capsys):
+        # the default config is a deep-tail point: 500 trials see no outage
+        args = ["sweep", "--param", "pt_user_dbm", "--values", "15,16", "--method", "mc",
+                "--trials", "500", "--out", str(tmp_path / "n.csv")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "noisy: pt_user_dbm=15 mc user 1: no outage event in 500 trials" in err
+        assert "error: noisy MC rows" in err
+        assert main(args + ["--allow-noisy"]) == 0
+        assert "error:" not in capsys.readouterr().err
 
     def test_point_noisy_exit(self, capsys):
         # tiny trial count at a small probability: std err above the bar
