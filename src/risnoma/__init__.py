@@ -16,8 +16,7 @@ from .config import (ConfigError, ConfigWarning, SystemConfig,
 from .montecarlo import (GammaFit, OutageResult, empirical_moments,
                          estimate_outage, estimate_outage_pair, fit_gamma,
                          rate_to_threshold, sample_link_terms, sample_sinr)
-from .optimizer import (OptimizationOutcome, OptimizerSettings, objective_gap,
-                        optimize)
+from .optimizer import OptimizationOutcome, OptimizerSettings, optimize
 from .ris import (HybridRisState, align_phases, alpha_from_power,
                   amplifier_gain, element_output_power, resolve_alpha,
                   ris_state)

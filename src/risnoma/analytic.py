@@ -35,31 +35,30 @@ class AccuracyError(RuntimeError):
 class TermStats:
     mu: float    # mean (complex terms have mu = 0 here)
     var: float   # total variance
-    kind: str    # "real" | "complex"
 
 
 def stats_a(alpha: float, m: int, sigma_h: float, sigma_hbs: float) -> TermStats:
     """Coherent amplified sum: real Gaussian for large M."""
     mu = math.sqrt(alpha) * m * RAYLEIGH_MEAN_FACTOR * sigma_h * sigma_hbs
     var = alpha * m * sigma_h**2 * sigma_hbs**2 * RAYLEIGH_VAR_FACTOR
-    return TermStats(mu=mu, var=var, kind="real")
+    return TermStats(mu=mu, var=var)
 
 
 def stats_b(n: int, sigma_g: float, sigma_gbs: float) -> TermStats:
     """Unaligned passive-part leakage: zero-mean complex Gaussian."""
-    return TermStats(mu=0.0, var=n * sigma_g**2 * sigma_gbs**2, kind="complex")
+    return TermStats(mu=0.0, var=n * sigma_g**2 * sigma_gbs**2)
 
 
 def stats_c(alpha: float, m: int, sigma_h: float, sigma_hbs: float) -> TermStats:
     """Unaligned active-part leakage: zero-mean complex Gaussian."""
-    return TermStats(mu=0.0, var=alpha * m * sigma_h**2 * sigma_hbs**2, kind="complex")
+    return TermStats(mu=0.0, var=alpha * m * sigma_h**2 * sigma_hbs**2)
 
 
 def stats_d(n: int, sigma_g: float, sigma_gbs: float) -> TermStats:
     """Coherent passive sum: real Gaussian for large N."""
     mu = n * RAYLEIGH_MEAN_FACTOR * sigma_g * sigma_gbs
     var = n * sigma_g**2 * sigma_gbs**2 * RAYLEIGH_VAR_FACTOR
-    return TermStats(mu=mu, var=var, kind="real")
+    return TermStats(mu=mu, var=var)
 
 
 @dataclass(frozen=True)
@@ -361,9 +360,6 @@ def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
         return OutageResult(op=op, trials=0, std_err=bound, method="analytic",
                             user=user, config_digest=digest)
     norm = spec.scaled(1.0 / scale)
-    p, err = gil_pelaez_cdf(
-        lambda w: log_cf(norm, w), g / scale,
-        tol=config.quad_tol, omega_max=config.quad_omega_max,
-    )
+    p, err = gil_pelaez_cdf(lambda w: log_cf(norm, w), g / scale, tol=config.quad_tol)
     return OutageResult(op=p, trials=0, std_err=err, method="analytic",
                         user=user, config_digest=digest)

@@ -12,8 +12,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import __version__
-from .config import (ConfigError, SystemConfig, apply_overrides, load_config,
-                     read_int, validate)
+from .config import SystemConfig, apply_overrides, load_config, read_int, validate
 from .optimizer import OptimizerSettings, optimize
 from .sweep import (INT_PARAMS, PRESET_NAMES, SweepSpec, fmt_value, is_noisy,
                     noisy_reason, parse_values, run_point, run_preset, run_sweep)
@@ -107,8 +106,8 @@ def _cmd_optimize(args) -> int:
     cfg = _build_config(args)
     settings = OptimizerSettings(
         interval_dbm=(args.interval[0], args.interval[1]),
-        tol_db=args.tol_db, method=args.search, evaluator=args.evaluator,
-        tau=args.tau, mc_workers=args.workers,
+        tol_db=args.tol_db, evaluator=args.evaluator, tau=args.tau,
+        mc_workers=args.workers,
     )
     outcome = optimize(cfg, settings)
     payload = {
@@ -166,7 +165,6 @@ def main(argv=None) -> int:
     p.add_argument("--interval", type=float, nargs=2, default=(-70.0, -10.0),
                    metavar=("LO_DBM", "HI_DBM"))
     p.add_argument("--tol-db", type=float, default=0.1)
-    p.add_argument("--search", choices=("golden", "annealing"), default="golden")
     p.add_argument("--evaluator", choices=("analytic", "mc"), default="analytic")
     p.add_argument("--tau", type=float, default=0.9)
     p.set_defaults(fn=_cmd_optimize)
@@ -181,9 +179,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -96,14 +96,6 @@ class SystemConfig:
     d_u1_ris_m: float = 35.51
     d_u2_ris_m: float = 35.51
     d_ris_bs_m: float = 20.22
-    # stored for documentation only; the path loss model takes a single distance
-    # per link and the direct user-BS links are blocked
-    d_u1_bs_m: float = 55.73
-    d_u2_bs_m: float = 55.73
-    h_u1_m: float = 10.0
-    h_u2_m: float = 10.0
-    h_ris_m: float = 4.0
-    h_bs_m: float = 1.0
 
     # per-link variance overrides (test hook); None means "use the path loss model"
     sigma2_u1: float | None = None   # user1 -> RIS element variance (linear)
@@ -116,7 +108,6 @@ class SystemConfig:
 
     # Gil-Pelaez quadrature settings
     quad_tol: float = 1e-6       # target absolute error of the CDF integral
-    quad_omega_max: float = 0.0  # truncation limit; 0 selects automatic extension
 
     def digest(self) -> str:
         """Short stable hash of the full configuration, memoized outside the fields."""
@@ -135,7 +126,11 @@ def validate(config: SystemConfig) -> SystemConfig:
     every violated invariant.  Clamping emits a :class:`ConfigWarning`.
     Idempotent: validating a validated config is a no-op.
     """
-    problems = []
+    problems = [f"{name} must be an integer, got {getattr(config, name)!r}"
+                for name, kind in FIELD_TYPES.items()
+                if kind is int and type(getattr(config, name)) is not int]
+    if problems:  # the range checks below assume integers
+        raise ConfigError(problems)
 
     if config.m_active < 1:
         problems.append(f"m_active must be >= 1, got {config.m_active}")
@@ -160,7 +155,7 @@ def validate(config: SystemConfig) -> SystemConfig:
     if not (lo <= config.fc_ghz <= hi):
         problems.append(f"fc_ghz must be in [{lo}, {hi}], got {config.fc_ghz}")
     dlo, dhi = DISTANCE_RANGE_M
-    for name in ("d_u1_ris_m", "d_u2_ris_m", "d_ris_bs_m", "d_u1_bs_m", "d_u2_bs_m"):
+    for name in ("d_u1_ris_m", "d_u2_ris_m", "d_ris_bs_m"):
         d = getattr(config, name)
         if not (dlo <= d <= dhi):
             problems.append(f"{name} must be in [{dlo}, {dhi}] m, got {d}")
@@ -174,8 +169,6 @@ def validate(config: SystemConfig) -> SystemConfig:
         problems.append(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if not (math.isfinite(config.quad_tol) and config.quad_tol > 0.0):
         problems.append(f"quad_tol must be positive, got {config.quad_tol}")
-    if config.quad_omega_max < 0.0:
-        problems.append(f"quad_omega_max must be >= 0 (0 = automatic), got {config.quad_omega_max}")
 
     if problems:
         raise ConfigError(problems)

@@ -10,9 +10,10 @@ absolute performance.  When one user is unservable everywhere in the
 interval the search falls back to minimizing the servable user's outage
 alone.
 
-Golden-section is the default line search (the gap is single-dipped in
-practice, flat where the gain cap or floor binds); simulated annealing is
-the robustness backstop when that assumption is in doubt.
+A coarse grid over the whole interval is the global search; golden-section
+then refines inside the one-grid-step bracket around the grid's argmin,
+where the objective is single-dipped or flat (where the gain cap or floor
+binds).
 """
 
 import math
@@ -28,17 +29,11 @@ from .ris import _alpha_at_budget
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# simulated annealing schedule (method="annealing")
-ANNEAL_T0 = 0.05
-ANNEAL_COOLING = 0.93
-ANNEAL_ITERS = 80
-
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     interval_dbm: tuple = (-70.0, -10.0)  # search range for the RIS budget
     tol_db: float = 0.1                   # termination width of the bracket
-    method: str = "golden"                # golden | annealing
     evaluator: str = "analytic"           # analytic | mc
     tau: float = 0.9                      # outage ceiling declaring a user unservable
     grid_step_db: float = 1.0             # coarse scan used for mode detection
@@ -70,14 +65,6 @@ def _outage_pair_at(pt_ris_dbm: float, config: SystemConfig,
     raise ValueError(f"evaluator must be 'analytic' or 'mc', got {settings.evaluator!r}")
 
 
-def objective_gap(pt_ris_dbm: float, config: SystemConfig,
-                  settings: OptimizerSettings | None = None) -> float:
-    """|OP_1 - OP_2| at a candidate budget, with the implied (capped) gain."""
-    settings = settings or OptimizerSettings()
-    op1, op2 = _outage_pair_at(pt_ris_dbm, config, settings)
-    return abs(op1 - op2)
-
-
 def _golden_min(fun, lo: float, hi: float, tol: float):
     """Golden-section argmin on [lo, hi]; returns best evaluated point."""
     x1 = hi - INV_PHI * (hi - lo)
@@ -93,28 +80,6 @@ def _golden_min(fun, lo: float, hi: float, tol: float):
             x2 = lo + INV_PHI * (hi - lo)
             f2 = fun(x2)
     return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _anneal_min(fun, lo: float, hi: float, settings: OptimizerSettings,
-                rng: np.random.Generator):
-    """Simulated annealing with a final golden polish around the incumbent."""
-    x = rng.uniform(lo, hi)
-    fx = fun(x)
-    best_x, best_f = x, fx
-    temp = ANNEAL_T0
-    step = (hi - lo) / 8.0
-    for _ in range(ANNEAL_ITERS):
-        cand = min(max(x + rng.normal(0.0, step), lo), hi)
-        fc = fun(cand)
-        if fc < fx or rng.random() < math.exp(-(fc - fx) / max(temp, 1e-12)):
-            x, fx = cand, fc
-        if fx < best_f:
-            best_x, best_f = x, fx
-        temp *= ANNEAL_COOLING
-        step = max(step * ANNEAL_COOLING, settings.tol_db / 2.0)
-    px, pf = _golden_min(fun, max(lo, best_x - 1.0), min(hi, best_x + 1.0),
-                         settings.tol_db)
-    return (px, pf) if pf <= best_f else (best_x, best_f)
 
 
 def optimize(config: SystemConfig,
@@ -138,8 +103,6 @@ def optimize(config: SystemConfig,
         raise ValueError(f"empty search interval {settings.interval_dbm}")
     if not (0.0 < settings.tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {settings.tau}")
-    if settings.method not in ("golden", "annealing"):
-        raise ValueError(f"method must be 'golden' or 'annealing', got {settings.method!r}")
 
     # both evaluators see the budget only through the gain it implies, and
     # the gain clamps at 0 and 30 dB, so many budgets share one evaluation
@@ -183,11 +146,7 @@ def optimize(config: SystemConfig,
     # refine inside a one-grid-step bracket around the coarse argmin
     blo = max(lo, best_x - settings.grid_step_db)
     bhi = min(hi, best_x + settings.grid_step_db)
-    if settings.method == "golden":
-        x, f = _golden_min(objective, blo, bhi, settings.tol_db)
-    else:
-        rng = np.random.default_rng(config.seed)
-        x, f = _anneal_min(objective, blo, bhi, settings, rng)
+    x, f = _golden_min(objective, blo, bhi, settings.tol_db)
     if best_f < f:
         x, f = best_x, best_f
     if mode == "balanced":

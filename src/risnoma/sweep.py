@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import analytic_outage
 from .config import FIELD_TYPES, ConfigError, SystemConfig, read_int, validate
 from .montecarlo import estimate_outage_pair
-from .optimizer import OptimizerSettings, optimize
+from .optimizer import optimize
 from .ris import resolve_alpha
 
 CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
@@ -146,7 +146,6 @@ def _error_rows(param, value, methods, exc, alpha, ms, digest=""):
 
 def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
               workers: int = 1,
-              optimizer_settings: OptimizerSettings | None = None,
               sweep_param: str = "point", sweep_value: float = 0.0):
     """Evaluate one configuration; one row per (user, method)."""
     rows = []
@@ -157,7 +156,7 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
     if config.alpha_mode == "optimized":
         t0 = time.perf_counter()
         try:
-            outcome = optimize(config, optimizer_settings or OptimizerSettings())
+            outcome = optimize(config)
         except Exception as exc:  # the point fails; the run continues
             ms = (time.perf_counter() - t0) * 1e3
             return _error_rows(sweep_param, sweep_value, methods, exc,
@@ -218,8 +217,7 @@ def _floor_limited(row: ResultRow) -> bool:
 
 
 def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
-              workers: int = 1,
-              optimizer_settings: OptimizerSettings | None = None):
+              workers: int = 1):
     """Run a sweep; returns (rows, noisy_rows) and optionally writes CSV."""
     spec.check()
     if spec.alpha_mode is not None:
@@ -236,11 +234,8 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
             rows.extend(_error_rows(spec.param, value, spec.methods, exc,
                                     float("nan"), 0.0))
             continue
-        rows.extend(run_point(
-            point, spec.methods, workers=workers,
-            optimizer_settings=optimizer_settings,
-            sweep_param=spec.param, sweep_value=value,
-        ))
+        rows.extend(run_point(point, spec.methods, workers=workers,
+                              sweep_param=spec.param, sweep_value=value))
 
     noisy = [r for r in rows if is_noisy(r)]
     if out_path is not None:
@@ -353,8 +348,7 @@ PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
 def run_preset(name: str, base: SystemConfig, out_dir, *, workers: int = 1,
-               trials: int | None = None,
-               optimizer_settings: OptimizerSettings | None = None):
+               trials: int | None = None):
     """Run every variant of a preset; returns [(csv_path, rows, noisy)]."""
     import os
 
@@ -367,7 +361,6 @@ def run_preset(name: str, base: SystemConfig, out_dir, *, workers: int = 1,
             spec = replace(spec, trials=trials)
         suffix = f"_{variant.label}" if variant.label else ""
         path = os.path.join(out_dir, f"{name}{suffix}.csv")
-        rows, noisy = run_sweep(spec, cfg, path, workers=workers,
-                                optimizer_settings=optimizer_settings)
+        rows, noisy = run_sweep(spec, cfg, path, workers=workers)
         results.append((path, rows, noisy))
     return results

@@ -98,6 +98,20 @@ class TestValidate:
         with pytest.raises(rn.ConfigError, match="alpha_mode"):
             rn.validate(rn.SystemConfig(alpha_mode="auto"))
 
+    def test_integer_fields_refuse_other_types(self):
+        # a 64.5-element surface has no meaning; MC fails on it and the
+        # analytic route would return a plausible-looking number
+        with pytest.raises(rn.ConfigError) as info:
+            rn.validate(rn.SystemConfig(m_active=64.5, mc_trials=1000.5, seed=3.0))
+        assert info.value.problems == [
+            "m_active must be an integer, got 64.5",
+            "mc_trials must be an integer, got 1000.5",
+            "seed must be an integer, got 3.0",
+        ]
+        for value in (2.0, True, "2"):
+            with pytest.raises(rn.ConfigError, match="active_user must be an integer"):
+                rn.validate(rn.SystemConfig(active_user=value))
+
     def test_sigma_override_must_be_positive(self):
         with pytest.raises(rn.ConfigError, match="sigma2_u1"):
             rn.validate(rn.SystemConfig(sigma2_u1=-1.0))
@@ -163,10 +177,9 @@ class TestConfigFile:
             alpha_linear=3.3, g_max_db=20.0, m_active=100, n_passive=200,
             active_user=2, rate_threshold_bps_hz=1.5, epsilon_sic=0.01,
             joint_outage_u2=True, w0_dbm=-120.5, namp_dbm=-110.0, fc_ghz=3.5,
-            d_u1_ris_m=40.0, d_u2_ris_m=45.0, d_ris_bs_m=25.0, d_u1_bs_m=60.0,
-            d_u2_bs_m=65.0, h_u1_m=11.0, h_u2_m=12.0, h_ris_m=5.0, h_bs_m=2.0,
+            d_u1_ris_m=40.0, d_u2_ris_m=45.0, d_ris_bs_m=25.0,
             sigma2_u1=0.5, sigma2_u2=0.25, sigma2_bs=2e-9, mc_trials=12345,
-            seed=9007199254740993, quad_tol=1e-8, quad_omega_max=50.0))
+            seed=9007199254740993, quad_tol=1e-8))
         default = rn.SystemConfig()
         for f in fields(cfg):
             value = getattr(cfg, f.name)

@@ -204,6 +204,17 @@ class TestCli:
     def test_unknown_key_exits_2(self):
         assert main(["validate", "--set", "bogus=1"]) == 2
 
+    # geometry kept for the record only (README) and the manual truncation
+    # limit are not config keys
+    @pytest.mark.parametrize("key", ["d_u1_bs_m", "d_u2_bs_m", "h_u1_m", "h_u2_m",
+                                     "h_ris_m", "h_bs_m", "quad_omega_max"])
+    def test_removed_key_exits_2(self, key, tmp_path, capsys):
+        assert main(["validate", "--set", f"{key}=50"]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 50\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.count(f"unknown key '{key}'") == 2
+
     def test_point_json(self, capsys):
         code = main(["point", "--set", "sigma2_u1=1", "--set", "sigma2_u2=1",
                      "--set", "sigma2_bs=1", "--set", "m_active=64",
@@ -373,6 +384,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert -50 <= payload["pt_ris_dbm"] <= -44
         assert "delta_max_op" in payload
+
+    def test_optimize_has_no_search_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["optimize", "--search", "golden"])
+        assert info.value.code == 2
+        assert "--search" in capsys.readouterr().err
 
     def test_preset_runs(self, tmp_path, capsys):
         code = main(["preset", "fig3", "--out-dir", str(tmp_path),
