@@ -13,10 +13,10 @@ from .channel import (ChannelRealization, LinkVariances, RandomStream,
 from .config import (ConfigError, ConfigWarning, SystemConfig,
                      apply_overrides, db_to_linear, dbm_to_watt, linear_to_db,
                      load_config, parse_config_text, validate, watt_to_dbm)
-from .montecarlo import (GammaFit, OutageResult, empirical_moments,
-                         estimate_outage, estimate_outage_pair, fit_gamma,
-                         rate_to_threshold, sample_link_terms, sample_sinr)
-from .optimizer import OptimizationOutcome, OptimizerSettings, optimize
+from .montecarlo import (GammaFit, OutageResult, estimate_outage,
+                         estimate_outage_pair, fit_gamma, rate_to_threshold,
+                         sample_link_terms, sample_sinr)
+from .optimizer import OptimizationOutcome, OptimizerSettings, optimize, outage_pair
 from .ris import (HybridRisState, align_phases, alpha_from_power,
                   amplifier_gain, element_output_power, resolve_alpha,
                   ris_state)

@@ -209,6 +209,7 @@ def _gk15(f, lo, hi):
     return kron, np.abs(kron - gauss)
 
 
+OMEGA0 = 1e-8               # lowest quadrature frequency; the sliver below is closed-form
 _TRUNC_MAX_DOUBLINGS = 200
 _TRUNC_CHUNK = 40           # divides _TRUNC_MAX_DOUBLINGS
 
@@ -230,15 +231,15 @@ def _truncation_limit(log_psi, g: float, tol: float) -> tuple[float, float]:
     raise AccuracyError("could not find a finite truncation limit")
 
 
-def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega0: float = 1e-8,
-                   omega_max: float = 0.0, max_panels: int = 60_000,
+def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega_max: float = 0.0,
+                   max_panels: int = 60_000,
                    max_refinements: int = 200) -> tuple[float, float]:
     """CDF value F(g) from a log characteristic function, with an error bound.
 
     `log_psi` maps a float ndarray of frequencies to a complex log Psi on
     any branch, such as `np.log` of a complex-valued closed-form CF.  The
     integrand has a finite limit at zero frequency; the sliver below
-    `omega0` is added in closed form at first order.  The truncation limit
+    `OMEGA0` is added in closed form at first order.  The truncation limit
     is the first power of two where the tail is negligible (or `omega_max`
     when positive), and panels are bisected until the error estimate meets
     `tol`.  Raises :class:`AccuracyError` instead of returning a silently
@@ -256,11 +257,11 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega0: float = 1e-8
     else:
         omega_hi, psi_end = _truncation_limit(log_psi, g, tol)
 
-    # dyadic panel boundaries from omega0 up to the truncation limit
+    # dyadic panel boundaries from OMEGA0 up to the truncation limit
     bounds = [omega_hi]
-    while bounds[-1] > 2.0 * omega0:
+    while bounds[-1] > 2.0 * OMEGA0:
         bounds.append(bounds[-1] / 2.0)
-    bounds.append(omega0)
+    bounds.append(OMEGA0)
     bounds = np.array(bounds[::-1])
     lo, hi = bounds[:-1], bounds[1:]
 
@@ -294,8 +295,8 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega0: float = 1e-8
             f"quadrature error {errs.sum():.2e} above tolerance {tol:.2e}"
         )
 
-    # finite-limit sliver below omega0, first-order rectangle
-    sliver = integrand(np.array([omega0 / 2.0]))[0] * omega0
+    # finite-limit sliver below OMEGA0, first-order rectangle
+    sliver = integrand(np.array([OMEGA0 / 2.0]))[0] * OMEGA0
     # post-truncation tail, bounded by the oscillation-cancelled envelope
     tail = min(psi_end, 2.0 * psi_end / (max(abs(g), 1e-3) * omega_hi))
 

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 
 from . import __version__
 from .config import SystemConfig, apply_overrides, load_config, read_int, validate
-from .optimizer import OptimizerSettings, optimize
+from .optimizer import METHODS, OptimizerSettings, optimize
 from .sweep import (INT_PARAMS, PRESET_NAMES, SweepSpec, fmt_value, is_noisy,
                     noisy_reason, parse_values, run_point, run_preset, run_sweep)
 
@@ -71,7 +71,7 @@ def _exit_status(rows, allow_noisy: bool) -> int:
 
 def _cmd_point(args) -> int:
     cfg = _build_config(args)
-    methods = ("mc", "analytic") if args.method == "both" else (args.method,)
+    methods = METHODS if args.method == "both" else (args.method,)
     rows = run_point(cfg, methods, workers=args.workers)
     if args.json:
         print(json.dumps([{
@@ -94,7 +94,7 @@ def _cmd_point(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     values = parse_values(args.values, as_int=args.param in INT_PARAMS)
-    methods = ("mc", "analytic") if args.method == "both" else (args.method,)
+    methods = METHODS if args.method == "both" else (args.method,)
     spec = SweepSpec(param=args.param, values=values, methods=methods,
                      alpha_mode=args.alpha_mode)
     rows, _ = run_sweep(spec, cfg, args.out, workers=args.workers)
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("point", help="evaluate one configuration")
     _add_common(p)
-    p.add_argument("--method", choices=("mc", "analytic", "both"), default="both")
+    p.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p.add_argument("--allow-noisy", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_point)
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True,
                    help="'a,b,c', 'start:stop:step', or 'log:a:b:n'")
-    p.add_argument("--method", choices=("mc", "analytic", "both"), default="both")
+    p.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p.add_argument("--alpha-mode", choices=("fixed", "from_power", "optimized"),
                    default=None)
     p.add_argument("--out", required=True)
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     p.add_argument("--interval", type=float, nargs=2, default=(-70.0, -10.0),
                    metavar=("LO_DBM", "HI_DBM"))
     p.add_argument("--tol-db", type=float, default=0.1)
-    p.add_argument("--evaluator", choices=("analytic", "mc"), default="analytic")
+    p.add_argument("--evaluator", choices=METHODS, default="analytic")
     p.add_argument("--tau", type=float, default=0.9)
     p.set_defaults(fn=_cmd_optimize)
 

@@ -75,7 +75,6 @@ class SystemConfig:
     # amplification of the active partition
     alpha_mode: str = "fixed"    # fixed | from_power | optimized
     alpha_linear: float = 8.5    # power gain per active element, used when fixed
-    g_max_db: float = 30.0       # amplifier power-gain cap [dB]
 
     # RIS partition sizes and role assignment
     m_active: int = 512          # active elements M
@@ -119,6 +118,17 @@ class SystemConfig:
         return self._digest
 
 
+def _type_problem(name: str, kind, value) -> str:
+    """Why a field's value has the wrong type, or "" when it has the right one."""
+    if kind is int and type(value) is not int:
+        return f"{name} must be an integer, got {value!r}"
+    if kind in (float, float | None) and not (value is None and kind is not float):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            return f"{name} must be a finite number, got {value!r}"
+    return ""
+
+
 def validate(config: SystemConfig) -> SystemConfig:
     """Validate a configuration, clamping the amplifier gain if needed.
 
@@ -126,10 +136,9 @@ def validate(config: SystemConfig) -> SystemConfig:
     every violated invariant.  Clamping emits a :class:`ConfigWarning`.
     Idempotent: validating a validated config is a no-op.
     """
-    problems = [f"{name} must be an integer, got {getattr(config, name)!r}"
-                for name, kind in FIELD_TYPES.items()
-                if kind is int and type(getattr(config, name)) is not int]
-    if problems:  # the range checks below assume integers
+    problems = [problem for name, kind in FIELD_TYPES.items()
+                if (problem := _type_problem(name, kind, getattr(config, name)))]
+    if problems:  # the range checks below assume finite numbers of the right type
         raise ConfigError(problems)
 
     if config.m_active < 1:
@@ -146,10 +155,8 @@ def validate(config: SystemConfig) -> SystemConfig:
         problems.append(f"epsilon_sic must be in [0, 1], got {config.epsilon_sic}")
     if config.rate_threshold_bps_hz < 0.0:
         problems.append(f"rate_threshold_bps_hz must be >= 0, got {config.rate_threshold_bps_hz}")
-    if not (math.isfinite(config.alpha_linear) and config.alpha_linear > 0.0):
-        problems.append(f"alpha_linear must be finite and positive, got {config.alpha_linear}")
-    if not (math.isfinite(config.g_max_db) and config.g_max_db > 0.0):
-        problems.append(f"g_max_db must be finite and positive, got {config.g_max_db}")
+    if not config.alpha_linear > 0.0:
+        problems.append(f"alpha_linear must be positive, got {config.alpha_linear}")
 
     lo, hi = FC_RANGE_GHZ
     if not (lo <= config.fc_ghz <= hi):
@@ -162,18 +169,17 @@ def validate(config: SystemConfig) -> SystemConfig:
 
     for name in ("sigma2_u1", "sigma2_u2", "sigma2_bs"):
         v = getattr(config, name)
-        if v is not None and not (math.isfinite(v) and v > 0.0):
-            problems.append(f"{name} must be None or a positive finite variance, got {v}")
+        if v is not None and not v > 0.0:
+            problems.append(f"{name} must be None or a positive variance, got {v}")
 
     if not (0 <= config.seed < 2**64):
         problems.append(f"seed must be a 64-bit unsigned integer, got {config.seed}")
-    if not (math.isfinite(config.quad_tol) and config.quad_tol > 0.0):
+    if not config.quad_tol > 0.0:
         problems.append(f"quad_tol must be positive, got {config.quad_tol}")
 
     if problems:
         raise ConfigError(problems)
 
-    out = config
     if not (ALPHA_MIN <= config.alpha_linear <= ALPHA_MAX):
         clamped = min(max(config.alpha_linear, ALPHA_MIN), ALPHA_MAX)
         warnings.warn(
@@ -182,15 +188,8 @@ def validate(config: SystemConfig) -> SystemConfig:
             ConfigWarning,
             stacklevel=2,
         )
-        out = replace(out, alpha_linear=clamped)
-    if config.g_max_db > 30.0:
-        warnings.warn(
-            f"g_max_db={config.g_max_db} above the 30 dB amplifier cap, clamped",
-            ConfigWarning,
-            stacklevel=2,
-        )
-        out = replace(out, g_max_db=30.0)
-    return out
+        return replace(config, alpha_linear=clamped)
+    return config
 
 
 # ---------------------------------------------------------------------------

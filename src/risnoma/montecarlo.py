@@ -1,4 +1,4 @@
-"""Monte-Carlo outage estimation, SINR sampling, moments, and Gamma fits.
+"""Monte-Carlo outage estimation, SINR sampling, and Gamma fits.
 
 Trials are processed in fixed-size blocks; block b draws its channels from
 the dedicated substream (seed, b), so results are bit-identical for any
@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import link_terms_block
 from .channel import RandomStream, _draw_block, link_variances
-from .config import SystemConfig, dbm_to_watt
+from .config import SystemConfig
 from .ris import resolve_alpha
 from .sinr import LinkTerms, sinr
 
@@ -59,21 +59,12 @@ def _block_terms(config: SystemConfig, block_id: int, nb: int, alpha: float):
     return link_terms_block(qa, qhb, qgp, qgb, z, s_a, s_p, var.bs, math.sqrt(alpha))
 
 
-def _sinrs(config: SystemConfig, alpha: float, a, b, c, d, ang):
-    """Both users' SINRs, amplified user first, from link-term arrays."""
-    lt = LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang,
-                   w0=dbm_to_watt(config.w0_dbm),
-                   sigma_z2=dbm_to_watt(config.namp_dbm),
-                   alpha=alpha, epsilon=config.epsilon_sic)
-    pair = sinr(lt, config)
-    return pair.gamma1, pair.gamma2
-
-
 def _outage_counts_worker(args):
     config, block_id, nb, alpha, v = args
-    gamma1, gamma2 = _sinrs(config, alpha, *_block_terms(config, block_id, nb, alpha))
-    out1 = gamma1 < v
-    out2 = gamma2 < v
+    a, b, c, d, ang = _block_terms(config, block_id, nb, alpha)
+    pair = sinr(LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=alpha), config)
+    out1 = pair.gamma1 < v
+    out2 = pair.gamma2 < v
     return int(out1.sum()), int(out2.sum()), int((out1 | out2).sum())
 
 
@@ -139,9 +130,10 @@ def sample_sinr(config: SystemConfig, user: int, n: int, *,
     """n i.i.d. linear SINR samples for one user, deterministic given seed."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
-    terms = sample_link_terms(config, n, workers=workers)
-    gammas = _sinrs(config, resolve_alpha(config), **terms)
-    return gammas[0 if user == config.active_user else 1]
+    t = sample_link_terms(config, n, workers=workers)
+    pair = sinr(LinkTerms(a=t["a"], b=t["b"], c=t["c"], d=t["d"],
+                          active_noise_gain=t["ang"], alpha=resolve_alpha(config)), config)
+    return pair.gamma1 if user == config.active_user else pair.gamma2
 
 
 def sample_link_terms(config: SystemConfig, n: int, *, workers: int = 1) -> dict:
@@ -153,22 +145,6 @@ def sample_link_terms(config: SystemConfig, n: int, *, workers: int = 1) -> dict
     parts = _map_blocks(_terms_worker, argses, workers)
     keys = ("a", "b", "c", "d", "ang")
     return {k: np.concatenate([p[i] for p in parts]) for i, k in enumerate(keys)}
-
-
-_TERM_KEYS = {"A": "a", "B": "b", "C": "c", "D": "d"}
-
-
-def empirical_moments(config: SystemConfig, term: str, n: int, *,
-                      workers: int = 1) -> tuple[complex, float]:
-    """Sample mean and total variance of one link term over n realizations."""
-    if term not in _TERM_KEYS:
-        raise ValueError(f"term must be one of {sorted(_TERM_KEYS)}, got {term!r}")
-    if n < 10_000:
-        raise ValueError(f"need at least 10^4 realizations, got {n}")
-    samples = sample_link_terms(config, n, workers=workers)[_TERM_KEYS[term]]
-    mean = complex(np.mean(samples))
-    var = float(np.mean(np.abs(samples - mean) ** 2))
-    return mean, var
 
 
 def fit_gamma(samples) -> GammaFit:

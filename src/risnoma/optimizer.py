@@ -28,15 +28,16 @@ from .montecarlo import estimate_outage_pair
 from .ris import _alpha_at_budget
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+GRID_STEP_DB = 1.0   # coarse scan used for mode detection and the golden bracket
+METHODS = ("mc", "analytic")
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     interval_dbm: tuple = (-70.0, -10.0)  # search range for the RIS budget
     tol_db: float = 0.1                   # termination width of the bracket
-    evaluator: str = "analytic"           # analytic | mc
+    evaluator: str = "analytic"           # one of METHODS
     tau: float = 0.9                      # outage ceiling declaring a user unservable
-    grid_step_db: float = 1.0             # coarse scan used for mode detection
     mc_workers: int = 1
 
 
@@ -52,17 +53,22 @@ class OptimizationOutcome:
     evaluations: int  # distinct gains evaluated (budgets sharing a gain count once)
 
 
+def outage_pair(config: SystemConfig, method: str, *, workers: int = 1):
+    """Both users' OutageResults by one of METHODS: "mc" simulates (with
+    `workers` processes), "analytic" inverts the characteristic function."""
+    if method == "mc":
+        return estimate_outage_pair(config, workers=workers)
+    if method == "analytic":
+        return analytic_outage(config, 1), analytic_outage(config, 2)
+    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+
+
 def _outage_pair_at(pt_ris_dbm: float, config: SystemConfig,
                     settings: OptimizerSettings) -> tuple[float, float]:
+    # the same seed at every budget keeps the mc objective deterministic
     probe = replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
-    if settings.evaluator == "analytic":
-        return (analytic_outage(probe, 1).op, analytic_outage(probe, 2).op)
-    if settings.evaluator == "mc":
-        # identical seed at every candidate: common random numbers keep the
-        # objective a deterministic function during the search
-        r1, r2 = estimate_outage_pair(probe, workers=settings.mc_workers)
-        return r1.op, r2.op
-    raise ValueError(f"evaluator must be 'analytic' or 'mc', got {settings.evaluator!r}")
+    r1, r2 = outage_pair(probe, settings.evaluator, workers=settings.mc_workers)
+    return r1.op, r2.op
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float):
@@ -115,8 +121,7 @@ def optimize(config: SystemConfig,
             cache[gain] = _outage_pair_at(x, config, settings)
         return cache[gain]
 
-    grid = [float(x) for x in
-            np.arange(lo, hi + settings.grid_step_db / 2.0, settings.grid_step_db)]
+    grid = [float(x) for x in np.arange(lo, hi + GRID_STEP_DB / 2.0, GRID_STEP_DB)]
     grid_pairs = [pair_at(x) for x in grid]
 
     if all(p2 >= settings.tau for _, p2 in grid_pairs):
@@ -144,8 +149,8 @@ def optimize(config: SystemConfig,
     best_x, best_f = candidates[k], objective(candidates[k])
 
     # refine inside a one-grid-step bracket around the coarse argmin
-    blo = max(lo, best_x - settings.grid_step_db)
-    bhi = min(hi, best_x + settings.grid_step_db)
+    blo = max(lo, best_x - GRID_STEP_DB)
+    bhi = min(hi, best_x + GRID_STEP_DB)
     x, f = _golden_min(objective, blo, bhi, settings.tol_db)
     if best_f < f:
         x, f = best_x, best_f

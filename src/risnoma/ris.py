@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALPHA_MAX, ALPHA_MIN, SystemConfig, db_to_linear, dbm_to_watt
+from .config import ALPHA_MAX, ALPHA_MIN, SystemConfig, dbm_to_watt
 from .channel import ChannelRealization, LinkVariances, link_variances
 
 
@@ -23,12 +23,8 @@ class HybridRisState:
     alpha: float       # per-element power gain of the active part
 
 
-def align_phases(
-    ch: ChannelRealization,
-    active_user: int = 1,
-    passive_user: int | None = None,
-    alpha: float = 1.0,
-) -> HybridRisState:
+def align_phases(ch: ChannelRealization, active_user: int = 1,
+                 alpha: float = 1.0) -> HybridRisState:
     """Coherently align each partition for its served user.
 
     The active part cancels the phase of the active user's cascaded
@@ -36,13 +32,10 @@ def align_phases(
     product (probability zero) gets phase 0; the element contributes
     nothing either way.
     """
-    if passive_user is None:
-        passive_user = 2 if active_user == 1 else 1
-    if active_user == passive_user or active_user not in (1, 2) or passive_user not in (1, 2):
-        raise ValueError(f"users must be distinct members of {{1, 2}}, got "
-                         f"({active_user}, {passive_user})")
+    if active_user not in (1, 2):
+        raise ValueError(f"active_user must be 1 or 2, got {active_user}")
     h_a = ch.h1 if active_user == 1 else ch.h2
-    g_p = ch.g1 if passive_user == 1 else ch.g2
+    g_p = ch.g2 if active_user == 1 else ch.g1
     theta = np.exp(-1j * np.angle(h_a * ch.h_bs))  # angle(0) = 0 handles zeros
     beta = np.exp(-1j * np.angle(g_p * ch.g_bs))
     return HybridRisState(theta=theta, beta=beta, alpha=alpha)
@@ -83,8 +76,7 @@ def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float,
     sigma2_active = variances.u1 if config.active_user == 1 else variances.u2
     p_o = element_output_power(dbm_to_watt(pt_ris_dbm), config.m_active)
     pt = dbm_to_watt(config.pt_user_dbm)
-    g_cap = math.sqrt(db_to_linear(min(config.g_max_db, 30.0)))  # amplitude cap
-    g = amplifier_gain(p_o, pt, sigma2_active, g_cap)
+    g = amplifier_gain(p_o, pt, sigma2_active, math.sqrt(ALPHA_MAX))
     return min(max(g * g, ALPHA_MIN), ALPHA_MAX)
 
 

@@ -32,10 +32,7 @@ class LinkTerms:
     c: complex                # sqrt(alpha) * sum h_passive theta h_bs
     d: float                  # sum |g_passive| |g_bs|
     active_noise_gain: float  # sum |h_bs|^2 (phases are unit modulus)
-    w0: float                 # AWGN power [W]
-    sigma_z2: float           # per-element amplifier noise power [W]
-    alpha: float
-    epsilon: float
+    alpha: float              # per-element power gain of the active part
 
 
 @dataclass(frozen=True)
@@ -62,26 +59,22 @@ def compute_link_terms(ch: ChannelRealization, ris: HybridRisState,
     c = sqrt_alpha * complex(np.sum(h_p * ris.theta * ch.h_bs))
     d = float(np.sum(np.abs(g_p) * np.abs(ch.g_bs)))
     ang = float(np.sum(np.abs(ch.h_bs) ** 2))
-    return LinkTerms(
-        a=a, b=b, c=c, d=d, active_noise_gain=ang,
-        w0=dbm_to_watt(config.w0_dbm),
-        sigma_z2=dbm_to_watt(config.namp_dbm),
-        alpha=ris.alpha,
-        epsilon=config.epsilon_sic,
-    )
+    return LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=ris.alpha)
 
 
 def sinr(lt: LinkTerms, config: SystemConfig) -> SinrPair:
     """Both users' SINRs from one set of link terms.
 
-    The terms may be scalars or equal-length arrays over a block of trials.
+    The terms may be scalars or equal-length arrays over a block of trials;
+    the transmit power, noise powers and SIC residue come from the config.
     """
     pt = dbm_to_watt(config.pt_user_dbm)
+    w0 = dbm_to_watt(config.w0_dbm)
     s_ab = abs(lt.a + lt.b) ** 2
     s_cd = abs(lt.c + lt.d) ** 2
-    forwarded = lt.sigma_z2 * lt.alpha * lt.active_noise_gain
-    gamma1 = pt * s_ab / (pt * s_cd + forwarded + lt.w0)
-    gamma2 = pt * s_cd / (lt.epsilon * pt * s_ab + forwarded + lt.w0)
+    forwarded = dbm_to_watt(config.namp_dbm) * lt.alpha * lt.active_noise_gain
+    gamma1 = pt * s_ab / (pt * s_cd + forwarded + w0)
+    gamma2 = pt * s_cd / (config.epsilon_sic * pt * s_ab + forwarded + w0)
     return SinrPair(gamma1=gamma1, gamma2=gamma2)
 
 

@@ -15,10 +15,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analytic import analytic_outage
 from .config import FIELD_TYPES, ConfigError, SystemConfig, read_int, validate
-from .montecarlo import estimate_outage_pair
-from .optimizer import optimize
+from .optimizer import METHODS, optimize, outage_pair
 from .ris import resolve_alpha
 
 CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
@@ -37,7 +35,7 @@ FLOOR_EVENTS = 1000        # events below which an MC tail point is floor-limite
 class SweepSpec:
     param: str
     values: tuple
-    methods: tuple = ("mc", "analytic")
+    methods: tuple = METHODS
     alpha_mode: str | None = None  # override the base config's mode per point
     label: str = ""
     trials: int | None = None      # preset default trial count; CLI --trials wins
@@ -47,9 +45,9 @@ class SweepSpec:
             raise ConfigError([f"sweep needs at least 2 values, got {len(self.values)}"])
         if self.param not in FIELD_TYPES and self.param not in VIRTUAL_PARAMS:
             raise ConfigError([f"unknown sweep parameter {self.param!r}"])
-        bad = [m for m in self.methods if m not in ("mc", "analytic")]
+        bad = [m for m in self.methods if m not in METHODS]
         if bad:
-            raise ConfigError([f"unknown methods {bad}"])
+            raise ConfigError([f"unknown methods {bad}; choose from {METHODS}"])
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,7 @@ def _error_rows(param, value, methods, exc, alpha, ms, digest=""):
     ) for method in methods for user in (1, 2)]
 
 
-def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
-              workers: int = 1,
+def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
               sweep_param: str = "point", sweep_value: float = 0.0):
     """Evaluate one configuration; one row per (user, method)."""
     rows = []
@@ -173,14 +170,9 @@ def run_point(config: SystemConfig, methods=("mc", "analytic"), *,
     for method in methods:
         t0 = time.perf_counter()
         try:
-            if method == "mc":
-                r1, r2 = estimate_outage_pair(eval_config, workers=workers)
-            elif method == "analytic":
-                r1, r2 = analytic_outage(eval_config, 1), analytic_outage(eval_config, 2)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            pair = outage_pair(eval_config, method, workers=workers)
             ms = (time.perf_counter() - t0) * 1e3 + opt_ms
-            for res in (r1, r2):
+            for res in pair:
                 rows.append(ResultRow(
                     sweep_param=sweep_param, sweep_value=sweep_value,
                     user=res.user, method=method, op=res.op, err=res.std_err,
@@ -304,7 +296,7 @@ def _variant(fig: str, label: str, param: str, values: tuple, alpha_mode: str,
     mc = alpha_mode != "optimized"
     return PresetVariant(label, overrides, SweepSpec(
         param=param, values=values,
-        methods=("mc", "analytic") if mc else ("analytic",),
+        methods=METHODS if mc else ("analytic",),
         alpha_mode=alpha_mode, label=f"{fig}_{label}" if label else fig,
         trials=20_000 if mc else None))
 

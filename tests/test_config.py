@@ -112,6 +112,21 @@ class TestValidate:
             with pytest.raises(rn.ConfigError, match="active_user must be an integer"):
                 rn.validate(rn.SystemConfig(active_user=value))
 
+    def test_float_fields_refuse_other_types_and_non_finite(self):
+        # each passed validate before and failed later, or gave a number
+        bad = dict(fc_ghz="5", pt_user_dbm="15", w0_dbm=math.nan, pt_ris_dbm=math.inf,
+                   rate_threshold_bps_hz=math.nan, namp_dbm=True, sigma2_u1="1")
+        for name, value in bad.items():
+            with pytest.raises(rn.ConfigError) as info:
+                rn.validate(rn.SystemConfig(**{name: value}))
+            assert info.value.problems == [f"{name} must be a finite number, got {value!r}"]
+        with pytest.raises(rn.ConfigError) as info:
+            rn.validate(rn.SystemConfig(**bad))
+        assert len(info.value.problems) == len(bad)
+        # an int is a number, and None is allowed where the type is optional
+        cfg = rn.validate(rn.SystemConfig(pt_user_dbm=15, sigma2_u1=None))
+        assert cfg.pt_user_dbm == 15 and cfg.sigma2_u1 is None
+
     def test_sigma_override_must_be_positive(self):
         with pytest.raises(rn.ConfigError, match="sigma2_u1"):
             rn.validate(rn.SystemConfig(sigma2_u1=-1.0))
@@ -174,7 +189,7 @@ class TestConfigFile:
     def test_every_field_round_trips(self):
         cfg = rn.validate(rn.SystemConfig(
             pt_user_dbm=12.5, pt_ris_dbm=-41.25, alpha_mode="from_power",
-            alpha_linear=3.3, g_max_db=20.0, m_active=100, n_passive=200,
+            alpha_linear=3.3, m_active=100, n_passive=200,
             active_user=2, rate_threshold_bps_hz=1.5, epsilon_sic=0.01,
             joint_outage_u2=True, w0_dbm=-120.5, namp_dbm=-110.0, fc_ghz=3.5,
             d_u1_ris_m=40.0, d_u2_ris_m=45.0, d_ris_bs_m=25.0,

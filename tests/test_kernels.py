@@ -84,8 +84,7 @@ class TestReducedSampler:
         cfg = _oracle_config()
         lt = rn.LinkTerms(a=oracle_terms["a"], b=oracle_terms["b"], c=oracle_terms["c"],
                           d=oracle_terms["d"], active_noise_gain=oracle_terms["ang"],
-                          w0=rn.dbm_to_watt(cfg.w0_dbm), sigma_z2=rn.dbm_to_watt(cfg.namp_dbm),
-                          alpha=cfg.alpha_linear, epsilon=cfg.epsilon_sic)
+                          alpha=cfg.alpha_linear)
         v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
         # active_user=2: gamma1 of the SINR pair belongs to user 2
         p_oracle = float(np.mean(rn.sinr(lt, cfg).gamma1 < v))

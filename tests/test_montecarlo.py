@@ -119,32 +119,30 @@ class TestSampleSinr:
         assert np.all(s1 <= s0 + 1e-15)
 
 
+def _moments(samples):
+    """Sample mean and total variance E|x - mean|^2 of link-term samples."""
+    mean = complex(np.mean(samples))
+    return mean, float(np.mean(np.abs(samples - mean) ** 2))
+
+
 class TestEmpiricalMoments:
     def test_term_a_lemma(self):
         cfg = unit_config(mc_trials=1000)
-        mean, var = rn.empirical_moments(cfg, "A", 40_000)
+        mean, var = _moments(rn.sample_link_terms(cfg, 40_000)["a"])
         assert mean.imag == 0.0
         assert mean.real == pytest.approx(64 * np.pi / 4, rel=0.01)
         assert var == pytest.approx(64 * (1 - np.pi**2 / 16), rel=0.05)
 
     def test_term_b_lemma(self):
         cfg = unit_config(mc_trials=1000)
-        mean, var = rn.empirical_moments(cfg, "B", 40_000)
+        mean, var = _moments(rn.sample_link_terms(cfg, 40_000)["b"])
         assert abs(mean) < 4 * np.sqrt(64.0 / 40_000)
         assert var == pytest.approx(64.0, rel=0.05)
 
     def test_term_d_single_element(self):
         cfg = unit_config(n_passive=1, mc_trials=1000)
-        mean, var = rn.empirical_moments(cfg, "D", 100_000)
+        mean, var = _moments(rn.sample_link_terms(cfg, 100_000)["d"])
         assert mean.real == pytest.approx(np.pi / 4, rel=0.01)
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            rn.empirical_moments(unit_config(), "A", 100)
-
-    def test_rejects_unknown_term(self):
-        with pytest.raises(ValueError):
-            rn.empirical_moments(unit_config(), "E", 20_000)
 
 
 class TestFitGamma:

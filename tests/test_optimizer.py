@@ -37,6 +37,23 @@ class TestObjectiveGap:
         assert g_mid < g_lo  # the crossing sits near the default budget
 
 
+class TestOutagePair:
+    def test_each_method_is_its_engine(self):
+        cfg = unit_config(mc_trials=3000, w0_dbm=62.0, pt_user_dbm=30.0, epsilon_sic=0.01,
+                          alpha_linear=2.0, rate_threshold_bps_hz=1.0)
+        mc = rn.estimate_outage_pair(cfg)
+        assert 0.0 < mc[0].op < 1.0 and 0.0 < mc[1].op < 1.0
+        assert rn.outage_pair(cfg, "mc") == mc
+        assert rn.outage_pair(cfg, "mc", workers=2) == mc
+        assert rn.outage_pair(cfg, "analytic") == (rn.analytic_outage(cfg, 1),
+                                                   rn.analytic_outage(cfg, 2))
+        assert optimizer.METHODS == ("mc", "analytic")
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="'newton'"):
+            rn.outage_pair(unit_config(), "newton")
+
+
 class TestOptimize:
     def test_default_anchor(self):
         out = rn.optimize(rn.validate(rn.SystemConfig()))
@@ -72,7 +89,7 @@ class TestOptimize:
         cfg = _fallback_config()
         settings = rn.OptimizerSettings()
         # the deterministic trigger: every 1-dB grid point has op2 >= tau
-        grid = np.arange(*settings.interval_dbm, settings.grid_step_db)
+        grid = np.arange(*settings.interval_dbm, optimizer.GRID_STEP_DB)
         ops2 = [rn.analytic_outage(
             replace(cfg, pt_ris_dbm=float(x), alpha_mode="from_power"), 2).op
             for x in grid]
@@ -99,8 +116,7 @@ class TestOptimize:
             m_active=64, n_passive=64, sigma2_u1=1.0, sigma2_u2=1.0,
             sigma2_bs=1.0, pt_user_dbm=30.0, w0_dbm=59.0, namp_dbm=-300.0,
             mc_trials=2000))
-        settings = rn.OptimizerSettings(
-            evaluator="mc", interval_dbm=(-50.0, -40.0), grid_step_db=2.0)
+        settings = rn.OptimizerSettings(evaluator="mc", interval_dbm=(-50.0, -40.0))
         a = rn.optimize(cfg, settings)
         b = rn.optimize(cfg, settings)
         assert a == b  # common random numbers make the search reproducible
@@ -113,7 +129,7 @@ class TestOptimize:
         grid = np.arange(-80.0, 20.0, 0.5)
         gains = [alpha_from_power(replace(cfg, pt_ris_dbm=float(x))) for x in grid]
         x_cap = float(grid[gains.index(ALPHA_MAX)])
-        settings = rn.OptimizerSettings(evaluator=evaluator, grid_step_db=1.0,
+        settings = rn.OptimizerSettings(evaluator=evaluator,
                                         interval_dbm=(x_cap - 4.0, x_cap + 6.0))
 
         seen = []

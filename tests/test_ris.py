@@ -48,9 +48,10 @@ class TestAlignPhases:
         state = rn.align_phases(ch)
         assert np.allclose(np.abs(state.theta * ch.h_bs), np.abs(ch.h_bs), rtol=1e-12)
 
-    def test_same_user_rejected(self):
-        with pytest.raises(ValueError):
-            rn.align_phases(_single_element(), active_user=1, passive_user=1)
+    def test_unknown_active_user_rejected(self):
+        # the passive part always serves the other user of {1, 2}
+        with pytest.raises(ValueError, match="active_user must be 1 or 2"):
+            rn.align_phases(_single_element(), active_user=3)
 
 
 def _random_realization(rng, m, n):

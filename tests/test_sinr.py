@@ -18,8 +18,7 @@ def _random_realization(rng, m, n):
 
 
 def _terms(lt_kwargs):
-    base = dict(a=0.0, b=0j, c=0j, d=0.0, active_noise_gain=0.0,
-                w0=1.0, sigma_z2=0.0, alpha=1.0, epsilon=0.0)
+    base = dict(a=0.0, b=0j, c=0j, d=0.0, active_noise_gain=0.0, alpha=1.0)
     base.update(lt_kwargs)
     return rn.LinkTerms(**base)
 

@@ -204,16 +204,20 @@ class TestCli:
     def test_unknown_key_exits_2(self):
         assert main(["validate", "--set", "bogus=1"]) == 2
 
-    # geometry kept for the record only (README) and the manual truncation
-    # limit are not config keys
+    # geometry kept for the record only (README), the manual truncation
+    # limit and the amplifier cap (always ALPHA_MAX) are not config keys
     @pytest.mark.parametrize("key", ["d_u1_bs_m", "d_u2_bs_m", "h_u1_m", "h_u2_m",
-                                     "h_ris_m", "h_bs_m", "quad_omega_max"])
+                                     "h_ris_m", "h_bs_m", "quad_omega_max", "g_max_db"])
     def test_removed_key_exits_2(self, key, tmp_path, capsys):
         assert main(["validate", "--set", f"{key}=50"]) == 2
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 50\n")
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.count(f"unknown key '{key}'") == 2
+
+    def test_non_finite_float_exits_2(self, capsys):
+        assert main(["validate", "--set", "w0_dbm=nan"]) == 2
+        assert "w0_dbm must be a finite number, got nan" in capsys.readouterr().err
 
     def test_point_json(self, capsys):
         code = main(["point", "--set", "sigma2_u1=1", "--set", "sigma2_u2=1",
