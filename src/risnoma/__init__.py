@@ -5,20 +5,17 @@ __version__ = "0.1.0"
 
 from .analytic import (AccuracyError, QfComponent, QuadFormSpec, TermStats,
                        analytic_outage, build_quadform, log_cf,
-                       gil_pelaez_cdf, stats_a, stats_b, stats_c, stats_d,
-                       term_statistics)
+                       gil_pelaez_cdf, term_statistics)
 from .channel import (ChannelRealization, LinkVariances, RandomStream,
                       channel_variance, draw_realization, link_variances,
                       path_loss_db)
 from .config import (ConfigError, ConfigWarning, SystemConfig,
-                     apply_overrides, db_to_linear, dbm_to_watt, linear_to_db,
-                     load_config, parse_config_text, validate, watt_to_dbm)
-from .montecarlo import (GammaFit, OutageResult, estimate_outage,
-                         estimate_outage_pair, fit_gamma, rate_to_threshold,
-                         sample_link_terms, sample_sinr)
+                     apply_overrides, dbm_to_watt, load_config,
+                     parse_config_text, validate)
+from .montecarlo import (GammaFit, OutageResult, estimate_outage_pair, fit_gamma,
+                         rate_to_threshold, sample_link_terms, sample_sinr)
 from .optimizer import OptimizationOutcome, OptimizerSettings, optimize, outage_pair
-from .ris import (HybridRisState, align_phases, alpha_from_power,
-                  amplifier_gain, element_output_power, resolve_alpha,
+from .ris import (HybridRisState, align_phases, alpha_from_power, resolve_alpha,
                   ris_state)
 from .sinr import LinkTerms, SinrPair, compute_link_terms, sinr, synthesize_received
 from .sweep import (PresetVariant, ResultRow, SweepSpec, determinism_signature,

@@ -37,28 +37,26 @@ class TermStats:
     var: float   # total variance
 
 
-def stats_a(alpha: float, m: int, sigma_h: float, sigma_hbs: float) -> TermStats:
-    """Coherent amplified sum: real Gaussian for large M."""
-    mu = math.sqrt(alpha) * m * RAYLEIGH_MEAN_FACTOR * sigma_h * sigma_hbs
-    var = alpha * m * sigma_h**2 * sigma_hbs**2 * RAYLEIGH_VAR_FACTOR
-    return TermStats(mu=mu, var=var)
+def term_statistics(config: SystemConfig, alpha: float | None = None,
+                    variances: LinkVariances | None = None):
+    """The TermStats of (a, b, c, d) implied by a config's geometry and gain;
+    the active part carries a and c, the passive part b and d."""
+    var = link_variances(config) if variances is None else variances
+    if alpha is None:
+        alpha = resolve_alpha(config, var)
+    s_act, s_pas = (math.sqrt(s) for s in var.active_passive(config.active_user))
+    s_bs = math.sqrt(var.bs)
 
+    def coherent(gain, count, s):   # phase-aligned: real, Rayleigh-product mean
+        mu = math.sqrt(gain) * count * RAYLEIGH_MEAN_FACTOR * s * s_bs
+        return TermStats(mu=mu, var=gain * count * s**2 * s_bs**2 * RAYLEIGH_VAR_FACTOR)
 
-def stats_b(n: int, sigma_g: float, sigma_gbs: float) -> TermStats:
-    """Unaligned passive-part leakage: zero-mean complex Gaussian."""
-    return TermStats(mu=0.0, var=n * sigma_g**2 * sigma_gbs**2)
+    def leakage(gain, count, s):    # unaligned: zero-mean complex
+        return TermStats(mu=0.0, var=gain * count * s**2 * s_bs**2)
 
-
-def stats_c(alpha: float, m: int, sigma_h: float, sigma_hbs: float) -> TermStats:
-    """Unaligned active-part leakage: zero-mean complex Gaussian."""
-    return TermStats(mu=0.0, var=alpha * m * sigma_h**2 * sigma_hbs**2)
-
-
-def stats_d(n: int, sigma_g: float, sigma_gbs: float) -> TermStats:
-    """Coherent passive sum: real Gaussian for large N."""
-    mu = n * RAYLEIGH_MEAN_FACTOR * sigma_g * sigma_gbs
-    var = n * sigma_g**2 * sigma_gbs**2 * RAYLEIGH_VAR_FACTOR
-    return TermStats(mu=mu, var=var)
+    m, n = config.m_active, config.n_passive
+    return (coherent(alpha, m, s_act), leakage(1.0, n, s_act),
+            leakage(alpha, m, s_pas), coherent(1.0, n, s_pas))
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,8 @@ def log_cf(spec: QuadFormSpec, omega):
 cf_eval = log_cf
 
 
-def build_quadform(sa: TermStats, sb: TermStats, sc: TermStats, sd: TermStats, *,
-                   pt_watt: float, v: float, sigma_z2_watt: float, alpha: float,
-                   m_active: int, sigma2_bs: float, epsilon: float = 0.0,
-                   role: str = "active") -> QuadFormSpec:
-    """Assemble the outage quadratic form for one user's decode.
+def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
+    """Assemble the outage quadratic form of one user's decode.
 
     The squared magnitude of a real-plus-complex sum splits into a
     noncentral 1-dof part (real axis) and a central 1-dof part (imaginary
@@ -145,32 +140,27 @@ def build_quadform(sa: TermStats, sb: TermStats, sc: TermStats, sd: TermStats, *
     between the two.  The forwarded amplifier noise enters as a central
     2M-dof component.  Components with zero weight are dropped.
     """
-    if role not in ("active", "passive"):
-        raise ValueError(f"role must be 'active' or 'passive', got {role!r}")
-    if v < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {v}")
+    if user not in (1, 2):
+        raise ValueError(f"user must be 1 or 2, got {user}")
+    var = link_variances(config)
+    alpha = resolve_alpha(config, var)
+    sa, sb, sc, sd = term_statistics(config, alpha, var)
+    pt = dbm_to_watt(config.pt_user_dbm)
+    v = rate_to_threshold(config.rate_threshold_bps_hz)
 
-    ab = (
-        QfComponent(weight=1.0, dof=1, var=sa.var + sb.var / 2.0, mean=sa.mu),
-        QfComponent(weight=1.0, dof=1, var=sb.var / 2.0),
-    )
-    cd = (
-        QfComponent(weight=1.0, dof=1, var=sd.var + sc.var / 2.0, mean=sd.mu),
-        QfComponent(weight=1.0, dof=1, var=sc.var / 2.0),
-    )
-    noise = QfComponent(weight=-sigma_z2_watt * alpha * v, dof=2 * m_active,
-                        var=sigma2_bs / 2.0)
+    def part(weight, real, cplx):
+        """weight |real + cplx|^2: its noncentral and its central component."""
+        return [QfComponent(weight, 1, real.var + cplx.var / 2.0, real.mu),
+                QfComponent(weight, 1, cplx.var / 2.0)]
 
-    comps = []
-    if role == "active":
-        comps += [QfComponent(pt_watt, c.dof, c.var, c.mean) for c in ab]
-        comps += [QfComponent(-pt_watt * v, c.dof, c.var, c.mean) for c in cd]
+    if user == config.active_user:
+        comps = part(pt, sa, sb) + part(-pt * v, sd, sc)
     else:
-        comps += [QfComponent(pt_watt, c.dof, c.var, c.mean) for c in cd]
-        if epsilon > 0.0:
-            comps += [QfComponent(-epsilon * pt_watt * v, c.dof, c.var, c.mean)
-                      for c in ab]
-    comps.append(noise)
+        comps = part(pt, sd, sc)
+        if config.epsilon_sic > 0.0:
+            comps += part(-config.epsilon_sic * pt * v, sa, sb)
+    comps.append(QfComponent(-dbm_to_watt(config.namp_dbm) * alpha * v,
+                             2 * config.m_active, var.bs / 2.0))
     return QuadFormSpec(components=tuple(c for c in comps if c.weight != 0.0))
 
 
@@ -212,6 +202,8 @@ def _gk15(f, lo, hi):
 OMEGA0 = 1e-8               # lowest quadrature frequency; the sliver below is closed-form
 _TRUNC_MAX_DOUBLINGS = 200
 _TRUNC_CHUNK = 40           # divides _TRUNC_MAX_DOUBLINGS
+MAX_PANELS = 60_000
+MAX_REFINEMENTS = 200
 
 
 def _truncation_limit(log_psi, g: float, tol: float) -> tuple[float, float]:
@@ -231,19 +223,16 @@ def _truncation_limit(log_psi, g: float, tol: float) -> tuple[float, float]:
     raise AccuracyError("could not find a finite truncation limit")
 
 
-def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega_max: float = 0.0,
-                   max_panels: int = 60_000,
-                   max_refinements: int = 200) -> tuple[float, float]:
+def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6) -> tuple[float, float]:
     """CDF value F(g) from a log characteristic function, with an error bound.
 
     `log_psi` maps a float ndarray of frequencies to a complex log Psi on
     any branch, such as `np.log` of a complex-valued closed-form CF.  The
     integrand has a finite limit at zero frequency; the sliver below
     `OMEGA0` is added in closed form at first order.  The truncation limit
-    is the first power of two where the tail is negligible (or `omega_max`
-    when positive), and panels are bisected until the error estimate meets
-    `tol`.  Raises :class:`AccuracyError` instead of returning a silently
-    degraded value.
+    is the first power of two where the tail is negligible, and panels are
+    bisected until the error estimate meets `tol`.  Raises
+    :class:`AccuracyError` instead of returning a silently degraded value.
     """
 
     def integrand(w):
@@ -251,11 +240,7 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega_max: float = 0
         log_w = log_psi(w)
         return np.exp(log_w.real) * np.sin(log_w.imag - w * g) / w
 
-    if omega_max > 0.0:
-        omega_hi = omega_max
-        psi_end = float(np.exp(np.real(log_psi(np.array([omega_hi])))[0]))
-    else:
-        omega_hi, psi_end = _truncation_limit(log_psi, g, tol)
+    omega_hi, psi_end = _truncation_limit(log_psi, g, tol)
 
     # dyadic panel boundaries from OMEGA0 up to the truncation limit
     bounds = [omega_hi]
@@ -266,11 +251,11 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega_max: float = 0
     lo, hi = bounds[:-1], bounds[1:]
 
     vals, errs = _gk15(integrand, lo, hi)
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         total_err = errs.sum()
         if total_err <= tol / 2.0:
             break
-        if lo.size > max_panels:
+        if lo.size > MAX_PANELS:
             raise AccuracyError(
                 f"panel budget exceeded ({lo.size} panels, err~{total_err:.2e})"
             )
@@ -287,7 +272,7 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega_max: float = 0
         errs = np.concatenate([errs[~split], new_errs])
     else:
         raise AccuracyError(
-            f"no convergence after {max_refinements} refinements "
+            f"no convergence after {MAX_REFINEMENTS} refinements "
             f"(err~{errs.sum():.2e} > tol {tol:.2e})"
         )
     if errs.sum() > tol / 2.0:
@@ -305,25 +290,6 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6, omega_max: float = 0
     return min(max(p, 0.0), 1.0), err
 
 
-# ---------------------------------------------------------------------------
-
-def term_statistics(config: SystemConfig, alpha: float | None = None,
-                    variances: LinkVariances | None = None):
-    """The four TermStats implied by a config's geometry and gain."""
-    var = link_variances(config) if variances is None else variances
-    if alpha is None:
-        alpha = resolve_alpha(config, var)
-    s_act = math.sqrt(var.u1 if config.active_user == 1 else var.u2)
-    s_pas = math.sqrt(var.u2 if config.active_user == 1 else var.u1)
-    s_bs = math.sqrt(var.bs)
-    return (
-        stats_a(alpha, config.m_active, s_act, s_bs),
-        stats_b(config.n_passive, s_act, s_bs),
-        stats_c(alpha, config.m_active, s_pas, s_bs),
-        stats_d(config.n_passive, s_pas, s_bs),
-    )
-
-
 def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
     """Outage probability of one user via characteristic-function inversion."""
     if user not in (1, 2):
@@ -338,17 +304,7 @@ def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
         return OutageResult(op=0.0, trials=0, std_err=0.0, method="analytic",
                             user=user, config_digest=digest)
 
-    var = link_variances(config)
-    alpha = resolve_alpha(config, var)
-    sa, sb, sc, sd = term_statistics(config, alpha, var)
-    role = "active" if user == config.active_user else "passive"
-    spec = build_quadform(
-        sa, sb, sc, sd,
-        pt_watt=dbm_to_watt(config.pt_user_dbm), v=v,
-        sigma_z2_watt=dbm_to_watt(config.namp_dbm), alpha=alpha,
-        m_active=config.m_active, sigma2_bs=var.bs,
-        epsilon=config.epsilon_sic, role=role,
-    )
+    spec = build_quadform(config, user)
     g = dbm_to_watt(config.w0_dbm) * v
 
     # normalize to unit overall scale before integrating

@@ -45,6 +45,10 @@ class LinkVariances:
     u2: float  # user 2 -> RIS element
     bs: float  # RIS element -> BS
 
+    def active_passive(self, active_user: int) -> tuple[float, float]:
+        """(s_a, s_p): uplink-hop variances of the actively and passively served user."""
+        return (self.u1, self.u2) if active_user == 1 else (self.u2, self.u1)
+
 
 def link_variances(config: SystemConfig) -> LinkVariances:
     """Per-link variances from geometry, honoring explicit overrides."""

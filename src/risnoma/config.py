@@ -39,27 +39,6 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
-def watt_to_dbm(p_watt: float) -> float:
-    """Convert a power in watts to dBm.  Rejects non-positive input."""
-    if not (math.isfinite(p_watt) and p_watt > 0.0):
-        raise ValueError(f"power in watts must be finite and positive, got {p_watt!r}")
-    return 10.0 * math.log10(p_watt * 1e3)
-
-
-def db_to_linear(x_db: float) -> float:
-    """Convert a ratio in dB to a linear ratio."""
-    if not math.isfinite(x_db):
-        raise ValueError(f"ratio in dB must be finite, got {x_db!r}")
-    return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear ratio to dB.  Rejects non-positive input."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"linear ratio must be finite and positive, got {x!r}")
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """All scalar parameters of one run; immutable after validation.

@@ -55,7 +55,7 @@ def block_size(m_active: int, n_passive: int) -> int:
 def _block_terms(config: SystemConfig, block_id: int, nb: int, alpha: float):
     qa, qhb, qgp, qgb, z = _draw_block(config, RandomStream(config.seed, block_id), nb)
     var = link_variances(config)
-    s_a, s_p = (var.u1, var.u2) if config.active_user == 1 else (var.u2, var.u1)
+    s_a, s_p = var.active_passive(config.active_user)
     return link_terms_block(qa, qhb, qgp, qgb, z, s_a, s_p, var.bs, math.sqrt(alpha))
 
 
@@ -114,15 +114,6 @@ def estimate_outage_pair(config: SystemConfig, *, trials: int | None = None,
     if config.active_user == 1:
         return _result(c1, 1), _result(passive_count, 2)
     return _result(passive_count, 1), _result(c1, 2)
-
-
-def estimate_outage(config: SystemConfig, user: int, *, trials: int | None = None,
-                    workers: int = 1) -> OutageResult:
-    """Outage probability of one user by direct simulation."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    pair = estimate_outage_pair(config, trials=trials, workers=workers)
-    return pair[user - 1]
 
 
 def sample_sinr(config: SystemConfig, user: int, n: int, *,

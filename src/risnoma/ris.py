@@ -41,24 +41,6 @@ def align_phases(ch: ChannelRealization, active_user: int = 1,
     return HybridRisState(theta=theta, beta=beta, alpha=alpha)
 
 
-def element_output_power(pt_ris_watt: float, m_active: int) -> float:
-    """Per-element output power of the active part: the budget split evenly."""
-    if m_active < 1:
-        raise ValueError(f"m_active must be >= 1, got {m_active}")
-    return pt_ris_watt / m_active
-
-
-def amplifier_gain(p_o_watt: float, pt_user_watt: float,
-                   mean_sq_channel: float, g_max: float) -> float:
-    """Amplitude gain G = min(sqrt(p_o / (pt * mean_sq_channel)), g_max).
-
-    The denominator is the average signal power at the amplifier input:
-    the user's transmit power times the mean squared channel gain seen by
-    one active element.
-    """
-    return min(math.sqrt(p_o_watt / (pt_user_watt * mean_sq_channel)), g_max)
-
-
 def alpha_from_power(config: SystemConfig, variances: LinkVariances | None = None) -> float:
     """Power amplification implied by the RIS power budget, clamped to 0-30 dB.
 
@@ -73,10 +55,10 @@ def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float,
     """`alpha_from_power` at another budget, without copying the config."""
     if variances is None:
         variances = link_variances(config)
-    sigma2_active = variances.u1 if config.active_user == 1 else variances.u2
-    p_o = element_output_power(dbm_to_watt(pt_ris_dbm), config.m_active)
+    s_a, _ = variances.active_passive(config.active_user)
+    p_o = dbm_to_watt(pt_ris_dbm) / config.m_active  # split evenly per element
     pt = dbm_to_watt(config.pt_user_dbm)
-    g = amplifier_gain(p_o, pt, sigma2_active, math.sqrt(ALPHA_MAX))
+    g = min(math.sqrt(p_o / (pt * s_a)), math.sqrt(ALPHA_MAX))
     return min(max(g * g, ALPHA_MIN), ALPHA_MAX)
 
 

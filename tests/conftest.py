@@ -22,6 +22,11 @@ def unit_config(**kw) -> rn.SystemConfig:
     return rn.validate(rn.SystemConfig(**defaults))
 
 
+def mc_outage(config: rn.SystemConfig, user: int, **kw) -> rn.OutageResult:
+    """One user's plain-MC result, taken from the pass both users share."""
+    return rn.estimate_outage_pair(config, **kw)[user - 1]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

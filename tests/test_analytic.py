@@ -6,7 +6,7 @@ from scipy import stats as sstats
 
 import risnoma as rn
 from risnoma.analytic import QfComponent, QuadFormSpec, _truncation_limit
-from conftest import unit_config
+from conftest import mc_outage, unit_config
 
 PI = np.pi
 
@@ -42,25 +42,33 @@ def ncx2_cdf_series(x: float, dof: int, lam: float, terms: int = 200) -> float:
 
 class TestTermStats:
     def test_stats_a_unit(self):
-        s = rn.stats_a(1.0, 1, 1.0, 1.0)
-        assert s.mu == pytest.approx(PI / 4, rel=1e-12)
-        assert s.var == pytest.approx(1 - PI**2 / 16, rel=1e-12)
+        # one unit-variance element per partition
+        sa, sb, sc, sd = rn.term_statistics(unit_config(m_active=1, n_passive=1))
+        assert sa.mu == pytest.approx(PI / 4, rel=1e-12)
+        assert sa.var == pytest.approx(1 - PI**2 / 16, rel=1e-12)
+        assert sd.mu == pytest.approx(PI / 4, rel=1e-12)
+        assert sd.var == pytest.approx(1 - PI**2 / 16, rel=1e-12)
 
     def test_stats_a_alpha_scaling(self):
-        base = rn.stats_a(1.0, 37, 0.7, 1.3)
-        quad = rn.stats_a(4.0, 37, 0.7, 1.3)
-        assert quad.mu == pytest.approx(2 * base.mu, rel=1e-12)
-        assert quad.var == pytest.approx(4 * base.var, rel=1e-12)
+        # the gain scales the active part's sums (a, c), not the passive part's
+        kw = dict(m_active=37, n_passive=29, sigma2_u1=0.49, sigma2_u2=1.21,
+                  sigma2_bs=1.69)
+        base = rn.term_statistics(unit_config(alpha_linear=1.0, **kw))
+        quad = rn.term_statistics(unit_config(alpha_linear=4.0, **kw))
+        assert quad[0].mu == pytest.approx(2 * base[0].mu, rel=1e-12)
+        assert quad[0].var == pytest.approx(4 * base[0].var, rel=1e-12)
+        assert quad[2].var == pytest.approx(4 * base[2].var, rel=1e-12)
+        assert quad[1] == base[1] and quad[3] == base[3]
 
     def test_stats_a_m100(self):
-        assert rn.stats_a(1.0, 100, 1.0, 1.0).mu == pytest.approx(25 * PI, rel=1e-12)
+        assert rn.term_statistics(unit_config(m_active=100))[0].mu == pytest.approx(
+            25 * PI, rel=1e-12)
 
     def test_stats_b_c_d(self):
-        b = rn.stats_b(1, 1.0, 1.0)
+        _, b, c, _ = rn.term_statistics(unit_config(m_active=1, n_passive=1))
         assert (b.mu, b.var) == (0.0, 1.0)
-        c = rn.stats_c(1.0, 1, 1.0, 1.0)
         assert (c.mu, c.var) == (0.0, 1.0)
-        d = rn.stats_d(4, 1.0, 1.0)
+        d = rn.term_statistics(unit_config(n_passive=4))[3]
         assert d.mu == pytest.approx(PI, rel=1e-12)
 
     def test_moments_against_simulation(self):
@@ -79,21 +87,18 @@ class TestTermStats:
         cfg2 = unit_config(sigma2_u1=2.0, sigma2_u2=0.5, active_user=2)
         a1 = rn.term_statistics(cfg1)[0]
         a2 = rn.term_statistics(cfg2)[0]
-        assert a1.mu == pytest.approx(rn.stats_a(1.0, 64, np.sqrt(2.0), 1.0).mu)
-        assert a2.mu == pytest.approx(rn.stats_a(1.0, 64, np.sqrt(0.5), 1.0).mu)
+        # a's mean is M (pi/4) sigma_h sigma_bs with the active user's sigma_h
+        assert a1.mu == pytest.approx(64 * PI / 4 * np.sqrt(2.0))
+        assert a2.mu == pytest.approx(64 * PI / 4 * np.sqrt(0.5))
 
 
 class TestQuadForm:
     def _spec(self, cfg, user):
-        var = rn.link_variances(cfg)
-        sa, sb, sc, sd = rn.term_statistics(cfg)
-        return rn.build_quadform(
-            sa, sb, sc, sd, pt_watt=rn.dbm_to_watt(cfg.pt_user_dbm),
-            v=rn.rate_to_threshold(cfg.rate_threshold_bps_hz),
-            sigma_z2_watt=rn.dbm_to_watt(cfg.namp_dbm),
-            alpha=rn.resolve_alpha(cfg), m_active=cfg.m_active,
-            sigma2_bs=var.bs, epsilon=cfg.epsilon_sic,
-            role="active" if user == cfg.active_user else "passive")
+        return rn.build_quadform(cfg, user)
+
+    def test_user_other_than_1_or_2_rejected(self):
+        with pytest.raises(ValueError, match="user must be 1 or 2"):
+            rn.build_quadform(unit_config(), 3)
 
     def test_active_user_structure_at_defaults(self):
         cfg = rn.validate(rn.SystemConfig())
@@ -262,11 +267,6 @@ class TestGilPelaez:
                 limit = doubling_limit(cf, g)
                 limits.add(limit)
                 assert _truncation_limit(cf, g, 1e-6)[0] == limit
-                p, err = rn.gil_pelaez_cdf(cf, g)
-                p_at, err_at = rn.gil_pelaez_cdf(cf, g, omega_max=limit)
-                # |Psi| at the limit comes from a many-frequency call in one
-                # and a one-frequency call in the other: equal to rounding
-                assert p == p_at and err == pytest.approx(err_at, rel=1e-12)
         assert min(limits) < 2.0**4 and max(limits) > 2.0**15
         # an undamped CF (a point mass) at a tight tolerance runs to the
         # last gauge, 2^40, past the first chunk of probed frequencies
@@ -274,10 +274,12 @@ class TestGilPelaez:
         assert doubling_limit(point_mass, 0.0, tol=1e-9) == 2.0**40
         assert _truncation_limit(point_mass, 0.0, 1e-9)[0] == 2.0**40
 
-    def test_accuracy_error_is_loud(self):
+    def test_accuracy_error_is_loud(self, monkeypatch):
+        monkeypatch.setattr(rn.analytic, "MAX_PANELS", 2)
+        monkeypatch.setattr(rn.analytic, "MAX_REFINEMENTS", 2)
         cf = log_of(lambda w: 1.0 / (1.0 - 1j * w))
         with pytest.raises(rn.AccuracyError):
-            rn.gil_pelaez_cdf(cf, 1.0, max_panels=2, max_refinements=2)
+            rn.gil_pelaez_cdf(cf, 1.0)
 
 
 class TestAnalyticOutage:
@@ -297,7 +299,7 @@ class TestAnalyticOutage:
         cfg = unit_config(m_active=64, n_passive=64, alpha_linear=1.0,
                           pt_user_dbm=0.0, w0_dbm=30.0, namp_dbm=-300.0,
                           mc_trials=100_000, rate_threshold_bps_hz=2.0)
-        mc = rn.estimate_outage(cfg, 2)
+        mc = mc_outage(cfg, 2)
         an = rn.analytic_outage(cfg, 2)
         assert abs(mc.op - an.op) <= max(0.01, 3 * mc.std_err)
 
@@ -334,3 +336,24 @@ class TestAnalyticOutage:
         assert rn.analytic_outage(low, 2).op == pytest.approx(0.0, abs=1e-4)
         high = unit_config(w0_dbm=250.0, pt_user_dbm=30.0)
         assert rn.analytic_outage(high, 2).op == pytest.approx(1.0, abs=1e-4)
+
+
+class TestActivePassiveRule:
+    def test_swapping_roles_and_distances_swaps_users(self):
+        # flipping active_user and swapping the two user distances gives the
+        # same hybrid split with the users' labels exchanged: the gain, the
+        # simulated and the analytic outages must follow exactly
+        kw = dict(m_active=64, n_passive=64, alpha_mode="from_power",
+                  rate_threshold_bps_hz=1.0, mc_trials=4000)
+        one = rn.validate(rn.SystemConfig(active_user=1, d_u1_ris_m=60.0,
+                                          d_u2_ris_m=20.0, **kw))
+        two = rn.validate(rn.SystemConfig(active_user=2, d_u1_ris_m=20.0,
+                                          d_u2_ris_m=60.0, **kw))
+        assert rn.alpha_from_power(one) == rn.alpha_from_power(two)
+        mc1, mc2 = rn.estimate_outage_pair(one), rn.estimate_outage_pair(two)
+        an1 = (rn.analytic_outage(one, 1), rn.analytic_outage(one, 2))
+        an2 = (rn.analytic_outage(two, 1), rn.analytic_outage(two, 2))
+        for r in (*mc1, *an1):
+            assert 0.0 < r.op < 1.0
+        assert (mc1[0].op, mc1[1].op) == (mc2[1].op, mc2[0].op)
+        assert (an1[0].op, an1[1].op) == (an2[1].op, an2[0].op)

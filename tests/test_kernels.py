@@ -6,7 +6,7 @@ from scipy import stats as sstats
 
 import risnoma as rn
 from risnoma import _kernels
-from conftest import unit_config
+from conftest import mc_outage, unit_config
 
 
 def _oracle_config():
@@ -88,7 +88,7 @@ class TestReducedSampler:
         v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
         # active_user=2: gamma1 of the SINR pair belongs to user 2
         p_oracle = float(np.mean(rn.sinr(lt, cfg).gamma1 < v))
-        p_mc = rn.estimate_outage(cfg, 2, trials=N_ORACLE).op
+        p_mc = mc_outage(cfg, 2, trials=N_ORACLE).op
         pooled = (p_oracle + p_mc) / 2.0
         se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / N_ORACLE)
         assert 0.1 < pooled < 0.9

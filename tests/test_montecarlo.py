@@ -9,14 +9,14 @@ import pytest
 
 import risnoma as rn
 from risnoma.montecarlo import block_size
-from conftest import unit_config
+from conftest import mc_outage, unit_config
 
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
         cfg = unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0)
-        r1 = rn.estimate_outage(cfg, 2)
-        r2 = rn.estimate_outage(cfg, 2)
+        r1 = mc_outage(cfg, 2)
+        r2 = mc_outage(cfg, 2)
         assert r1 == r2
 
     def test_worker_count_invariance(self):
@@ -32,10 +32,10 @@ class TestDeterminism:
         assert np.array_equal(s1, s2)
 
     def test_different_seed_differs(self):
-        a = rn.estimate_outage(unit_config(mc_trials=20_000, w0_dbm=59.0,
-                                           pt_user_dbm=30.0, seed=1), 2)
-        b = rn.estimate_outage(unit_config(mc_trials=20_000, w0_dbm=59.0,
-                                           pt_user_dbm=30.0, seed=2), 2)
+        a = mc_outage(unit_config(mc_trials=20_000, w0_dbm=59.0,
+                                  pt_user_dbm=30.0, seed=1), 2)
+        b = mc_outage(unit_config(mc_trials=20_000, w0_dbm=59.0,
+                                  pt_user_dbm=30.0, seed=2), 2)
         assert a.op != b.op
 
     def test_block_size_is_pure(self):
@@ -47,16 +47,16 @@ class TestEstimateOutage:
     def test_zero_rate_means_no_outage(self):
         cfg = unit_config(mc_trials=5000, rate_threshold_bps_hz=0.0)
         for user in (1, 2):
-            assert rn.estimate_outage(cfg, user).op == 0.0
+            assert mc_outage(cfg, user).op == 0.0
 
     def test_noise_free_single_user_never_outages(self):
         # passive user with no interference residue, no noise to speak of
         cfg = unit_config(mc_trials=5000, w0_dbm=-300.0, epsilon_sic=0.0)
-        assert rn.estimate_outage(cfg, 2).op == 0.0
+        assert mc_outage(cfg, 2).op == 0.0
 
     def test_std_err_formula(self):
         cfg = unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0)
-        res = rn.estimate_outage(cfg, 2)
+        res = mc_outage(cfg, 2)
         assert res.std_err == pytest.approx(
             np.sqrt(res.op * (1 - res.op) / res.trials))
         assert res.method == "mc"
@@ -65,7 +65,7 @@ class TestEstimateOutage:
     def test_matches_sample_fraction(self):
         # same estimator, same substreams: identical by construction
         cfg = unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0)
-        res = rn.estimate_outage(cfg, 2)
+        res = mc_outage(cfg, 2)
         v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
         samples = rn.sample_sinr(cfg, 2, cfg.mc_trials)
         assert res.op == np.mean(samples < v)
@@ -75,20 +75,16 @@ class TestEstimateOutage:
         for r in (0.5, 1.0, 2.0, 4.0):
             cfg = unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0,
                               rate_threshold_bps_hz=r)
-            ops.append(rn.estimate_outage(cfg, 2).op)
+            ops.append(mc_outage(cfg, 2).op)
         assert all(a <= b for a, b in zip(ops, ops[1:]))
 
     def test_joint_outage_flag(self):
         cfg = unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0)
-        plain = rn.estimate_outage(cfg, 2).op
-        joint = rn.estimate_outage(
+        plain = mc_outage(cfg, 2).op
+        joint = mc_outage(
             unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0,
                         joint_outage_u2=True), 2).op
         assert joint >= plain
-
-    def test_user_validation(self):
-        with pytest.raises(ValueError):
-            rn.estimate_outage(unit_config(), 3)
 
 
 class TestSampleSinr:

@@ -60,31 +60,48 @@ def _random_realization(rng, m, n):
                                  g1=mk(n), g2=mk(n), g_bs=mk(n))
 
 
+def _from_power(**kw):
+    return rn.validate(rn.SystemConfig(alpha_mode="from_power", **kw))
+
+
 class TestPowerModel:
     def test_element_output_power(self):
-        p = rn.dbm_to_watt(-47.0)
-        assert rn.element_output_power(p, 512) == pytest.approx(3.8970114238304883e-11, rel=1e-9)
-        assert rn.element_output_power(0.5, 1) == 0.5
-        assert rn.element_output_power(0.0, 512) == 0.0
+        # the budget splits evenly over the M active elements
+        cfg = _from_power()
+        p_o = rn.alpha_from_power(cfg) * rn.dbm_to_watt(15.0) * rn.channel_variance(35.51, 5.0)
+        assert p_o == pytest.approx(3.8970114238304883e-11, rel=1e-9)
+        half = _from_power(m_active=256, n_passive=256)
+        assert rn.alpha_from_power(half) == pytest.approx(2 * rn.alpha_from_power(cfg), rel=1e-12)
 
     def test_amplifier_gain_unit_ratio(self):
-        assert rn.amplifier_gain(2.0, 1.0, 2.0, 100.0) == pytest.approx(1.0)
+        # element output power equal to the mean input power: unit gain;
+        # twice that doubles the power gain
+        kw = dict(m_active=64, n_passive=64, pt_user_dbm=0.0, sigma2_u1=1.0 / 64)
+        assert rn.alpha_from_power(_from_power(pt_ris_dbm=0.0, **kw)) == pytest.approx(1.0)
+        doubled = _from_power(pt_ris_dbm=10.0 * np.log10(2.0), **kw)
+        assert rn.alpha_from_power(doubled) == pytest.approx(2.0, rel=1e-12)
 
     def test_amplifier_gain_cap_binds(self):
-        assert rn.amplifier_gain(1e9, 1.0, 1.0, 31.6227766) == pytest.approx(31.6227766)
+        assert rn.alpha_from_power(_from_power(sigma2_u1=1e-30)) == rn.config.ALPHA_MAX
 
     def test_uncapped_square_identity(self):
-        g = rn.amplifier_gain(3e-11, 3e-2, 2e-10, 1e9)
-        assert g * g == pytest.approx(3e-11 / (3e-2 * 2e-10), rel=1e-12)
+        # the power gain is the output power over the amplified user's mean
+        # input power; active_user=2 amplifies user 2's hop
+        cfg = _from_power(active_user=2, sigma2_u1=1e-12, sigma2_u2=2e-10)
+        p_o = rn.dbm_to_watt(-47.0) / 512
+        assert rn.alpha_from_power(cfg) == pytest.approx(
+            p_o / (rn.dbm_to_watt(15.0) * 2e-10), rel=1e-12)
 
-    @given(st.floats(min_value=1e-12, max_value=1e-6),
-           st.floats(min_value=1e-4, max_value=10.0))
+    @given(st.floats(min_value=-80.0, max_value=0.0),
+           st.floats(min_value=-10.0, max_value=30.0))
     @settings(max_examples=100, deadline=None)
-    def test_monotonicity(self, p_o, pt):
-        cap = 31.6227766
-        base = rn.amplifier_gain(p_o, pt, 1e-9, cap)
-        assert rn.amplifier_gain(2 * p_o, pt, 1e-9, cap) >= base
-        assert rn.amplifier_gain(p_o, 2 * pt, 1e-9, cap) <= base
+    def test_monotonicity(self, pt_ris_dbm, pt_user_dbm):
+        # the gain does not fall with the budget nor rise with the user power
+        base = rn.alpha_from_power(_from_power(pt_ris_dbm=pt_ris_dbm, pt_user_dbm=pt_user_dbm))
+        assert rn.alpha_from_power(
+            _from_power(pt_ris_dbm=pt_ris_dbm + 3.0, pt_user_dbm=pt_user_dbm)) >= base
+        assert rn.alpha_from_power(
+            _from_power(pt_ris_dbm=pt_ris_dbm, pt_user_dbm=pt_user_dbm + 3.0)) <= base
 
 
 class TestAlphaFromPower:

@@ -9,7 +9,7 @@ import pytest
 import risnoma as rn
 from risnoma.cli import main
 from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param, is_noisy
-from conftest import unit_config
+from conftest import mc_outage
 
 
 def _fast_base(**kw):
@@ -411,4 +411,4 @@ class TestJointFlagSurface:
                    "sigma2_u1", "sigma2_u2", "sigma2_bs", "pt_user_dbm",
                    "w0_dbm", "namp_dbm", "mc_trials", "seed")},
                "joint_outage_u2": True}))
-        assert rn.estimate_outage(joint, 2).op >= rn.estimate_outage(base, 2).op
+        assert mc_outage(joint, 2).op >= mc_outage(base, 2).op
