@@ -14,7 +14,7 @@ from .config import (ConfigError, ConfigWarning, SystemConfig,
                      parse_config_text, validate)
 from .montecarlo import (GammaFit, OutageResult, estimate_outage_pair, fit_gamma,
                          rate_to_threshold, sample_link_terms, sample_sinr)
-from .optimizer import OptimizationOutcome, OptimizerSettings, optimize, outage_pair
+from .optimizer import OptimizationOutcome, at_budget, optimize, outage_pair
 from .ris import (HybridRisState, align_phases, alpha_from_power, resolve_alpha,
                   ris_state)
 from .sinr import LinkTerms, SinrPair, compute_link_terms, sinr, synthesize_received

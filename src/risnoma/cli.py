@@ -13,9 +13,20 @@ from dataclasses import fields, replace
 
 from . import __version__
 from .config import SystemConfig, apply_overrides, load_config, read_int, validate
-from .optimizer import METHODS, OptimizerSettings, optimize
-from .sweep import (INT_PARAMS, PRESET_NAMES, SweepSpec, fmt_value, is_noisy,
-                    noisy_reason, parse_values, run_point, run_preset, run_sweep)
+from .optimizer import METHODS, optimize
+from .sweep import (INT_PARAMS, PRESET_NAMES, PRESET_TRIALS, SweepSpec, fmt_value,
+                    is_noisy, noisy_reason, parse_values, run_point, run_preset,
+                    run_sweep)
+
+# --method: one of METHODS, or "both" for every one of them
+METHOD_CHOICES = {**{m: (m,) for m in METHODS}, "both": METHODS}
+
+
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _add_common(p):
@@ -24,12 +35,13 @@ def _add_common(p):
                    metavar="KEY=VALUE", help="override a config key (repeatable)")
     p.add_argument("--seed", type=read_int, help="override the RNG seed")
     p.add_argument("--trials", type=read_int, help="override the MC trial count")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for MC blocks (default 1)")
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="worker processes for MC blocks, at most one per block (default 1)")
 
 
-def _build_config(args) -> SystemConfig:
-    cfg = load_config(args.config) if args.config else SystemConfig()
+def _build_config(args, base: SystemConfig = SystemConfig()) -> SystemConfig:
+    """`base` overridden by --config, then --set, then --seed and --trials."""
+    cfg = load_config(args.config, base) if args.config else base
     cfg = apply_overrides(cfg, args.overrides)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -71,8 +83,7 @@ def _exit_status(rows, allow_noisy: bool) -> int:
 
 def _cmd_point(args) -> int:
     cfg = _build_config(args)
-    methods = METHODS if args.method == "both" else (args.method,)
-    rows = run_point(cfg, methods, workers=args.workers)
+    rows = run_point(cfg, METHOD_CHOICES[args.method], workers=args.workers)
     if args.json:
         print(json.dumps([{
             "user": r.user, "method": r.method, "op": _finite_or_none(r.op),
@@ -94,9 +105,8 @@ def _cmd_point(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     values = parse_values(args.values, as_int=args.param in INT_PARAMS)
-    methods = METHODS if args.method == "both" else (args.method,)
-    spec = SweepSpec(param=args.param, values=values, methods=methods,
-                     alpha_mode=args.alpha_mode)
+    spec = SweepSpec(param=args.param, values=values,
+                     methods=METHOD_CHOICES[args.method], alpha_mode=args.alpha_mode)
     rows, _ = run_sweep(spec, cfg, args.out, workers=args.workers)
     print(f"wrote {args.out}: {len(rows)} rows", file=sys.stderr)
     return _exit_status(rows, args.allow_noisy)
@@ -104,12 +114,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _build_config(args)
-    settings = OptimizerSettings(
-        interval_dbm=(args.interval[0], args.interval[1]),
-        tol_db=args.tol_db, evaluator=args.evaluator, tau=args.tau,
-        mc_workers=args.workers,
-    )
-    outcome = optimize(cfg, settings)
+    outcome = optimize(cfg, interval_dbm=tuple(args.interval), tol_db=args.tol_db,
+                       evaluator=args.evaluator, workers=args.workers)
     payload = {
         "pt_ris_dbm": outcome.pt_ris_dbm, "alpha": outcome.alpha,
         "op1": outcome.op1, "op2": outcome.op2, "gap": outcome.gap,
@@ -121,10 +127,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, SystemConfig(mc_trials=PRESET_TRIALS))
     status = 0
-    for path, rows, _ in run_preset(args.name, cfg, args.out_dir,
-                                    workers=args.workers, trials=args.trials):
+    for path, rows, _ in run_preset(args.name, cfg, args.out_dir, workers=args.workers):
         print(f"wrote {path}: {len(rows)} rows", file=sys.stderr)
         status |= _exit_status(rows, args.allow_noisy)
     return status
@@ -143,7 +148,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("point", help="evaluate one configuration")
     _add_common(p)
-    p.add_argument("--method", choices=(*METHODS, "both"), default="both")
+    p.add_argument("--method", choices=METHOD_CHOICES, default="both")
     p.add_argument("--allow-noisy", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_point)
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True,
                    help="'a,b,c', 'start:stop:step', or 'log:a:b:n'")
-    p.add_argument("--method", choices=(*METHODS, "both"), default="both")
+    p.add_argument("--method", choices=METHOD_CHOICES, default="both")
     p.add_argument("--alpha-mode", choices=("fixed", "from_power", "optimized"),
                    default=None)
     p.add_argument("--out", required=True)
@@ -166,7 +171,6 @@ def main(argv=None) -> int:
                    metavar=("LO_DBM", "HI_DBM"))
     p.add_argument("--tol-db", type=float, default=0.1)
     p.add_argument("--evaluator", choices=METHODS, default="analytic")
-    p.add_argument("--tau", type=float, default=0.9)
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("preset", help="run a canned experiment sweep")

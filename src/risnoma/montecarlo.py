@@ -74,8 +74,12 @@ def _terms_worker(args):
 
 
 def _map_blocks(worker, argses, workers: int):
-    """Ordered map over blocks; block order fixes the reduction order."""
-    if workers <= 1 or len(argses) <= 1:
+    """Ordered map over blocks; block order fixes the reduction order.
+
+    A fork pool starts all its workers at the first submit, so it gets no
+    more workers than there are blocks."""
+    workers = min(workers, len(argses))
+    if workers <= 1:
         return [worker(a) for a in argses]
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=get_context("fork")
@@ -90,10 +94,10 @@ def _block_plan(config: SystemConfig, n_trials: int):
     return list(enumerate(sizes))
 
 
-def estimate_outage_pair(config: SystemConfig, *, trials: int | None = None,
+def estimate_outage_pair(config: SystemConfig, *,
                          workers: int = 1) -> tuple[OutageResult, OutageResult]:
-    """Both users' outage estimates from one shared simulation pass."""
-    n = config.mc_trials if trials is None else trials
+    """Both users' outage estimates from one shared pass of config.mc_trials trials."""
+    n = config.mc_trials
     alpha = resolve_alpha(config)
     v = rate_to_threshold(config.rate_threshold_bps_hz)
     argses = [(config, b, sz, alpha, v) for b, sz in _block_plan(config, n)]

@@ -30,15 +30,7 @@ from .ris import _alpha_at_budget
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_STEP_DB = 1.0   # coarse scan used for mode detection and the golden bracket
 METHODS = ("mc", "analytic")
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    interval_dbm: tuple = (-70.0, -10.0)  # search range for the RIS budget
-    tol_db: float = 0.1                   # termination width of the bracket
-    evaluator: str = "analytic"           # one of METHODS
-    tau: float = 0.9                      # outage ceiling declaring a user unservable
-    mc_workers: int = 1
+TAU = 0.9            # outage ceiling declaring a user unservable
 
 
 @dataclass(frozen=True)
@@ -63,12 +55,10 @@ def outage_pair(config: SystemConfig, method: str, *, workers: int = 1):
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def _outage_pair_at(pt_ris_dbm: float, config: SystemConfig,
-                    settings: OptimizerSettings) -> tuple[float, float]:
-    # the same seed at every budget keeps the mc objective deterministic
-    probe = replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
-    r1, r2 = outage_pair(probe, settings.evaluator, workers=settings.mc_workers)
-    return r1.op, r2.op
+def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
+    """The config evaluated at one RIS power budget: the gain follows from
+    the budget, and the seed stays, so the mc objective is deterministic."""
+    return replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float):
@@ -88,12 +78,14 @@ def _golden_min(fun, lo: float, hi: float, tol: float):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def optimize(config: SystemConfig,
-             settings: OptimizerSettings | None = None) -> OptimizationOutcome:
-    """Choose the RIS power budget minimizing the users' outage gap.
+def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float = 0.1,
+             evaluator: str = "analytic", workers: int = 1) -> OptimizationOutcome:
+    """Choose the RIS power budget in `interval_dbm` minimizing the users'
+    outage gap, refined to a bracket `tol_db` wide, with outages from the
+    `evaluator` (one of METHODS; "mc" simulates with `workers` processes).
 
     A coarse grid over the interval decides the mode first: if one user's
-    outage stays at or above `tau` across the whole grid, the other user's
+    outage stays at or above TAU across the whole grid, the other user's
     outage becomes the objective and the outcome is tagged as a fallback.
 
     In balanced mode the gap search is restricted to budgets whose
@@ -103,12 +95,11 @@ def optimize(config: SystemConfig,
     not monotone in the budget), which maximizes fairness in the
     difference sense while being strictly worse for everyone.
     """
-    settings = settings or OptimizerSettings()
-    lo, hi = settings.interval_dbm
+    lo, hi = interval_dbm
     if not (lo < hi):
-        raise ValueError(f"empty search interval {settings.interval_dbm}")
-    if not (0.0 < settings.tau < 1.0):
-        raise ValueError(f"tau must be in (0, 1), got {settings.tau}")
+        raise ValueError(f"empty search interval {interval_dbm}")
+    if not (math.isfinite(tol_db) and tol_db > 0.0):
+        raise ValueError(f"tol_db must be a finite number > 0, got {tol_db}")
 
     # both evaluators see the budget only through the gain it implies, and
     # the gain clamps at 0 and 30 dB, so many budgets share one evaluation
@@ -118,17 +109,18 @@ def optimize(config: SystemConfig,
     def pair_at(x: float) -> tuple[float, float]:
         gain = _alpha_at_budget(config, x, variances)
         if gain not in cache:
-            cache[gain] = _outage_pair_at(x, config, settings)
+            r1, r2 = outage_pair(at_budget(config, x), evaluator, workers=workers)
+            cache[gain] = (r1.op, r2.op)
         return cache[gain]
 
     grid = [float(x) for x in np.arange(lo, hi + GRID_STEP_DB / 2.0, GRID_STEP_DB)]
     grid_pairs = [pair_at(x) for x in grid]
 
-    if all(p2 >= settings.tau for _, p2 in grid_pairs):
+    if all(p2 >= TAU for _, p2 in grid_pairs):
         mode = "fallback_user1"
         objective = lambda x: pair_at(x)[0]
         candidates = grid
-    elif all(p1 >= settings.tau for p1, _ in grid_pairs):
+    elif all(p1 >= TAU for p1, _ in grid_pairs):
         mode = "fallback_user2"
         objective = lambda x: pair_at(x)[1]
         candidates = grid
@@ -140,7 +132,7 @@ def optimize(config: SystemConfig,
         deltas = [max(p) for p in grid_pairs]
         delta_star = min(deltas)
         slack = max(1e-9, 0.05 * delta_star)
-        if settings.evaluator == "mc":
+        if evaluator == "mc":
             slack += 3.0 * math.sqrt(max(delta_star * (1.0 - delta_star), 1e-12)
                                      / config.mc_trials)
         candidates = [x for x, d in zip(grid, deltas) if d <= delta_star + slack]
@@ -151,7 +143,7 @@ def optimize(config: SystemConfig,
     # refine inside a one-grid-step bracket around the coarse argmin
     blo = max(lo, best_x - GRID_STEP_DB)
     bhi = min(hi, best_x + GRID_STEP_DB)
-    x, f = _golden_min(objective, blo, bhi, settings.tol_db)
+    x, f = _golden_min(objective, blo, bhi, tol_db)
     if best_f < f:
         x, f = best_x, best_f
     if mode == "balanced":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import FIELD_TYPES, ConfigError, SystemConfig, read_int, validate
-from .optimizer import METHODS, optimize, outage_pair
+from .optimizer import METHODS, at_budget, optimize, outage_pair
 from .ris import resolve_alpha
 
 CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
@@ -29,6 +29,7 @@ INT_PARAMS = {k for k, kind in FIELD_TYPES.items() if kind is int} | set(VIRTUAL
 
 NOISY_REL_STD_ERR = 0.2    # MC rows noisier than this need --allow-noisy
 FLOOR_EVENTS = 1000        # events below which an MC tail point is floor-limited
+PRESET_TRIALS = 20_000     # desk-scale MC trial count of the CLI presets
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class SweepSpec:
     methods: tuple = METHODS
     alpha_mode: str | None = None  # override the base config's mode per point
     label: str = ""
-    trials: int | None = None      # preset default trial count; CLI --trials wins
 
     def check(self):
         if len(self.values) < 2:
@@ -159,8 +159,7 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
             return _error_rows(sweep_param, sweep_value, methods, exc,
                                float("nan"), ms, digest)
         opt_ms = (time.perf_counter() - t0) * 1e3
-        eval_config = replace(config, pt_ris_dbm=outcome.pt_ris_dbm,
-                              alpha_mode="from_power")
+        eval_config = at_budget(config, outcome.pt_ris_dbm)
         mode = outcome.mode
         alpha = outcome.alpha
     else:
@@ -214,8 +213,6 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
     spec.check()
     if spec.alpha_mode is not None:
         base = replace(base, alpha_mode=spec.alpha_mode)
-    if spec.trials is not None:
-        base = replace(base, mc_trials=spec.trials)
     base = validate(base)
 
     rows = []
@@ -235,17 +232,16 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
     return rows, noisy
 
 
-def write_csv(path, rows, base: SystemConfig, spec: SweepSpec | None = None):
+def write_csv(path, rows, base: SystemConfig, spec: SweepSpec):
     header = {
         "config": {f.name: getattr(base, f.name) for f in fields(base)},
         "config_digest": base.digest(),
-    }
-    if spec is not None:
-        header["sweep"] = {
+        "sweep": {
             "param": spec.param, "values": list(spec.values),
             "methods": list(spec.methods), "alpha_mode": spec.alpha_mode,
             "label": spec.label,
-        }
+        },
+    }
     lines = [
         "# " + json.dumps(header, sort_keys=True),
         "# generated: " + time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -291,21 +287,19 @@ class PresetVariant:
 
 def _variant(fig: str, label: str, param: str, values: tuple, alpha_mode: str,
              **overrides) -> PresetVariant:
-    """One preset sweep: analytic only for an optimized gain, MC at 20k
-    trials and analytic otherwise; the spec label is fig or fig_label."""
-    mc = alpha_mode != "optimized"
+    """One preset sweep: analytic only for an optimized gain, MC and
+    analytic otherwise; the spec label is fig or fig_label."""
     return PresetVariant(label, overrides, SweepSpec(
         param=param, values=values,
-        methods=METHODS if mc else ("analytic",),
-        alpha_mode=alpha_mode, label=f"{fig}_{label}" if label else fig,
-        trials=20_000 if mc else None))
+        methods=METHODS if alpha_mode != "optimized" else ("analytic",),
+        alpha_mode=alpha_mode, label=f"{fig}_{label}" if label else fig))
 
 
 _GAIN_MODES = (("fixed", "fixed"), ("opt", "optimized"))   # (label, alpha_mode)
 
 
 def preset(name: str):
-    """The sweep(s) behind one canned experiment, at desk-scale trial counts."""
+    """The sweep(s) behind one canned experiment."""
     ris_budget = tuple(float(x) for x in range(-70, -9, 3))
     if name == "fig3":
         return [_variant("fig3", "", "pt_ris_dbm", ris_budget, "from_power")]
@@ -339,20 +333,17 @@ def preset(name: str):
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
-def run_preset(name: str, base: SystemConfig, out_dir, *, workers: int = 1,
-               trials: int | None = None):
-    """Run every variant of a preset; returns [(csv_path, rows, noisy)]."""
+def run_preset(name: str, base: SystemConfig, out_dir, *, workers: int = 1):
+    """Run every variant of a preset at base.mc_trials trials (the CLI's
+    base has PRESET_TRIALS); returns [(csv_path, rows, noisy)]."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for variant in preset(name):
         cfg = replace(base, **variant.overrides)
-        spec = variant.spec
-        if trials is not None:
-            spec = replace(spec, trials=trials)
         suffix = f"_{variant.label}" if variant.label else ""
         path = os.path.join(out_dir, f"{name}{suffix}.csv")
-        rows, noisy = run_sweep(spec, cfg, path, workers=workers)
+        rows, noisy = run_sweep(variant.spec, cfg, path, workers=workers)
         results.append((path, rows, noisy))
     return results

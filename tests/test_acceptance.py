@@ -241,10 +241,10 @@ def test_c10_preset_determinism(tmp_path):
     Wall-time (the ms column) and the commented timestamp line are the
     only volatile fields and are excluded from the comparison.
     """
-    base = rn.validate(rn.SystemConfig())
+    base = rn.validate(rn.SystemConfig(mc_trials=1500))
     dir1, dir2 = tmp_path / "w1", tmp_path / "w2"
-    res1 = rn.run_preset("fig3", base, dir1, workers=1, trials=1500)
-    res2 = rn.run_preset("fig3", base, dir2, workers=2, trials=1500)
+    res1 = rn.run_preset("fig3", base, dir1, workers=1)
+    res2 = rn.run_preset("fig3", base, dir2, workers=2)
     sigs1 = [rn.determinism_signature(p) for p, _, _ in res1]
     sigs2 = [rn.determinism_signature(p) for p, _, _ in res2]
     _verdict(10, sigs1 == sigs2 and len(sigs1) > 0,

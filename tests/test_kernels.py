@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestReducedSampler:
         v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
         # active_user=2: gamma1 of the SINR pair belongs to user 2
         p_oracle = float(np.mean(rn.sinr(lt, cfg).gamma1 < v))
-        p_mc = mc_outage(cfg, 2, trials=N_ORACLE).op
+        p_mc = mc_outage(replace(cfg, mc_trials=N_ORACLE), 2).op
         pooled = (p_oracle + p_mc) / 2.0
         se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / N_ORACLE)
         assert 0.1 < pooled < 0.9

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import risnoma as rn
+from risnoma import montecarlo
 from risnoma.montecarlo import block_size
 from conftest import mc_outage, unit_config
 
@@ -24,6 +25,32 @@ class TestDeterminism:
         serial = rn.estimate_outage_pair(cfg, workers=1)
         parallel = rn.estimate_outage_pair(cfg, workers=3)
         assert serial == parallel
+
+    def test_pool_never_exceeds_block_count(self, monkeypatch):
+        # a fork pool starts every worker at its first submit, so it must
+        # be sized by the blocks; the stand-in records its size and maps
+        # serially, so no process is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        cfg = unit_config(mc_trials=3 * block_size(64, 64))
+        serial = rn.estimate_outage_pair(cfg, workers=1)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        assert rn.estimate_outage_pair(cfg, workers=8) == serial
+        assert rn.estimate_outage_pair(cfg, workers=2) == serial
+        assert sizes == [3, 2]
 
     def test_sinr_samples_worker_invariance(self):
         cfg = unit_config(mc_trials=1000)

@@ -1,12 +1,22 @@
+import math
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 
 import risnoma as rn
 from risnoma import optimizer
-from risnoma.config import ALPHA_MAX
+from risnoma.config import ALPHA_MAX, ALPHA_MIN
+from risnoma.optimizer import at_budget
 from risnoma.ris import alpha_from_power
 from conftest import unit_config
+
+INTERVAL = (-70.0, -10.0)   # optimize()'s default search range
+
+
+def _ops_at(config, pt_ris_dbm, evaluator="analytic"):
+    r1, r2 = rn.outage_pair(at_budget(config, pt_ris_dbm), evaluator)
+    return r1.op, r2.op
 
 
 def _fallback_config():
@@ -24,16 +34,13 @@ class TestObjectiveGap:
         # decode problems the same distribution, so the gap is numerical zero
         cfg = unit_config(alpha_linear=1.0, epsilon_sic=1.0,
                           pt_user_dbm=0.0, w0_dbm=14.0)
-        settings = rn.OptimizerSettings(evaluator="analytic")
-        op1, op2 = optimizer._outage_pair_at(-47.0, replace(cfg, alpha_mode="fixed"),
-                                             settings)
+        op1, op2 = _ops_at(replace(cfg, alpha_mode="fixed"), -47.0)
         assert abs(op1 - op2) < 1e-9
 
     def test_endpoints_bracket_a_crossing(self):
         cfg = rn.validate(rn.SystemConfig())
-        settings = rn.OptimizerSettings()
         g_lo, g_mid = (abs(op1 - op2) for op1, op2 in
-                       (optimizer._outage_pair_at(x, cfg, settings) for x in (-70.0, -47.0)))
+                       (_ops_at(cfg, x) for x in (-70.0, -47.0)))
         assert g_mid < g_lo  # the crossing sits near the default budget
 
 
@@ -67,11 +74,9 @@ class TestOptimize:
         # the outcome is never dominated by an interval endpoint: it beats
         # each endpoint on the gap or on the worst-user outage
         cfg = rn.validate(rn.SystemConfig())
-        settings = rn.OptimizerSettings()
-        out = rn.optimize(cfg, settings)
-        from risnoma.optimizer import _outage_pair_at
-        for endpoint in settings.interval_dbm:
-            p1, p2 = _outage_pair_at(endpoint, cfg, settings)
+        out = rn.optimize(cfg, interval_dbm=INTERVAL)
+        for endpoint in INTERVAL:
+            p1, p2 = _ops_at(cfg, endpoint)
             assert (out.gap <= abs(p1 - p2) + 1e-12
                     or out.delta <= max(p1, p2) + 1e-12)
 
@@ -87,28 +92,24 @@ class TestOptimize:
 
     def test_fallback_to_user1(self):
         cfg = _fallback_config()
-        settings = rn.OptimizerSettings()
-        # the deterministic trigger: every 1-dB grid point has op2 >= tau
-        grid = np.arange(*settings.interval_dbm, optimizer.GRID_STEP_DB)
-        ops2 = [rn.analytic_outage(
-            replace(cfg, pt_ris_dbm=float(x), alpha_mode="from_power"), 2).op
-            for x in grid]
-        assert all(p >= settings.tau for p in ops2)
-        out = rn.optimize(cfg, settings)
+        # the deterministic trigger: every 1-dB grid point has op2 >= TAU
+        grid = np.arange(*INTERVAL, optimizer.GRID_STEP_DB)
+        ops2 = [rn.analytic_outage(at_budget(cfg, float(x)), 2).op for x in grid]
+        assert optimizer.TAU == 0.9
+        assert all(p >= optimizer.TAU for p in ops2)
+        out = rn.optimize(cfg, interval_dbm=INTERVAL)
         assert out.mode == "fallback_user1"
         assert out.op1 < 1e-3
 
     def test_flat_cap_region_terminates(self):
         # whole interval beyond the gain cap: objective constant, must finish
         cfg = _fallback_config()
-        settings = rn.OptimizerSettings(interval_dbm=(-15.0, -10.0))
-        out = rn.optimize(cfg, settings)
+        out = rn.optimize(cfg, interval_dbm=(-15.0, -10.0))
         assert out.alpha == 1000.0
         assert out.evaluations < 200
 
     def test_result_within_interval(self):
-        settings = rn.OptimizerSettings(interval_dbm=(-60.0, -30.0))
-        out = rn.optimize(rn.validate(rn.SystemConfig()), settings)
+        out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=(-60.0, -30.0))
         assert -60.0 <= out.pt_ris_dbm <= -30.0
 
     def test_mc_evaluator_deterministic(self):
@@ -116,9 +117,9 @@ class TestOptimize:
             m_active=64, n_passive=64, sigma2_u1=1.0, sigma2_u2=1.0,
             sigma2_bs=1.0, pt_user_dbm=30.0, w0_dbm=59.0, namp_dbm=-300.0,
             mc_trials=2000))
-        settings = rn.OptimizerSettings(evaluator="mc", interval_dbm=(-50.0, -40.0))
-        a = rn.optimize(cfg, settings)
-        b = rn.optimize(cfg, settings)
+        settings = dict(evaluator="mc", interval_dbm=(-50.0, -40.0))
+        a = rn.optimize(cfg, **settings)
+        b = rn.optimize(cfg, **settings)
         assert a == b  # common random numbers make the search reproducible
 
     @pytest.mark.parametrize("evaluator", ["analytic", "mc"])
@@ -129,30 +130,81 @@ class TestOptimize:
         grid = np.arange(-80.0, 20.0, 0.5)
         gains = [alpha_from_power(replace(cfg, pt_ris_dbm=float(x))) for x in grid]
         x_cap = float(grid[gains.index(ALPHA_MAX)])
-        settings = rn.OptimizerSettings(evaluator=evaluator,
-                                        interval_dbm=(x_cap - 4.0, x_cap + 6.0))
+        settings = dict(evaluator=evaluator, interval_dbm=(x_cap - 4.0, x_cap + 6.0))
 
         seen = []
-        evaluate = optimizer._outage_pair_at
+        evaluate = optimizer.outage_pair
 
-        def counted(x, config, s):
-            seen.append(alpha_from_power(replace(config, pt_ris_dbm=x)))
-            return evaluate(x, config, s)
+        def counted(config, method, *, workers):
+            seen.append(alpha_from_power(config))
+            return evaluate(config, method, workers=workers)
 
-        monkeypatch.setattr(optimizer, "_outage_pair_at", counted)
-        out = rn.optimize(cfg, settings)
+        monkeypatch.setattr(optimizer, "outage_pair", counted)
+        out = rn.optimize(cfg, **settings)
         monkeypatch.undo()
 
         assert len(seen) == len(set(seen)) == out.evaluations
         assert ALPHA_MAX in seen and min(seen) < ALPHA_MAX
         assert out.evaluations < 11  # the 11 grid budgets alone share gains
         # the cached pair is the one evaluated at the chosen budget itself
-        assert (out.op1, out.op2) == evaluate(out.pt_ris_dbm, cfg, settings)
-        assert rn.optimize(cfg, settings) == out
+        assert (out.op1, out.op2) == _ops_at(cfg, out.pt_ris_dbm, evaluator)
+        assert rn.optimize(cfg, **settings) == out
 
     def test_bad_settings(self):
         cfg = rn.validate(rn.SystemConfig())
         with pytest.raises(ValueError):
-            rn.optimize(cfg, rn.OptimizerSettings(interval_dbm=(-10.0, -70.0)))
-        with pytest.raises(ValueError):
-            rn.optimize(cfg, rn.OptimizerSettings(tau=1.5))
+            rn.optimize(cfg, interval_dbm=(-10.0, -70.0))
+        with pytest.raises(TypeError):
+            rn.optimize(cfg, tau=0.5)  # TAU is a constant, not a setting
+
+    @pytest.mark.parametrize("tol_db", [0.0, -1.0, math.nan])
+    def test_tol_db_must_be_positive(self, tol_db, monkeypatch):
+        # golden-section never narrows its bracket below a width <= 0, and a
+        # nan width would skip it; both are refused before any evaluation
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before the settings were checked")
+
+        monkeypatch.setattr(optimizer, "outage_pair", unreachable)
+        with pytest.raises(ValueError, match="tol_db must be a finite number > 0"):
+            rn.optimize(rn.validate(rn.SystemConfig()), tol_db=tol_db)
+
+
+def _made_up_pair(op1, op2):
+    """An optimizer.outage_pair stand-in: made-up op curves of the budget."""
+    def pair(config, method, *, workers):
+        x = config.pt_ris_dbm
+        return SimpleNamespace(op=op1(x)), SimpleNamespace(op=op2(x))
+    return pair
+
+
+class TestRefinementBranches:
+    # every budget in this interval maps to its own gain, strictly inside
+    # [ALPHA_MIN, ALPHA_MAX], so the gain memo keeps the made-up curves apart
+    INTERVAL = (-54.0, -44.0)
+    X0 = -50.0   # a grid point
+
+    def test_interval_is_below_the_gain_cap(self):
+        cfg = rn.validate(rn.SystemConfig())
+        gains = [alpha_from_power(at_budget(cfg, x)) for x in self.INTERVAL]
+        assert ALPHA_MIN < gains[0] < gains[1] < ALPHA_MAX
+
+    def test_grid_point_beats_golden_section(self, monkeypatch):
+        # the gap is zero only at the grid point X0; golden-section probes
+        # around it but never at it, so the grid point is kept
+        x0 = self.X0
+        monkeypatch.setattr(optimizer, "outage_pair", _made_up_pair(
+            lambda x: 0.1, lambda x: 0.1 + 0.01 * abs(x - x0)))
+        out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=self.INTERVAL)
+        assert out.mode == "balanced"
+        assert (out.pt_ris_dbm, out.gap, out.delta) == (x0, 0.0, 0.1)
+
+    def test_balanced_guard_returns_to_grid_point(self, monkeypatch):
+        # right of X0 the gap is smaller (0.02) but the worst user's outage
+        # (0.22) is beyond delta* + slack = 0.21, so the refinement that finds
+        # it is sent back to the grid point
+        x0 = self.X0
+        monkeypatch.setattr(optimizer, "outage_pair", _made_up_pair(
+            lambda x: 0.2, lambda x: 0.15 - 0.001 * (x0 - x) if x <= x0 else 0.22))
+        out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=self.INTERVAL)
+        assert out.mode == "balanced"
+        assert (out.pt_ris_dbm, out.op1, out.op2) == (x0, 0.2, 0.15)

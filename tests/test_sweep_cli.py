@@ -151,11 +151,12 @@ class TestRunSweep:
 class TestPresets:
     def test_variants_pinned(self):
         # repr of every variant as the literal table gave it; an int value
-        # turning into a float, or a changed label, trials or method, fails it
-        from risnoma.sweep import PRESET_NAMES
+        # turning into a float, or a changed label or method, fails it
+        from risnoma.sweep import PRESET_NAMES, PRESET_TRIALS
         text = repr([rn.preset(name) for name in PRESET_NAMES])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "1aca1b0ddf166f31db6aaf868be2140ee500a2a08217a936e061dcabaa4c6df8")
+            "600bdb9cbdd60b984b55dfa7b06f74d69dafa9e37bca2567db6776304ce01a1c")
+        assert PRESET_TRIALS == 20_000
 
     def test_known_names(self):
         from risnoma.sweep import PRESET_NAMES
@@ -395,11 +396,68 @@ class TestCli:
         assert info.value.code == 2
         assert "--search" in capsys.readouterr().err
 
+    def test_optimize_has_no_tau_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["optimize", "--tau", "0.5"])
+        assert info.value.code == 2
+        assert "--tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_optimize_bad_tol_exits_2(self, tol, capsys):
+        assert main(["optimize", "--interval", "-50", "-44", "--tol-db", tol]) == 2
+        assert "tol_db must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["validate"], ["point"], ["optimize"],
+                                         ["preset", "fig3"],
+                                         ["sweep", "--param", "seed", "--values", "1,2",
+                                          "--out", "unused.csv"]])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--workers", workers])
+        assert info.value.code == 2
+        assert f"must be at least 1, got {workers}" in capsys.readouterr().err
+
     def test_preset_runs(self, tmp_path, capsys):
         code = main(["preset", "fig3", "--out-dir", str(tmp_path),
                      "--trials", "800", "--allow-noisy"])
         assert code == 0
         assert (tmp_path / "fig3.csv").exists()
+
+    def test_preset_trials_from_every_config_source(self, tmp_path, capsys):
+        # the desk-scale count is only the base: --config, --set and
+        # --trials each set the trial count, and all run the same trials
+        small = ["--set", "m_active=64", "--set", "n_passive=64", "--allow-noisy"]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("mc_trials = 300\n")
+        runs = {"set": ["--set", "mc_trials=300"], "trials": ["--trials", "300"],
+                "config": ["--config", str(cfg_file)]}
+        for name, args in runs.items():
+            assert main(["preset", "fig3", *args, *small,
+                         "--out-dir", str(tmp_path / name)]) == 0
+        headers, sigs = [], []
+        for name in runs:
+            path = tmp_path / name / "fig3.csv"
+            headers.append(json.loads(path.read_text().splitlines()[0][2:]))
+            sigs.append(rn.determinism_signature(path))
+        assert [h["config"]["mc_trials"] for h in headers] == [300, 300, 300]
+        assert sigs[0] == sigs[1] == sigs[2]
+
+    def test_preset_base_is_desk_scale(self, tmp_path, monkeypatch):
+        # with no trial count given, a preset (config file or not) runs
+        # PRESET_TRIALS trials, not SystemConfig's default
+        from risnoma import cli
+        from risnoma.sweep import PRESET_TRIALS
+        bases = []
+        monkeypatch.setattr(cli, "run_preset",
+                            lambda name, base, out_dir, *, workers: bases.append(base) or [])
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("m_active = 64\n")
+        assert main(["preset", "fig3"]) == 0
+        assert main(["preset", "fig3", "--config", str(cfg_file)]) == 0
+        assert [(b.mc_trials, b.m_active) for b in bases] == [(PRESET_TRIALS, 512),
+                                                               (PRESET_TRIALS, 64)]
+        assert rn.SystemConfig().mc_trials != PRESET_TRIALS
 
 
 class TestJointFlagSurface:
