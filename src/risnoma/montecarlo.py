@@ -29,7 +29,7 @@ BLOCK_FLOAT_BUDGET = 2_000_000
 class OutageResult:
     op: float          # outage probability estimate
     trials: int        # 0 for analytic results
-    std_err: float     # binomial std error (MC) or quadrature error bound (analytic)
+    std_err: float     # binomial SE (MC); quadrature error estimate or Chernoff bound (analytic)
     method: str        # "mc" | "analytic"
     user: int
     config_digest: str
@@ -78,6 +78,8 @@ def _map_blocks(worker, argses, workers: int):
 
     A fork pool starts all its workers at the first submit, so it gets no
     more workers than there are blocks."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(argses))
     if workers <= 1:
         return [worker(a) for a in argses]

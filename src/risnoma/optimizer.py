@@ -96,8 +96,9 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
     difference sense while being strictly worse for everyone.
     """
     lo, hi = interval_dbm
-    if not (lo < hi):
-        raise ValueError(f"empty search interval {interval_dbm}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"search interval must be two finite dBm values lo < hi, "
+                         f"got {interval_dbm}")
     if not (math.isfinite(tol_db) and tol_db > 0.0):
         raise ValueError(f"tol_db must be a finite number > 0, got {tol_db}")
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadFormSpec, _truncation_limit
+from risnoma.analytic import QfComponent, QuadFormSpec, _truncation_limit, chernoff_bound
 from conftest import mc_outage, unit_config
 
 PI = np.pi
@@ -336,6 +336,78 @@ class TestAnalyticOutage:
         assert rn.analytic_outage(low, 2).op == pytest.approx(0.0, abs=1e-4)
         high = unit_config(w0_dbm=250.0, pt_user_dbm=30.0)
         assert rn.analytic_outage(high, 2).op == pytest.approx(1.0, abs=1e-4)
+
+
+def _normalized(cfg, user):
+    """The unit-variance spec and threshold that analytic_outage inverts."""
+    spec = rn.build_quadform(cfg, user)
+    g = rn.dbm_to_watt(cfg.w0_dbm) * rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
+    scale = math.sqrt(spec.variance())
+    return spec.scaled(1.0 / scale), g / scale
+
+
+class TestChernoffBound:
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    @pytest.mark.parametrize("c", [0.3, 7.0, -2.0])
+    def test_scaled_central_chi2(self, k, c):
+        # G = c X, X ~ chi2_k: the tail of G past c x is that of X on the far
+        # side of x from k, and the least Chernoff bound of X there is
+        # (x/k)^(k/2) exp((k - x)/2); the grid search must come close to it
+        spec = QuadFormSpec(components=(QfComponent(weight=c, dof=k, var=1.0),))
+        for x in (0.02 * k, 0.3 * k, 3.0 * k, 20.0 * k):
+            exact = sstats.chi2.sf(x, k) if x > k else sstats.chi2.cdf(x, k)
+            optimum = (x / k) ** (k / 2.0) * math.exp((k - x) / 2.0)
+            bound = chernoff_bound(spec, c * x, upper=(x > k) == (c > 0))
+            assert exact <= bound <= 1.25 * optimum
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 4.0])
+    def test_noncentral_chi2_1(self, mu):
+        spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, mu),))
+        mean = spec.mean()
+        for g in (0.01, 0.2, mean + 8.0, mean + 30.0):
+            cdf = ncx2_cdf_series(g, 1, mu**2)
+            upper = g > mean
+            assert (1.0 - cdf if upper else cdf) <= chernoff_bound(spec, g, upper=upper) < 1.0
+
+    def test_lower_tail_of_a_positive_form_is_searched(self):
+        # no component limits s below 0, so the bound comes from searching
+        # that unbounded side; it is never taken as 0
+        spec = QuadFormSpec(components=(QfComponent(0.5, 4, 1.0),
+                                        QfComponent(2.0, 1, 0.7, 1.5)))
+        for g in (1e-3, 0.1, 0.5 * spec.mean()):
+            assert 0.0 < chernoff_bound(spec, g, upper=False) < 1.0
+
+    def test_far_tails_take_the_shortcut(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("quadrature ran on a far-tail point")
+
+        monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", unreachable)
+        # |z| > 200 on the upper side: outage is certain
+        cfg = rn.validate(rn.SystemConfig(rate_threshold_bps_hz=9.5))
+        norm, g = _normalized(cfg, 2)
+        assert g - norm.mean() > 200.0
+        res = rn.analytic_outage(cfg, 2)
+        assert res.op == 1.0 and res.std_err == chernoff_bound(norm, g, upper=True)
+        assert res.std_err <= 1e-3 * cfg.quad_tol
+        # only 3.4 standard deviations below the mean, yet the lower tail of
+        # this all-positive form is proven negligible: outage is impossible
+        low = unit_config(w0_dbm=-250.0, pt_user_dbm=30.0)
+        norm, g = _normalized(low, 2)
+        assert -4.0 < g - norm.mean() < -3.0
+        res = rn.analytic_outage(low, 2)
+        assert res.op == 0.0 and res.std_err == chernoff_bound(norm, g, upper=False)
+        assert 0.0 < res.std_err <= 1e-3 * low.quad_tol
+
+    def test_default_point_is_quadrature_bit_for_bit(self):
+        # both default outages lie above the shortcut threshold, so they are
+        # exactly what the quadrature gives
+        cfg = rn.validate(rn.SystemConfig())
+        for user in (1, 2):
+            norm, g = _normalized(cfg, user)
+            assert chernoff_bound(norm, g, upper=g > norm.mean()) > 1e-3 * cfg.quad_tol
+            p, err = rn.gil_pelaez_cdf(lambda w: rn.log_cf(norm, w), g, tol=cfg.quad_tol)
+            res = rn.analytic_outage(cfg, user)
+            assert (res.op, res.std_err) == (p, err)
 
 
 class TestActivePassiveRule:

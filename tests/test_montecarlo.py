@@ -52,6 +52,14 @@ class TestDeterminism:
         assert rn.estimate_outage_pair(cfg, workers=2) == serial
         assert sizes == [3, 2]
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = unit_config(mc_trials=1000)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            rn.estimate_outage_pair(cfg, workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            rn.sample_link_terms(cfg, 1000, workers=workers)
+
     def test_sinr_samples_worker_invariance(self):
         cfg = unit_config(mc_trials=1000)
         s1 = rn.sample_sinr(cfg, 1, 20_000, workers=1)

@@ -168,6 +168,17 @@ class TestOptimize:
         with pytest.raises(ValueError, match="tol_db must be a finite number > 0"):
             rn.optimize(rn.validate(rn.SystemConfig()), tol_db=tol_db)
 
+    @pytest.mark.parametrize("interval", [(-70.0, math.inf), (-math.inf, -10.0),
+                                          (math.nan, -10.0), (-70.0, math.nan)])
+    def test_interval_must_be_finite(self, interval, monkeypatch):
+        # the 1 dB grid of an unbounded interval cannot be allocated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before the interval was checked")
+
+        monkeypatch.setattr(optimizer, "outage_pair", unreachable)
+        with pytest.raises(ValueError, match="search interval must be two finite"):
+            rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=interval)
+
 
 def _made_up_pair(op1, op2):
     """An optimizer.outage_pair stand-in: made-up op curves of the budget."""

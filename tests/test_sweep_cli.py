@@ -407,6 +407,12 @@ class TestCli:
         assert main(["optimize", "--interval", "-50", "-44", "--tol-db", tol]) == 2
         assert "tol_db must be a finite number > 0" in capsys.readouterr().err
 
+    def test_optimize_infinite_interval_exits_2(self, capsys):
+        assert main(["optimize", "--interval", "-70", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "search interval must be two finite dBm values" in err
+        assert "(-70.0, inf)" in err
+
     @pytest.mark.parametrize("command", [["validate"], ["point"], ["optimize"],
                                          ["preset", "fig3"],
                                          ["sweep", "--param", "seed", "--values", "1,2",
