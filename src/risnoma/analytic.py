@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkVariances, link_variances
+from .channel import link_variances
 from .config import SystemConfig, dbm_to_watt
 from .montecarlo import OutageResult, rate_to_threshold
 from .ris import resolve_alpha
@@ -38,13 +38,11 @@ class TermStats:
     var: float   # total variance
 
 
-def term_statistics(config: SystemConfig, alpha: float | None = None,
-                    variances: LinkVariances | None = None):
+def term_statistics(config: SystemConfig):
     """The TermStats of (a, b, c, d) implied by a config's geometry and gain;
     the active part carries a and c, the passive part b and d."""
-    var = link_variances(config) if variances is None else variances
-    if alpha is None:
-        alpha = resolve_alpha(config, var)
+    var = link_variances(config)
+    alpha = resolve_alpha(config)
     s_act, s_pas = (math.sqrt(s) for s in var.active_passive(config.active_user))
     s_bs = math.sqrt(var.bs)
 
@@ -143,9 +141,7 @@ def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
     """
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
-    var = link_variances(config)
-    alpha = resolve_alpha(config, var)
-    sa, sb, sc, sd = term_statistics(config, alpha, var)
+    sa, sb, sc, sd = term_statistics(config)
     pt = dbm_to_watt(config.pt_user_dbm)
     v = rate_to_threshold(config.rate_threshold_bps_hz)
 
@@ -160,8 +156,8 @@ def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
         comps = part(pt, sd, sc)
         if config.epsilon_sic > 0.0:
             comps += part(-config.epsilon_sic * pt * v, sa, sb)
-    comps.append(QfComponent(-dbm_to_watt(config.namp_dbm) * alpha * v,
-                             2 * config.m_active, var.bs / 2.0))
+    comps.append(QfComponent(-dbm_to_watt(config.namp_dbm) * resolve_alpha(config) * v,
+                             2 * config.m_active, link_variances(config).bs / 2.0))
     return QuadFormSpec(components=tuple(c for c in comps if c.weight != 0.0))
 
 
@@ -223,8 +219,7 @@ def _gk15(f, lo, hi):
 OMEGA0 = 1e-8               # lowest quadrature frequency; the sliver below is closed-form
 _TRUNC_MAX_DOUBLINGS = 200
 _TRUNC_CHUNK = 40           # divides _TRUNC_MAX_DOUBLINGS
-MAX_PANELS = 60_000
-MAX_REFINEMENTS = 200
+MAX_PANELS = 60_000         # each refinement adds a panel, so this bounds the loop
 
 
 def _truncation_limit(log_psi, g: float, tol: float) -> tuple[float, float]:
@@ -254,7 +249,9 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6) -> tuple[float, floa
     `OMEGA0` is added in closed form at first order.  The truncation limit
     is the first power of two where the tail is negligible, and panels are
     bisected until the error estimate meets `tol`.  Raises
-    :class:`AccuracyError` instead of returning a silently degraded value.
+    :class:`AccuracyError` instead of returning a silently degraded value:
+    when the panels exceed `MAX_PANELS`, or when no panel qualifies for a
+    split (a nan in the integrand).
     """
 
     def integrand(w):
@@ -273,17 +270,16 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6) -> tuple[float, floa
     lo, hi = bounds[:-1], bounds[1:]
 
     vals, errs = _gk15(integrand, lo, hi)
-    for _ in range(MAX_REFINEMENTS):
+    while not errs.sum() <= tol / 2.0:   # a nan error enters too, and raises below
         total_err = errs.sum()
-        if total_err <= tol / 2.0:
-            break
         if lo.size > MAX_PANELS:
             raise AccuracyError(
                 f"panel budget exceeded ({lo.size} panels, err~{total_err:.2e})"
             )
         split = errs > max(total_err / (4.0 * lo.size), tol / (8.0 * lo.size))
         if not split.any():
-            break
+            raise AccuracyError(f"quadrature error {total_err:.2e} above "
+                                f"tolerance {tol:.2e}; no panel to split")
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
@@ -292,15 +288,6 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6) -> tuple[float, floa
         hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-    else:
-        raise AccuracyError(
-            f"no convergence after {MAX_REFINEMENTS} refinements "
-            f"(err~{errs.sum():.2e} > tol {tol:.2e})"
-        )
-    if errs.sum() > tol / 2.0:
-        raise AccuracyError(
-            f"quadrature error {errs.sum():.2e} above tolerance {tol:.2e}"
-        )
 
     # finite-limit sliver below OMEGA0, first-order rectangle
     sliver = integrand(np.array([OMEGA0 / 2.0]))[0] * OMEGA0

@@ -51,7 +51,11 @@ class LinkVariances:
 
 
 def link_variances(config: SystemConfig) -> LinkVariances:
-    """Per-link variances from geometry, honoring explicit overrides."""
+    """Per-link variances from geometry, honoring overrides; kept on the config."""
+    return config._memo("_link_variances", _link_variances)
+
+
+def _link_variances(config: SystemConfig) -> LinkVariances:
     u1 = config.sigma2_u1
     if u1 is None:
         u1 = channel_variance(config.d_u1_ris_m, config.fc_ghz)

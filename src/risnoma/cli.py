@@ -105,8 +105,7 @@ def _cmd_point(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     values = parse_values(args.values, as_int=args.param in INT_PARAMS)
-    spec = SweepSpec(param=args.param, values=values,
-                     methods=METHOD_CHOICES[args.method], alpha_mode=args.alpha_mode)
+    spec = SweepSpec(param=args.param, values=values, methods=METHOD_CHOICES[args.method])
     rows, _ = run_sweep(spec, cfg, args.out, workers=args.workers)
     print(f"wrote {args.out}: {len(rows)} rows", file=sys.stderr)
     return _exit_status(rows, args.allow_noisy)
@@ -159,8 +158,6 @@ def main(argv=None) -> int:
     p.add_argument("--values", required=True,
                    help="'a,b,c', 'start:stop:step', or 'log:a:b:n'")
     p.add_argument("--method", choices=METHOD_CHOICES, default="both")
-    p.add_argument("--alpha-mode", choices=("fixed", "from_power", "optimized"),
-                   default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--allow-noisy", action="store_true")
     p.set_defaults(fn=_cmd_sweep)

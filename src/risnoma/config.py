@@ -87,14 +87,18 @@ class SystemConfig:
     # Gil-Pelaez quadrature settings
     quad_tol: float = 1e-6       # target absolute error of the CDF integral
 
+    def _memo(self, name: str, compute):
+        """compute(self), kept on the instance outside the fields; replace()
+        builds a fresh instance, so a kept value never goes stale."""
+        if name not in self.__dict__:
+            object.__setattr__(self, name, compute(self))
+        return self.__dict__[name]
+
     def digest(self) -> str:
-        """Short stable hash of the full configuration, memoized outside the fields."""
-        if "_digest" not in self.__dict__:
-            payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
-                                 sort_keys=True)
-            digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
-            object.__setattr__(self, "_digest", digest)
-        return self._digest
+        """Short stable hash of the full configuration, memoized."""
+        return self._memo("_digest", lambda c: hashlib.sha256(json.dumps(
+            {f.name: getattr(c, f.name) for f in fields(c)}, sort_keys=True
+        ).encode()).hexdigest()[:12])
 
 
 def _type_problem(name: str, kind, value) -> str:

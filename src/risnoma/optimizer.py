@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import analytic_outage
-from .channel import link_variances
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pair
 from .ris import _alpha_at_budget
@@ -104,11 +103,10 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
 
     # both evaluators see the budget only through the gain it implies, and
     # the gain clamps at 0 and 30 dB, so many budgets share one evaluation
-    variances = link_variances(config)
     cache: dict[float, tuple[float, float]] = {}
 
     def pair_at(x: float) -> tuple[float, float]:
-        gain = _alpha_at_budget(config, x, variances)
+        gain = _alpha_at_budget(config, x)
         if gain not in cache:
             r1, r2 = outage_pair(at_budget(config, x), evaluator, workers=workers)
             cache[gain] = (r1.op, r2.op)
@@ -155,7 +153,7 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
     op1, op2 = pair_at(x)
     return OptimizationOutcome(
         pt_ris_dbm=x,
-        alpha=_alpha_at_budget(config, x, variances),
+        alpha=_alpha_at_budget(config, x),
         op1=op1,
         op2=op2,
         gap=abs(op1 - op2),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ALPHA_MAX, ALPHA_MIN, SystemConfig, dbm_to_watt
-from .channel import ChannelRealization, LinkVariances, link_variances
+from .channel import ChannelRealization, link_variances
 
 
 @dataclass(frozen=True)
@@ -41,33 +41,30 @@ def align_phases(ch: ChannelRealization, active_user: int = 1,
     return HybridRisState(theta=theta, beta=beta, alpha=alpha)
 
 
-def alpha_from_power(config: SystemConfig, variances: LinkVariances | None = None) -> float:
+def alpha_from_power(config: SystemConfig) -> float:
     """Power amplification implied by the RIS power budget, clamped to 0-30 dB.
 
     Uses the per-element average channel power of the amplified user's
     uplink hop as the reference input power.
     """
-    return _alpha_at_budget(config, config.pt_ris_dbm, variances)
+    return _alpha_at_budget(config, config.pt_ris_dbm)
 
 
-def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float,
-                     variances: LinkVariances | None = None) -> float:
+def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float) -> float:
     """`alpha_from_power` at another budget, without copying the config."""
-    if variances is None:
-        variances = link_variances(config)
-    s_a, _ = variances.active_passive(config.active_user)
+    s_a, _ = link_variances(config).active_passive(config.active_user)
     p_o = dbm_to_watt(pt_ris_dbm) / config.m_active  # split evenly per element
     pt = dbm_to_watt(config.pt_user_dbm)
-    g = min(math.sqrt(p_o / (pt * s_a)), math.sqrt(ALPHA_MAX))
+    g = math.sqrt(p_o / (pt * s_a))
     return min(max(g * g, ALPHA_MIN), ALPHA_MAX)
 
 
-def resolve_alpha(config: SystemConfig, variances: LinkVariances | None = None) -> float:
+def resolve_alpha(config: SystemConfig) -> float:
     """The power gain this config implies.  `optimized` needs the optimizer."""
     if config.alpha_mode == "fixed":
         return min(max(config.alpha_linear, ALPHA_MIN), ALPHA_MAX)
     if config.alpha_mode == "from_power":
-        return alpha_from_power(config, variances)
+        return alpha_from_power(config)
     raise ValueError(
         "alpha_mode='optimized' has no direct value; run the gain optimizer "
         "or evaluate at its chosen pt_ris_dbm"

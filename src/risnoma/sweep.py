@@ -161,10 +161,9 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
         opt_ms = (time.perf_counter() - t0) * 1e3
         eval_config = at_budget(config, outcome.pt_ris_dbm)
         mode = outcome.mode
-        alpha = outcome.alpha
     else:
         opt_ms = 0.0
-        alpha = resolve_alpha(config)
+    alpha = resolve_alpha(eval_config)
 
     for method in methods:
         t0 = time.perf_counter()

@@ -97,8 +97,9 @@ class TestQuadForm:
         return rn.build_quadform(cfg, user)
 
     def test_user_other_than_1_or_2_rejected(self):
-        with pytest.raises(ValueError, match="user must be 1 or 2"):
-            rn.build_quadform(unit_config(), 3)
+        for fn in (rn.build_quadform, rn.analytic_outage):
+            with pytest.raises(ValueError, match="user must be 1 or 2"):
+                fn(unit_config(), 3)
 
     def test_active_user_structure_at_defaults(self):
         cfg = rn.validate(rn.SystemConfig())
@@ -276,10 +277,17 @@ class TestGilPelaez:
 
     def test_accuracy_error_is_loud(self, monkeypatch):
         monkeypatch.setattr(rn.analytic, "MAX_PANELS", 2)
-        monkeypatch.setattr(rn.analytic, "MAX_REFINEMENTS", 2)
         cf = log_of(lambda w: 1.0 / (1.0 - 1j * w))
-        with pytest.raises(rn.AccuracyError):
+        with pytest.raises(rn.AccuracyError, match="panel budget"):
             rn.gil_pelaez_cdf(cf, 1.0)
+
+    def test_nan_below_the_truncation_probes_is_loud(self):
+        # a log-CF that is nan only below w = 1 passes the truncation probes
+        # (powers of two from 1 up) and poisons the low panels' error
+        exact = log_of(lambda w: 1.0 / (1.0 - 1j * w))
+        partly_nan = lambda w: np.where(w < 1.0, np.nan, exact(w))
+        with pytest.raises(rn.AccuracyError, match="no panel"):
+            rn.gil_pelaez_cdf(partly_nan, 1.0)
 
 
 class TestAnalyticOutage:
@@ -311,19 +319,22 @@ class TestAnalyticOutage:
         assert res.config_digest == cfg.digest()
 
     def test_link_variances_computed_once(self, monkeypatch):
-        # resolve_alpha and term_statistics take the point's variances
+        # the path loss is evaluated once per hop and config object, however
+        # many model functions ask for the variances and the gain
         calls = []
-        original = rn.analytic.link_variances
+        original = rn.channel.channel_variance
 
-        def counted(config):
-            calls.append(config)
-            return original(config)
+        def counted(d_m, fc_ghz):
+            calls.append(d_m)
+            return original(d_m, fc_ghz)
 
-        monkeypatch.setattr(rn.analytic, "link_variances", counted)
-        monkeypatch.setattr(rn.ris, "link_variances", counted)
+        monkeypatch.setattr(rn.channel, "channel_variance", counted)
         cfg = rn.validate(rn.SystemConfig(alpha_mode="from_power"))
+        rn.analytic_outage(cfg, 1)
         rn.analytic_outage(cfg, 2)
-        assert len(calls) == 1
+        rn.term_statistics(cfg)
+        rn.resolve_alpha(cfg)
+        assert len(calls) == 3
 
     def test_joint_flag_not_supported(self):
         cfg = unit_config(joint_outage_u2=True)

@@ -109,6 +109,17 @@ class TestValidate:
         cfg = rn.validate(rn.SystemConfig(pt_user_dbm=15, sigma2_u1=None))
         assert cfg.pt_user_dbm == 15 and cfg.sigma2_u1 is None
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_passive", 0), ("mc_trials", 0), ("active_user", 3),
+        ("rate_threshold_bps_hz", -0.5), ("alpha_linear", 0.0),
+        ("seed", -1), ("seed", 2**64), ("quad_tol", 0.0),
+    ])
+    def test_range_checks(self, name, value):
+        with pytest.raises(rn.ConfigError) as info:
+            rn.validate(rn.SystemConfig(**{name: value}))
+        [problem] = info.value.problems
+        assert problem.startswith(f"{name} must") and problem.endswith(f", got {value}")
+
     def test_sigma_override_must_be_positive(self):
         with pytest.raises(rn.ConfigError, match="sigma2_u1"):
             rn.validate(rn.SystemConfig(sigma2_u1=-1.0))

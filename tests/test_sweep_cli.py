@@ -32,6 +32,8 @@ class TestParseValues:
     def test_log(self):
         vals = rn.parse_values("log:0.001:0.1:3")
         assert vals == pytest.approx((0.001, 0.01, 0.1))
+        # for an integer parameter log-spaced values round to the nearest integer
+        assert rn.parse_values("log:1:10:3", as_int=True) == (1, 3, 10)
 
     def test_int_cast(self):
         assert rn.parse_values("64,128", as_int=True) == (64, 128)
@@ -242,6 +244,17 @@ class TestCli:
         assert ([(r["op"], r["err"], r["alpha"]) for r in rows]
                 == [(r.op, r.err, r.alpha) for r in ref])
 
+    def test_point_workers_2_matches_workers_1(self, capsys):
+        # 2000 trials at M=N=512 span several blocks, so two workers run
+        args = ["point", "--method", "mc", "--trials", "2000", "--allow-noisy", "--json",
+                "--set", "rate_threshold_bps_hz=3"]
+        outs = []
+        for workers in ("1", "2"):
+            assert main([*args, "--workers", workers]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert all(r["op"] > 0.0 for r in outs[0])
+
     def test_point_failed_method_is_error_row(self, capsys):
         code = main(["point", "--method", "analytic", "--set", "joint_outage_u2=true"])
         assert code == 1
@@ -294,7 +307,7 @@ class TestCli:
     def test_sweep_optimizer_failure_is_error_rows(self, tmp_path, capsys):
         out = tmp_path / "opt.csv"
         code = main(["sweep", "--param", "pt_user_dbm", "--values", "10,12",
-                     "--alpha-mode", "optimized", "--method", "analytic",
+                     "--set", "alpha_mode=optimized", "--method", "analytic",
                      "--set", "joint_outage_u2=true", "--out", str(out)])
         assert code == 1
         assert "joint decode outage is simulation-only" in capsys.readouterr().err
