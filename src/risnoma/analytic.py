@@ -3,15 +3,16 @@
 For large partitions the four effective link sums are asymptotically
 Gaussian.  The coherent sums (a, d) are real with a Rayleigh-product mean;
 the leakage sums (b, c) are zero-mean complex.  Squared magnitudes are
-then noncentral / central chi-square variables, the outage event becomes
-a sign test on a weighted sum of independent chi-square components, and
-its CDF follows from the log characteristic function by Gil-Pelaez inversion:
+then noncentral / central chi-square variables, and the outage event is a
+sign test on a weighted sum G of them.  The tail of G on the threshold's
+side of its mean (a lower tail is the upper tail of -G) comes from the
+moment generating function M by adaptive Gauss-Kronrod (G7/K15) quadrature
+along Re z = c, c the saddle point of M(z) e^{-z g} / z, where a tail costs
+few nodes and has relative accuracy (Rice, SIAM J. Sci. Stat. Comput. 1 (1980)):
 
-    F(g) = 1/2 - (1/pi) * integral_0^inf |Psi(w)| sin(arg Psi(w) - w g) / w dw
+    P(G >= g) = (1/pi) * integral_0^inf Re[M(c + jw) e^{-(c + jw) g} / (c + jw)] dw
 
-The quadrature is adaptive Gauss-Kronrod (G7/K15) on dyadic panels with
-automatic extension of the truncation limit.  It is skipped where a
-Chernoff bound proves the CDF within 1e-3 quad_tol of 0 or 1.
+It is skipped where a Chernoff bound proves the tail below 1e-3 quad_tol.
 """
 
 import math
@@ -89,12 +90,16 @@ class QuadFormSpec:
 
     def scaled(self, factor: float) -> "QuadFormSpec":
         """The spec of (factor * G); rescaling weights only."""
-        return QuadFormSpec(
-            components=tuple(
-                QfComponent(weight=c.weight * factor, dof=c.dof, var=c.var, mean=c.mean)
-                for c in self.components
-            )
-        )
+        return QuadFormSpec(components=tuple(
+            QfComponent(weight=c.weight * factor, dof=c.dof, var=c.var, mean=c.mean)
+            for c in self.components))
+
+    def tilted(self, s: float) -> "QuadFormSpec":
+        """The exponentially tilted spec, whose CF at w is M(s + jw) / M(s):
+        each component's var and mean divide by 1 - 2 s weight var (> 0)."""
+        return QuadFormSpec(components=tuple(
+            QfComponent(weight=c.weight, dof=c.dof, var=c.var / r, mean=c.mean / r)
+            for c in self.components for r in (1.0 - 2.0 * s * c.weight * c.var,)))
 
 
 def log_cf(spec: QuadFormSpec, omega):
@@ -164,40 +169,40 @@ def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
 _CHERNOFF_T = np.geomspace(1e-3, 1e12, 121)
 
 
-def chernoff_bound(spec: QuadFormSpec, g: float, *, upper: bool) -> float:
-    """Chernoff bound on P(G >= g) (upper) or P(G <= g) of the quadratic form
-    G (Chernoff, Ann. Math. Stat. 1952): the least exp(log M(s) - s g) over s
-    on that side, log M(s) = sum -(dof/2) log(1 - 2 s w v) + dof mean^2 w s /
-    (1 - 2 s w v) while all 2 s w v < 1.  The lower tail is the upper tail of
-    -G at -g.  s = t / (1 + t / s_max), t in _CHERNOFF_T, spans (0, s_max), or
-    (0, 1e12] where no component limits s; any such s gives a valid bound."""
-    sign = 1.0 if upper else -1.0
+def saddle_point(spec: QuadFormSpec, g: float) -> tuple[float, float, float]:
+    """Chernoff bound on P(G >= g), and the tilt c with log M(c) to invert it.
+
+    The bound (Chernoff, Ann. Math. Stat. 1952) is the least exp(log M(s) - s g)
+    over s = t / (1 + t / s_max), t in _CHERNOFF_T, which spans (0, s_max), or
+    (0, 1e12] where no component limits s; any such s gives a valid bound.
+    log M(s) = sum -(dof/2) log(1 - 2 s w v) + dof mean^2 w s / (1 - 2 s w v)
+    while all 2 s w v < 1.  On the same grid c minimizes log M(s) - s g - log s:
+    the real saddle point of M(z) e^{-z g} / z.
+    """
     w, var, dof, mean = np.array([(c.weight, c.var, c.dof, c.mean)
                                   for c in spec.components]).T
-    w, wv = sign * w, sign * w * var
+    wv = w * var
     s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * max(0.0, float(np.max(2.0 * wv))))
     r = 1.0 - 2.0 * np.outer(s, wv)
     log_m = (-0.5 * dof * np.log(r) + dof * mean**2 * np.outer(s, w) / r).sum(axis=1)
-    return float(np.exp(np.min(log_m - s * (sign * g))))
+    exponent = log_m - s * g
+    k = int(np.argmin(exponent - np.log(s)))
+    return float(np.exp(np.min(exponent))), float(s[k]), float(log_m[k])
+
+
+def chernoff_bound(spec: QuadFormSpec, g: float, *, upper: bool) -> float:
+    """Chernoff bound on P(G >= g) (upper) or P(G <= g), the upper tail of -G at -g."""
+    return saddle_point(spec if upper else spec.scaled(-1.0), g if upper else -g)[0]
 
 
 # ---------------------------------------------------------------------------
-# Gil-Pelaez inversion with adaptive Gauss-Kronrod panels
+# Tail inversion along Re z = c with adaptive Gauss-Kronrod panels
 
-_GK_X = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_GK_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
+_GK_X = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+                  0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0])
+_GK_WK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+                   0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728])
+_GK_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
 
 _NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])          # 15 ascending
 _W_KRONROD = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
@@ -216,66 +221,66 @@ def _gk15(f, lo, hi):
     return kron, np.abs(kron - gauss)
 
 
-OMEGA0 = 1e-8               # lowest quadrature frequency; the sliver below is closed-form
-_TRUNC_MAX_DOUBLINGS = 200
-_TRUNC_CHUNK = 40           # divides _TRUNC_MAX_DOUBLINGS
+_LADDER = np.ldexp(1.0, np.arange(-40, 200))   # probed frequencies, in units of c
+_LADDER_CHUNK = 80                             # divides _LADDER.size
+_FIRST_PROBES = np.append(0.0, _LADDER[:_LADDER_CHUNK])
 MAX_PANELS = 60_000         # each refinement adds a panel, so this bounds the loop
 
 
-def _truncation_limit(log_psi, g: float, tol: float) -> tuple[float, float]:
-    """First omega = 2^k (k < 200) where both tail gauges are negligible.
-
-    The candidates are probed in chunks, one `log_psi` call per chunk;
-    returns the limit and |Psi| there, which also bounds the tail beyond it.
-    """
-    for start in range(0, _TRUNC_MAX_DOUBLINGS, _TRUNC_CHUNK):
-        omega = np.ldexp(1.0, np.arange(start, start + _TRUNC_CHUNK))
-        psi_mag = np.exp(np.real(log_psi(omega)))
-        osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega)
-        done = (psi_mag / omega < 1e-12) | (np.minimum(psi_mag, osc_tail) < tol / 8.0)
+def _panel_ladder(log_m, g: float, c: float, tol: float) -> tuple[float, float, float]:
+    """The first panel edge, the truncation limit and the tail gauge there,
+    all frequencies c 2^k, probed in chunks of one `log_m` call each.  The
+    edge is where the envelope |M(c + jw) / (c + jw)| has fallen by 1/32: at
+    sigma/4 for a Gaussian of width sigma = (Var_c + 1/c^2)^(-1/2).  The limit
+    is the first frequency past it where min(A, 2 A / (|g| w)) / pi, with
+    A = |M(c + jw) e^{-(c + jw) g}|, is below tol / 8."""
+    log_amp = np.real(log_m(c * _FIRST_PROBES)) - c * g
+    drop = log_amp[0] - log_amp[1:] + 0.5 * np.log1p(_FIRST_PROBES[1:] ** 2)
+    first = c * float(_FIRST_PROBES[1 + np.argmax(drop >= 1.0 / 32.0)])
+    for start in range(0, _LADDER.size, _LADDER_CHUNK):
+        omega = c * _LADDER[start:start + _LADDER_CHUNK]
+        amp = np.exp(np.real(log_m(omega)) - c * g if start else log_amp[1:])
+        tail = np.minimum(amp, 2.0 * amp / (max(abs(g), 1e-3) * omega)) / math.pi
+        done = (omega > first) & (tail < tol / 8.0)
         if done.any():
             k = int(np.argmax(done))
-            return float(omega[k]), float(psi_mag[k])
+            return first, float(omega[k]), float(tail[k])
     raise AccuracyError("could not find a finite truncation limit")
 
 
-def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6) -> tuple[float, float]:
-    """CDF value F(g) from a log characteristic function, with an error
-    estimate (not a bound: in a far tail it can understate the error).
+def gil_pelaez_cdf(log_m, g: float, c: float, *, tol: float = 1e-6) -> tuple[float, float]:
+    """P(G >= g) by inversion along the line Re z = c, 0 < c < s_max, and an
+    error estimate (not a bound: in a far tail it can understate the error).
 
-    `log_psi` maps a float ndarray of frequencies to a complex log Psi on
-    any branch, such as `np.log` of a complex-valued closed-form CF.  The
-    integrand has a finite limit at zero frequency; the sliver below
-    `OMEGA0` is added in closed form at first order.  The truncation limit
-    is the first power of two where the tail is negligible, and panels are
-    bisected until the error estimate meets `tol`.  Raises
-    :class:`AccuracyError` instead of returning a silently degraded value:
-    when the panels exceed `MAX_PANELS`, or when no panel qualifies for a
-    split (a nan in the integrand).
+    `log_m(w)` maps a float ndarray of frequencies to a complex log M(c + jw)
+    on any branch, such as `np.log(cf(w - 1j * c))` of a closed-form CF.  The
+    panels, [0, sigma/4] and dyadic above it up to the truncation limit
+    (`_panel_ladder`), each cut to at most one period 2 pi / |g|, are bisected
+    until the error estimate meets `tol`.  Raises :class:`AccuracyError`, not
+    a degraded value, when the panels exceed `MAX_PANELS` or when no panel
+    qualifies for a split (a nan in the integrand).
     """
 
     def integrand(w):
-        # polar form: one exp and one sin per node
-        log_w = log_psi(w)
-        return np.exp(log_w.real) * np.sin(log_w.imag - w * g) / w
+        log_w = log_m(w)
+        theta = log_w.imag - w * g
+        return (np.exp(log_w.real - c * g) * (c * np.cos(theta) + w * np.sin(theta))
+                / (math.pi * (c * c + w * w)))
 
-    omega_hi, psi_end = _truncation_limit(log_psi, g, tol)
+    first, omega_hi, tail = _panel_ladder(log_m, g, c, tol)
+    doublings = np.arange(round(math.log2(omega_hi / first)) + 1)
+    width = np.diff(np.append(0.0, first * np.ldexp(1.0, doublings)))
+    pieces = np.ceil(width * (abs(g) / (2.0 * math.pi))).clip(1).astype(int)
+    hi = np.cumsum(np.repeat(width / pieces, pieces))
+    lo = np.append(0.0, hi[:-1])
 
-    # dyadic panel boundaries from OMEGA0 up to the truncation limit
-    bounds = [omega_hi]
-    while bounds[-1] > 2.0 * OMEGA0:
-        bounds.append(bounds[-1] / 2.0)
-    bounds.append(OMEGA0)
-    bounds = np.array(bounds[::-1])
-    lo, hi = bounds[:-1], bounds[1:]
-
+    if lo.size > MAX_PANELS:
+        raise AccuracyError(f"panel budget exceeded ({lo.size} initial panels)")
     vals, errs = _gk15(integrand, lo, hi)
     while not errs.sum() <= tol / 2.0:   # a nan error enters too, and raises below
         total_err = errs.sum()
         if lo.size > MAX_PANELS:
-            raise AccuracyError(
-                f"panel budget exceeded ({lo.size} panels, err~{total_err:.2e})"
-            )
+            raise AccuracyError(f"panel budget exceeded ({lo.size} panels, err~{total_err:.2e})")
         split = errs > max(total_err / (4.0 * lo.size), tol / (8.0 * lo.size))
         if not split.any():
             raise AccuracyError(f"quadrature error {total_err:.2e} above "
@@ -288,15 +293,7 @@ def gil_pelaez_cdf(log_psi, g: float, *, tol: float = 1e-6) -> tuple[float, floa
         hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-
-    # finite-limit sliver below OMEGA0, first-order rectangle
-    sliver = integrand(np.array([OMEGA0 / 2.0]))[0] * OMEGA0
-    # post-truncation tail, bounded by the oscillation-cancelled envelope
-    tail = min(psi_end, 2.0 * psi_end / (max(abs(g), 1e-3) * omega_hi))
-
-    p = 0.5 - (vals.sum() + sliver) / math.pi
-    err = (errs.sum() + abs(sliver) * 0.5 + tail) / math.pi
-    return min(max(p, 0.0), 1.0), err
+    return min(max(float(vals.sum()), 0.0), 1.0), float(errs.sum()) + tail
 
 
 def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
@@ -316,16 +313,19 @@ def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
     spec = build_quadform(config, user)
     g = dbm_to_watt(config.w0_dbm) * v
 
-    # normalize to unit overall scale before integrating
-    scale = math.sqrt(spec.variance())
-    norm = spec.scaled(1.0 / scale)
-    # far in a tail the CDF is pinned to 1 above the mean and 0 below it,
-    # with a proven bound as its error; elsewhere quadrature estimates it
+    # normalized, the tail on the threshold's side of the mean is the upper
+    # tail of G or of -G; far out, a proven bound pins it to 0 as its error
     upper = g > spec.mean()
-    bound = chernoff_bound(norm, g / scale, upper=upper)
+    scale = math.sqrt(spec.variance())
+    side = spec.scaled((1.0 if upper else -1.0) / scale)
+    g_side = (g if upper else -g) / scale
+    bound, c, log_mc = saddle_point(side, g_side)
     if bound <= 1e-3 * config.quad_tol:
-        p, err = float(upper), bound
+        tail, err = 0.0, bound
     else:
-        p, err = gil_pelaez_cdf(lambda w: log_cf(norm, w), g / scale, tol=config.quad_tol)
+        tilted = side.tilted(c)
+        tail, err = gil_pelaez_cdf(lambda w: log_mc + log_cf(tilted, w), g_side, c,
+                                   tol=min(config.quad_tol, 1e-4 * bound))
+    p = 1.0 - tail if upper else tail
     return OutageResult(op=p, trials=0, std_err=err, method="analytic",
                         user=user, config_digest=digest)

@@ -29,7 +29,7 @@ BLOCK_FLOAT_BUDGET = 2_000_000
 class OutageResult:
     op: float          # outage probability estimate
     trials: int        # 0 for analytic results
-    std_err: float     # binomial SE (MC); quadrature error estimate or Chernoff bound (analytic)
+    std_err: float     # binomial SE (MC); analytic: inversion error estimate or Chernoff bound
     method: str        # "mc" | "analytic"
     user: int
     config_digest: str

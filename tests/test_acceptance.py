@@ -13,8 +13,8 @@ import pytest
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadFormSpec
-from test_analytic import log_of, ncx2_cdf_series
+from risnoma.analytic import QfComponent, QuadFormSpec, saddle_point
+from test_analytic import ncx2_cdf_series, upper_tail
 
 PI = np.pi
 
@@ -80,24 +80,26 @@ def test_c02_term_decorrelation(unit64_terms):
 
 
 def test_c03_gil_pelaez_oracles():
-    """CF inversion against closed-form CDFs, 1e-4 absolute."""
+    """CF inversion along Re z = c against closed-form CDFs, 1e-4 absolute."""
     failures = []
     cf_norm = lambda w: np.exp(-w**2 / 2.0)
     for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        p, _ = rn.gil_pelaez_cdf(log_of(cf_norm), q)
+        p = 1.0 - upper_tail(cf_norm, q, 1.0)[0]
         if abs(p - sstats.norm.cdf(q)) > 1e-4:
             failures.append(f"normal@{q}")
     cf_exp = lambda w: 1.0 / (1.0 - 1j * w)
     for g in (0.5, 1.0, 2.0):
-        p, _ = rn.gil_pelaez_cdf(log_of(cf_exp), g)
+        p = 1.0 - upper_tail(cf_exp, g, 0.5)[0]
         if abs(p - (1.0 - math.exp(-g))) > 1e-4:
             failures.append(f"exp@{g}")
-    p, _ = rn.gil_pelaez_cdf(log_of(lambda w: 1.0 / (1.0 - 2j * w)), 2.0)
+    p = 1.0 - upper_tail(lambda w: 1.0 / (1.0 - 2j * w), 2.0, 0.25)[0]
     if abs(p - (1.0 - math.exp(-1.0))) > 1e-4:
         failures.append("chi2(2)@2")
     spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
     for g in (0.5, 1.0, 3.0):
-        p, _ = rn.gil_pelaez_cdf(lambda w: rn.log_cf(spec, w), g)
+        _, c, log_mc = saddle_point(spec, g)
+        tilted = spec.tilted(c)
+        p = 1.0 - rn.gil_pelaez_cdf(lambda w: log_mc + rn.log_cf(tilted, w), g, c)[0]
         if abs(p - ncx2_cdf_series(g, 1, 1.0)) > 1e-4:
             failures.append(f"ncx2@{g}")
     _verdict(3, not failures,

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadFormSpec, _truncation_limit, chernoff_bound
+from risnoma.analytic import (QfComponent, QuadFormSpec, _panel_ladder, chernoff_bound,
+                              saddle_point)
 from conftest import mc_outage, unit_config
 
 PI = np.pi
 
 
 def log_of(cf):
-    """np.log of a closed-form CF, the form gil_pelaez_cdf takes (any branch).
+    """np.log of a closed-form CF on any branch.
 
     The cast to complex keeps a real CF that turns negative, such as
     sin(w)/w, on a complex branch instead of giving nan.
@@ -21,6 +23,39 @@ def log_of(cf):
         with np.errstate(divide="ignore"):     # log(0) = -inf where cf underflows
             return np.log(np.asarray(cf(w), dtype=complex))
     return log_psi
+
+
+def upper_tail(cf, g, c, **kwargs):
+    """P(G >= g) of a closed-form CF by inversion along Re z = c.
+
+    cf(w - jc) = E e^{(c + jw) G} = M(c + jw), the log of which is what
+    gil_pelaez_cdf takes.
+    """
+    return rn.gil_pelaez_cdf(log_of(lambda w: cf(w - 1j * c)), g, c, **kwargs)
+
+
+def real_axis_cdf(cfg, user):
+    """Independent reference for analytic_outage: the real-axis Gil-Pelaez
+    integral F(g) = 1/2 - (1/pi) int_0^inf Im[psi(w) e^{-jwg}] / w dw of the
+    normalized form, by scipy quad on [0, a] and QAWF (quad's Fourier-integral
+    mode, weight cos / sin) on [a, inf), a the first power of two with
+    |psi(a)| <= 1e-2.  Returns the CDF and quad's summed error estimate."""
+    spec = rn.build_quadform(cfg, user)
+    g = rn.dbm_to_watt(cfg.w0_dbm) * rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
+    scale = math.sqrt(spec.variance())
+    norm, g = spec.scaled(1.0 / scale), g / scale
+    psi = lambda w: np.exp(rn.log_cf(norm, w))
+    a = 1.0
+    while abs(psi(a)) > 1e-2:
+        a *= 2.0
+    near = integrate.quad(lambda w: (np.exp(-1j * w * g) * psi(w)).imag / w, 0.0, a,
+                          epsabs=1e-15, epsrel=1e-13, limit=1000)
+    far = [integrate.quad(f, a, np.inf, weight=weight, wvar=g, epsabs=1e-15,
+                          limlst=400, limit=1000)
+           for f, weight in ((lambda w: psi(w).imag / w, "cos"),
+                             (lambda w: -psi(w).real / w, "sin"))]
+    total = near[0] + far[0][0] + far[1][0]
+    return 0.5 - total / math.pi, (near[1] + far[0][1] + far[1][1]) / math.pi
 
 
 def cf_of(spec):
@@ -192,111 +227,174 @@ class TestCfEval:
         assert isinstance(rn.log_cf(spec, 2.5), complex)
 
     def test_polar_integrand_matches_complex_form(self, rng):
-        # |Psi| sin(arg Psi - w g) is Im{exp(-j w g) Psi}, the textbook integrand
+        # on the line Re z = c, exp(log M(c) + log_cf(tilted spec)) is M(c + jw),
+        # and the real-arithmetic integrand A (c cos t + w sin t) / (c^2 + w^2)
+        # with t = Im L - w g is Re[M(z) e^{-z g} / z], the textbook form
         for _ in range(10):
             spec = QuadFormSpec(components=tuple(
                 QfComponent(weight=rng.normal(), dof=int(rng.integers(1, 6)),
                             var=rng.uniform(0.1, 2.0), mean=rng.normal())
                 for _ in range(4)))
+            g = spec.mean() + rng.uniform(0.5, 3.0) * math.sqrt(spec.variance())
+            _, c, log_mc = saddle_point(spec, g)
             w = np.logspace(-6, 3, 400)
-            g = rng.normal(0.0, 3.0)
-            log_psi = rn.log_cf(spec, w)
-            polar = np.exp(log_psi.real) * np.sin(log_psi.imag - w * g)
-            expected = np.imag(np.exp(-1j * w * g) * np.exp(log_psi))
-            assert np.allclose(polar, expected, rtol=0.0, atol=1e-12)
+            log_m = log_mc + rn.log_cf(spec.tilted(c), w)
+            theta = log_m.imag - w * g
+            polar = (np.exp(log_m.real - c * g) * (c * np.cos(theta) + w * np.sin(theta))
+                     / (c * c + w * w))
+            z = c + 1j * w
+            log_mz = sum(-(k.dof / 2.0) * np.log(1.0 - 2.0 * z * k.weight * k.var)
+                         + k.dof * k.mean**2 * k.weight * z / (1.0 - 2.0 * z * k.weight * k.var)
+                         for k in spec.components)
+            expected = np.real(np.exp(log_mz - z * g) / z)
+            assert np.allclose(polar, expected, rtol=1e-9, atol=1e-14)
 
 
 class TestGilPelaez:
     def test_standard_normal_quantiles(self):
         cf = lambda w: np.exp(-w**2 / 2.0)
         for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            p, err = rn.gil_pelaez_cdf(log_of(cf), q)
-            assert p == pytest.approx(sstats.norm.cdf(q), abs=1e-4)
+            p_up, err = upper_tail(cf, q, 1.0)
+            assert 1.0 - p_up == pytest.approx(sstats.norm.cdf(q), abs=1e-4)
 
     def test_unit_exponential(self):
         cf = lambda w: 1.0 / (1.0 - 1j * w)
         for g in (0.5, 1.0, 2.0):
-            p, err = rn.gil_pelaez_cdf(log_of(cf), g)
-            assert p == pytest.approx(1.0 - np.exp(-g), abs=1e-4)
+            p_up, err = upper_tail(cf, g, 0.5)
+            assert 1.0 - p_up == pytest.approx(1.0 - np.exp(-g), abs=1e-4)
 
     def test_central_chi2_2dof(self):
         cf = lambda w: 1.0 / (1.0 - 2j * w)
-        p, err = rn.gil_pelaez_cdf(log_of(cf), 2.0)
-        assert p == pytest.approx(1.0 - np.exp(-1.0), abs=1e-4)
+        p_up, err = upper_tail(cf, 2.0, 0.25)
+        assert 1.0 - p_up == pytest.approx(1.0 - np.exp(-1.0), abs=1e-4)
+
+    @pytest.mark.parametrize("g", [40.0, 60.0])
+    def test_central_chi2_2dof_far_upper_tail(self, g):
+        # P(chi2_2 >= g) = e^{-g/2}: 2e-9 and 9e-14, with relative accuracy
+        # at a tolerance tied to the Chernoff bound, as analytic_outage sets it
+        bound, c, _ = saddle_point(QuadFormSpec(components=(QfComponent(1.0, 2, 1.0),)), g)
+        p_up, err = upper_tail(lambda w: 1.0 / (1.0 - 2j * w), g, c, tol=1e-4 * bound)
+        assert p_up == pytest.approx(math.exp(-g / 2.0), rel=0.02)
+
+    def test_any_line_inside_the_strip_gives_the_same_tail(self):
+        # the contour may cross the real axis anywhere in 0 < c < 1/2
+        cf = lambda w: 1.0 / (1.0 - 2j * w)
+        for c in (0.05, 0.2, 0.4, 0.49):
+            p_up, err = upper_tail(cf, 3.0, c, tol=1e-9)
+            assert p_up == pytest.approx(math.exp(-1.5), abs=1e-8)
 
     def test_noncentral_chi2_series_oracle(self):
         spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
-        log_psi = lambda w: rn.log_cf(spec, w)
         for g in (0.5, 1.0, 3.0):
             expected = ncx2_cdf_series(g, 1, 1.0)
             # oracle sanity: the series must agree with scipy's ncx2
             assert expected == pytest.approx(sstats.ncx2.cdf(g, 1, 1.0), abs=1e-10)
-            p, err = rn.gil_pelaez_cdf(log_psi, g)
-            assert p == pytest.approx(expected, abs=1e-4)
+            _, c, log_mc = saddle_point(spec, g)
+            tilted = spec.tilted(c)
+            p_up, err = rn.gil_pelaez_cdf(lambda w: log_mc + rn.log_cf(tilted, w), g, c)
+            assert 1.0 - p_up == pytest.approx(expected, abs=1e-4)
 
     def test_monotone_in_g(self):
         cf = lambda w: np.exp(-w**2 / 2.0)
-        ps = [rn.gil_pelaez_cdf(log_of(cf), g)[0] for g in np.linspace(-3, 3, 13)]
+        ps = [1.0 - upper_tail(cf, g, 1.0)[0] for g in np.linspace(-3, 3, 13)]
         assert all(a <= b + 1e-9 for a, b in zip(ps, ps[1:]))
 
     def test_truncation_limit_matches_doubling_search(self):
-        # the limit is the first power of two passing the tail test, as a
-        # one-frequency-at-a-time doubling search would find it
-        def doubling_limit(log_psi, g, tol=1e-6):
-            omega_hi = 1.0
-            for _ in range(200):
-                psi_mag = math.exp(np.real(log_psi(np.array([omega_hi])))[0])
-                osc_tail = 2.0 * psi_mag / (max(abs(g), 1e-3) * omega_hi)
-                if psi_mag / omega_hi < 1e-12 or min(psi_mag, osc_tail) < tol / 8.0:
-                    return omega_hi
-                omega_hi *= 2.0
-            raise AssertionError("no limit below 2^200")
+        # the first panel edge and the limit are the ones a search over the
+        # ladder c 2^k, one frequency at a time from k = -40, would find
+        def one_at_a_time(log_m, g, c, tol=1e-6):
+            log_amp = lambda w: float(np.real(log_m(np.array([w])))[0]) - c * g
+            first = None
+            for k in range(-40, 200):
+                w = c * 2.0**k
+                if first is None:
+                    if log_amp(0.0) - log_amp(w) + 0.5 * math.log1p((w / c) ** 2) >= 1 / 32:
+                        first = w
+                    continue
+                amp = math.exp(log_amp(w))
+                if min(amp, 2.0 * amp / (max(abs(g), 1e-3) * w)) / math.pi < tol / 8.0:
+                    return first, w
+            raise AssertionError("no limit below c 2^200")
+
+        def at_saddle(spec, g):
+            _, c, log_mc = saddle_point(spec, g)
+            tilted = spec.tilted(c)
+            return lambda w: log_mc + rn.log_cf(tilted, w), g, c
 
         cfg = rn.validate(rn.SystemConfig())
         spec = TestQuadForm()._spec(cfg, 2)
         norm = spec.scaled(1.0 / math.sqrt(spec.variance()))
         slow = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
-        cases = [
-            (log_of(lambda w: np.exp(-w**2 / 2.0)), (-2.0, 0.0, 1.5)),
-            (log_of(lambda w: 1.0 / (1.0 - 1j * w)), (0.5, 2.0)),
-            (lambda w: rn.log_cf(slow, w), (0.5, 3.0)),
-            (lambda w: rn.log_cf(norm, w), (norm.mean() - 1.0, norm.mean() + 2.0)),
-        ]
-        limits = set()
-        for cf, gs in cases:
-            for g in gs:
-                limit = doubling_limit(cf, g)
-                limits.add(limit)
-                assert _truncation_limit(cf, g, 1e-6)[0] == limit
-        assert min(limits) < 2.0**4 and max(limits) > 2.0**15
-        # an undamped CF (a point mass) at a tight tolerance runs to the
-        # last gauge, 2^40, past the first chunk of probed frequencies
-        point_mass = log_of(lambda w: np.exp(0.3j * w))
-        assert doubling_limit(point_mass, 0.0, tol=1e-9) == 2.0**40
-        assert _truncation_limit(point_mass, 0.0, 1e-9)[0] == 2.0**40
+        normal = lambda w: np.exp(-w**2 / 2.0)
+        expo = lambda w: 1.0 / (1.0 - 1j * w)
+        cases = [(log_of(lambda w: normal(w - 1j)), g, 1.0) for g in (-2.0, 0.0, 1.5)]
+        cases += [(log_of(lambda w: expo(w - 0.5j)), g, 0.5) for g in (0.5, 2.0)]
+        cases += [at_saddle(slow, g) for g in (0.5, 3.0)]
+        cases += [at_saddle(norm, g) for g in (norm.mean() + 1.0, norm.mean() + 2.0)]
+        spans = set()
+        for log_m, g, c in cases:
+            first, limit = one_at_a_time(log_m, g, c)
+            spans.add(round(math.log2(limit / first)))
+            assert _panel_ladder(log_m, g, c, 1e-6)[:2] == (first, limit)
+        assert min(spans) <= 4 and max(spans) >= 15
+        # an undamped CF (a point mass at 0.3) at a tight tolerance runs to
+        # the last gauge, 2^43, past the first chunk of probed frequencies
+        point_mass = lambda w: 0.3 * (1.0 + 1j * w)
+        assert one_at_a_time(point_mass, 0.0, 1.0, tol=1e-9)[1] == 2.0**43
+        assert _panel_ladder(point_mass, 0.0, 1.0, 1e-9)[1] == 2.0**43
 
     def test_accuracy_error_is_loud(self, monkeypatch):
         monkeypatch.setattr(rn.analytic, "MAX_PANELS", 2)
-        cf = log_of(lambda w: 1.0 / (1.0 - 1j * w))
         with pytest.raises(rn.AccuracyError, match="panel budget"):
-            rn.gil_pelaez_cdf(cf, 1.0)
+            upper_tail(lambda w: 1.0 / (1.0 - 1j * w), 1.0, 0.5)
 
     def test_nan_below_the_truncation_probes_is_loud(self):
-        # a log-CF that is nan only below w = 1 passes the truncation probes
-        # (powers of two from 1 up) and poisons the low panels' error
-        exact = log_of(lambda w: 1.0 / (1.0 - 1j * w))
+        # a log-CF that is nan only below w = 1 gives the panel-edge search
+        # no envelope drop to find, while the truncation probes above 1 pass;
+        # the low panels' nan error must raise, not return a nan
+        exact = log_of(lambda w: 1.0 / (1.0 - 1j * (w - 0.5j)))
         partly_nan = lambda w: np.where(w < 1.0, np.nan, exact(w))
         with pytest.raises(rn.AccuracyError, match="no panel"):
-            rn.gil_pelaez_cdf(partly_nan, 1.0)
+            rn.gil_pelaez_cdf(partly_nan, 1.0, 0.5)
 
 
 class TestAnalyticOutage:
     def test_default_config_values_pinned(self):
-        # OP1 and OP2 of the default point, as the complex-arithmetic
-        # integrand gave them; the polar form moves only rounding
+        # OP1 and OP2 of the default point as the saddle-line inversion gives
+        # them; scipy QAWF on the real axis (real_axis_cdf) gives
+        # 9.94076790e-07 and 2.29667390e-05, inside each value's err
         cfg = rn.validate(rn.SystemConfig())
-        assert rn.analytic_outage(cfg, 1).op == pytest.approx(9.940767585758792e-07, rel=1e-12)
-        assert rn.analytic_outage(cfg, 2).op == pytest.approx(2.2967393045747464e-05, rel=1e-12)
+        assert rn.analytic_outage(cfg, 1).op == pytest.approx(9.940765219490504e-07, rel=1e-12)
+        assert rn.analytic_outage(cfg, 2).op == pytest.approx(2.2966476901270122e-05, rel=1e-12)
+
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_default_point_within_err_of_real_axis_reference(self, user):
+        cfg = rn.validate(rn.SystemConfig())
+        ref, ref_err = real_axis_cdf(cfg, user)
+        res = rn.analytic_outage(cfg, user)
+        assert abs(res.op - ref) <= res.std_err + ref_err
+
+    def test_real_axis_miss_is_within_quad_tol(self):
+        # the real-axis quadrature gave 0.96124231 +- 1.7e-7 here, off by
+        # 2.3e-5 (22 quad_tol); the reference is 0.9612648566
+        cfg = rn.validate(rn.SystemConfig(pt_user_dbm=4.0, pt_ris_dbm=-46.0,
+                                          alpha_mode="from_power"))
+        ref, ref_err = real_axis_cdf(cfg, 2)
+        assert ref == pytest.approx(0.9612648566, abs=1e-10)
+        res = rn.analytic_outage(cfg, 2)
+        assert abs(res.op - ref) <= cfg.quad_tol
+        assert abs(res.op - ref) <= res.std_err + ref_err
+
+    def test_far_tail_within_its_own_err(self):
+        # 1 - op is 1.82e-10 here; the real-axis quadrature gave 6.77e-8
+        # with err 2.5e-8, 371 times the tail and 2.7 times its own err
+        cfg = rn.validate(rn.SystemConfig(m_active=128, n_passive=128, pt_ris_dbm=-56.0,
+                                          alpha_mode="from_power"))
+        ref, ref_err = real_axis_cdf(cfg, 2)
+        assert 1.0 - ref == pytest.approx(1.8206e-10, rel=1e-4)
+        res = rn.analytic_outage(cfg, 2)
+        assert abs(res.op - ref) <= res.std_err + ref_err
+        assert 1.0 - res.op == pytest.approx(1.0 - ref, rel=1e-3)
 
     def test_zero_rate_exact(self):
         cfg = unit_config(rate_threshold_bps_hz=0.0)
@@ -411,14 +509,20 @@ class TestChernoffBound:
 
     def test_default_point_is_quadrature_bit_for_bit(self):
         # both default outages lie above the shortcut threshold, so they are
-        # exactly what the quadrature gives
+        # exactly what the inversion along the saddle line gives: the tail on
+        # the threshold's side of the mean, as the upper tail of G or -G
         cfg = rn.validate(rn.SystemConfig())
         for user in (1, 2):
             norm, g = _normalized(cfg, user)
-            assert chernoff_bound(norm, g, upper=g > norm.mean()) > 1e-3 * cfg.quad_tol
-            p, err = rn.gil_pelaez_cdf(lambda w: rn.log_cf(norm, w), g, tol=cfg.quad_tol)
+            upper = g > norm.mean()
+            side, g_side = (norm, g) if upper else (norm.scaled(-1.0), -g)
+            bound, c, log_mc = saddle_point(side, g_side)
+            assert bound == chernoff_bound(norm, g, upper=upper) > 1e-3 * cfg.quad_tol
+            tilted = side.tilted(c)
+            tail, err = rn.gil_pelaez_cdf(lambda w: log_mc + rn.log_cf(tilted, w), g_side, c,
+                                          tol=min(cfg.quad_tol, 1e-4 * bound))
             res = rn.analytic_outage(cfg, user)
-            assert (res.op, res.std_err) == (p, err)
+            assert (res.op, res.std_err) == (1.0 - tail if upper else tail, err)
 
 
 class TestActivePassiveRule:
