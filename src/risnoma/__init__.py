@@ -4,7 +4,7 @@ NOMA system enabled over-the-air by a hybrid active/passive RIS."""
 __version__ = "0.1.0"
 
 from .analytic import (AccuracyError, QfComponent, QuadFormSpec, TermStats,
-                       analytic_outage, build_quadform, log_cf,
+                       analytic_outage, analytic_outages, build_quadform, log_cf,
                        gil_pelaez_cdf, term_statistics)
 from .channel import (ChannelRealization, LinkVariances, RandomStream,
                       channel_variance, draw_realization, link_variances,
@@ -14,7 +14,7 @@ from .config import (ConfigError, ConfigWarning, SystemConfig,
                      parse_config_text, validate)
 from .montecarlo import (GammaFit, OutageResult, estimate_outage_pair, fit_gamma,
                          rate_to_threshold, sample_link_terms, sample_sinr)
-from .optimizer import OptimizationOutcome, at_budget, optimize, outage_pair
+from .optimizer import OptimizationOutcome, at_budget, optimize, outage_pair, outage_pairs
 from .ris import (HybridRisState, align_phases, alpha_from_power, resolve_alpha,
                   ris_state)
 from .sinr import LinkTerms, SinrPair, compute_link_terms, sinr, synthesize_received

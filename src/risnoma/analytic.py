@@ -17,6 +17,7 @@ It is skipped where a Chernoff bound proves the tail below 1e-3 quad_tol.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ class AccuracyError(RuntimeError):
     """The CDF integral failed to converge below the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class TermStats:
+class TermStats(NamedTuple):
     mu: float    # mean (complex terms have mu = 0 here)
     var: float   # total variance
 
@@ -59,8 +59,7 @@ def term_statistics(config: SystemConfig):
             leakage(alpha, m, s_pas), coherent(1.0, n, s_pas))
 
 
-@dataclass(frozen=True)
-class QfComponent:
+class QfComponent(NamedTuple):
     """One weighted chi-square-like component: weight * sum_{i<dof} X_i^2.
 
     The X_i are independent Gaussians with common per-component variance
@@ -95,36 +94,88 @@ class QuadFormSpec:
             for c in self.components))
 
     def tilted(self, s: float) -> "QuadFormSpec":
-        """The exponentially tilted spec, whose CF at w is M(s + jw) / M(s):
-        each component's var and mean divide by 1 - 2 s weight var (> 0)."""
+        """The exponentially tilted spec, whose CF at w is M(s + jw) / M(s)
+        (`QuadFormBatch.tilted`)."""
+        tilted = QuadFormBatch.of([self]).tilted(np.array([s]))[0]
         return QuadFormSpec(components=tuple(
-            QfComponent(weight=c.weight, dof=c.dof, var=c.var / r, mean=c.mean / r)
-            for c in self.components for r in (1.0 - 2.0 * s * c.weight * c.var,)))
+            QfComponent(weight=c.weight, dof=c.dof, var=var, mean=mean)
+            for c, var, mean in zip(self.components, tilted.var, tilted.mean)))
 
 
-def log_cf(spec: QuadFormSpec, omega):
+@dataclass(slots=True)
+class QuadFormBatch:
+    """K quadratic forms as (C, K) arrays of their C components' fields.  A
+    form with fewer components is padded with zero-weight ones, which add
+    exactly nothing; `central` flags the components whose mean is 0 in every
+    form."""
+
+    weight: np.ndarray
+    dof: np.ndarray
+    var: np.ndarray
+    mean: np.ndarray
+    central: tuple
+
+    @classmethod
+    def of(cls, specs) -> "QuadFormBatch":
+        size = max(len(s.components) for s in specs)
+        pad = (QfComponent(weight=0.0, dof=0, var=0.0),)
+        rows = np.array([c for s in specs for c in s.components + pad * (size - len(s.components))],
+                        dtype=float)
+        weight, dof, var, mean = rows.reshape(len(specs), size, 4).T
+        return cls(weight, dof, var, mean, tuple((mean == 0.0).all(axis=1).tolist()))
+
+    def __getitem__(self, k) -> "QuadFormBatch":
+        """Form k, its fields as lists of numbers, or forms k (an index array)."""
+        fields = self.weight[:, k], self.dof[:, k], self.var[:, k], self.mean[:, k]
+        if isinstance(k, int):
+            fields = [x.tolist() for x in fields]
+        return QuadFormBatch(*fields, self.central)
+
+    def scaled(self, factor) -> "QuadFormBatch":
+        """The forms of factor * G, one factor per form."""
+        return QuadFormBatch(self.weight * factor, self.dof, self.var, self.mean, self.central)
+
+    def tilted(self, s) -> "QuadFormBatch":
+        """The exponentially tilted forms, whose CF at w is M(s + jw) / M(s),
+        one s per form: each component's var and mean divide by
+        1 - 2 s weight var (> 0)."""
+        r = 1.0 - (2.0 * s) * self.weight * self.var
+        return QuadFormBatch(self.weight, self.dof, self.var / r, self.mean / r, self.central)
+
+
+def log_cf(spec, omega):
     """Log characteristic function of the quadratic form: log|Psi| + j arg Psi.
 
     Each component contributes the standard chi-square CF evaluated at the
     weighted frequency (the CF scaling rule for cX), and independence turns
     the product into a sum of logs.  With t = 2 u s^2 the principal log of
     1 - j t is (1/2) log1p(t^2) - j atan(t), so the sum is formed in real
-    arithmetic.  exp(log_cf(spec, omega)) is the CF itself.
+    arithmetic.  exp(log_cf(spec, omega)) is the CF itself.  `spec` may also
+    be `QuadFormBatch` forms k, k an (n,) int array: column i of an (m, n)
+    omega is then evaluated on form k[i].
     """
+    forms = spec if isinstance(spec, QuadFormBatch) else QuadFormBatch.of([spec])[0]
     w = np.asarray(omega, dtype=float)
     log_mag = np.zeros(w.shape)
     phase = np.zeros(w.shape)
-    for comp in spec.components:
-        u = comp.weight * w
-        t = 2.0 * comp.var * u
+    for j, central in enumerate(forms.central):
+        dof = forms.dof[j]
+        u = forms.weight[j] * w
+        t = 2.0 * forms.var[j] * u
         tt = t * t
-        log_mag -= (comp.dof / 4.0) * np.log1p(tt)
-        phase += (comp.dof / 2.0) * np.arctan(t)
-        if comp.mean != 0.0:
-            # j u lam / (1 - j t) = u lam (j - t) / (1 + t^2)
-            q = (comp.dof * comp.mean**2) * u / (1.0 + tt)
-            log_mag -= q * t
-            phase += q
+        x = np.log1p(tt)
+        x *= dof / 4.0
+        log_mag -= x
+        x = np.arctan(t)
+        x *= dof / 2.0
+        phase += x
+        if not central:
+            # j u lam / (1 - j t) = u lam (j - t) / (1 + t^2), lam = dof mean^2
+            u *= dof * (forms.mean[j] * forms.mean[j])
+            u /= tt + 1.0
+            phase += u
+            u *= t
+            log_mag -= u
     out = log_mag.astype(np.complex128)
     out.imag = phase
     return complex(out) if w.ndim == 0 else out
@@ -169,7 +220,7 @@ def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
 _CHERNOFF_T = np.geomspace(1e-3, 1e12, 121)
 
 
-def saddle_point(spec: QuadFormSpec, g: float) -> tuple[float, float, float]:
+def saddle_point(spec, g):
     """Chernoff bound on P(G >= g), and the tilt c with log M(c) to invert it.
 
     The bound (Chernoff, Ann. Math. Stat. 1952) is the least exp(log M(s) - s g)
@@ -177,17 +228,20 @@ def saddle_point(spec: QuadFormSpec, g: float) -> tuple[float, float, float]:
     (0, 1e12] where no component limits s; any such s gives a valid bound.
     log M(s) = sum -(dof/2) log(1 - 2 s w v) + dof mean^2 w s / (1 - 2 s w v)
     while all 2 s w v < 1.  On the same grid c minimizes log M(s) - s g - log s:
-    the real saddle point of M(z) e^{-z g} / z.
+    the real saddle point of M(z) e^{-z g} / z.  For a `QuadFormBatch` and (K,)
+    g the three values are (K,) arrays, from one (K, 121, C) pass.
     """
-    w, var, dof, mean = np.array([(c.weight, c.var, c.dof, c.mean)
-                                  for c in spec.components]).T
+    forms = spec if isinstance(spec, QuadFormBatch) else QuadFormBatch.of([spec])
+    w, var, dof, mean = forms.weight.T, forms.var.T, forms.dof.T, forms.mean.T
     wv = w * var
-    s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * max(0.0, float(np.max(2.0 * wv))))
-    r = 1.0 - 2.0 * np.outer(s, wv)
-    log_m = (-0.5 * dof * np.log(r) + dof * mean**2 * np.outer(s, w) / r).sum(axis=1)
-    exponent = log_m - s * g
-    k = int(np.argmin(exponent - np.log(s)))
-    return float(np.exp(np.min(exponent))), float(s[k]), float(log_m[k])
+    s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * np.maximum(0.0, np.max(2.0 * wv, axis=1))[:, None])
+    r = 1.0 - 2.0 * (s[:, :, None] * wv[:, None, :])
+    log_m = ((-0.5 * dof)[:, None, :] * np.log(r)
+             + (dof * mean**2)[:, None, :] * (s[:, :, None] * w[:, None, :]) / r).sum(axis=2)
+    exponent = log_m - s * np.reshape(g, (-1, 1))
+    at = np.arange(len(s)), np.argmin(exponent - np.log(s), axis=1)
+    out = np.exp(np.min(exponent, axis=1)), s[at], log_m[at]
+    return out if np.ndim(g) else tuple(float(x[0]) for x in out)
 
 
 def chernoff_bound(spec: QuadFormSpec, g: float, *, upper: bool) -> float:
@@ -209,13 +263,33 @@ _W_KRONROD = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:15:2] = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
 
+PANEL_CHUNK = 1024   # panels per integrand call: bounds the node pass's memory
 
-def _gk15(f, lo, hi):
-    """Vectorized G7/K15 on a batch of panels; returns estimates and errors."""
-    mid = 0.5 * (lo + hi)
+
+def _one_form(k):
+    """Sorted form indices k as one int when they all name one form (whose
+    fields `QuadFormBatch` then gives as plain numbers), else as they are."""
+    return int(k[0]) if k[0] == k[-1] else k
+
+
+def _gk15(f, lo, hi, k):
+    """The panels' half-widths and G7/K15 node values, node j of panel i at
+    [j, i], panel i belonging to inversion k[i] (or all to inversion k).
+    f(nodes, k) sees at most PANEL_CHUNK panels at a time."""
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
+    nodes = 0.5 * (lo + hi) + half * _NODES[:, None]
+    if lo.size <= PANEL_CHUNK:
+        return half, f(nodes, k if isinstance(k, int) else _one_form(k))
+    vals = np.empty_like(nodes)
+    for start in range(0, lo.size, PANEL_CHUNK):
+        cols = slice(start, start + PANEL_CHUNK)
+        vals[:, cols] = f(nodes[:, cols], k if isinstance(k, int) else _one_form(k[cols]))
+    return half, vals
+
+
+def _gk15_sums(half, vals):
+    """The Kronrod estimates of one inversion's panels, and their errors."""
+    vals = np.ascontiguousarray(vals.T)   # (panels, 15): the BLAS dot products of a lone call
     kron = half * (vals @ _W_KRONROD)
     gauss = half * (vals @ _W_GAUSS)
     return kron, np.abs(kron - gauss)
@@ -223,60 +297,60 @@ def _gk15(f, lo, hi):
 
 _LADDER = np.ldexp(1.0, np.arange(-40, 200))   # probed frequencies, in units of c
 _LADDER_CHUNK = 80                             # divides _LADDER.size
-_FIRST_PROBES = np.append(0.0, _LADDER[:_LADDER_CHUNK])
+_FIRST_PROBES = np.append(0.0, _LADDER[:_LADDER_CHUNK])[:, None]
+_EDGE_DROP = 0.5 * np.log1p(_FIRST_PROBES[1:] ** 2)
+_PANEL_WIDTHS = np.append(1.0, _LADDER[40:])   # [0, 1], then [2^k, 2^(k+1)], in units of the first
+_LADDER_MEMBERS = PANEL_CHUNK * _NODES.size // _FIRST_PROBES.size   # per probe call
 MAX_PANELS = 60_000         # each refinement adds a panel, so this bounds the loop
 
 
-def _panel_ladder(log_m, g: float, c: float, tol: float) -> tuple[float, float, float]:
-    """The first panel edge, the truncation limit and the tail gauge there,
-    all frequencies c 2^k, probed in chunks of one `log_m` call each.  The
-    edge is where the envelope |M(c + jw) / (c + jw)| has fallen by 1/32: at
-    sigma/4 for a Gaussian of width sigma = (Var_c + 1/c^2)^(-1/2).  The limit
-    is the first frequency past it where min(A, 2 A / (|g| w)) / pi, with
-    A = |M(c + jw) e^{-(c + jw) g}|, is below tol / 8."""
-    log_amp = np.real(log_m(c * _FIRST_PROBES)) - c * g
-    drop = log_amp[0] - log_amp[1:] + 0.5 * np.log1p(_FIRST_PROBES[1:] ** 2)
-    first = c * float(_FIRST_PROBES[1 + np.argmax(drop >= 1.0 / 32.0)])
-    for start in range(0, _LADDER.size, _LADDER_CHUNK):
-        omega = c * _LADDER[start:start + _LADDER_CHUNK]
-        amp = np.exp(np.real(log_m(omega)) - c * g if start else log_amp[1:])
-        tail = np.minimum(amp, 2.0 * amp / (max(abs(g), 1e-3) * omega)) / math.pi
-        done = (omega > first) & (tail < tol / 8.0)
-        if done.any():
-            k = int(np.argmax(done))
-            return first, float(omega[k]), float(tail[k])
-    raise AccuracyError("could not find a finite truncation limit")
+def _panel_ladder(log_m, g, c, tol):
+    """Per member: the first panel edge, the truncation limit and the tail
+    gauge there, all frequencies c 2^k, probed in chunks of one `log_m` call
+    each for up to _LADDER_MEMBERS members.  The edge is where the envelope
+    |M(c + jw) / (c + jw)| has fallen by 1/32: at sigma/4 for a Gaussian of
+    width sigma = (Var_c + 1/c^2)^(-1/2).  The limit is the first frequency
+    past it where min(A, 2 A / (|g| w)) / pi, with A = |M(c + jw) e^{-(c + jw) g}|,
+    is below tol / 8."""
+    first, limit, gauge = np.empty((3, g.size))
+    for start in range(0, g.size, _LADDER_MEMBERS):
+        part = slice(start, start + _LADDER_MEMBERS)
+        k = np.arange(g.size)[part]
+        cc, cg = c[part], c[part] * g[part]
+        gm, tol8 = np.maximum(np.abs(g[part]), 1e-3), tol[part] / 8.0
+        log_amp = np.real(log_m(cc * _FIRST_PROBES, _one_form(k))) - cg
+        drop = log_amp[0] - log_amp[1:] + _EDGE_DROP
+        edge = first[part] = cc * _FIRST_PROBES[1 + (drop >= 1.0 / 32.0).argmax(axis=0), 0]
+        for chunk in range(0, _LADDER.size, _LADDER_CHUNK):
+            omega = cc * _LADDER[chunk:chunk + _LADDER_CHUNK, None]
+            amp = np.exp(np.real(log_m(omega, _one_form(k))) - cg if chunk else log_amp[1:])
+            tail = np.minimum(amp, 2.0 * amp / (gm * omega)) / math.pi
+            done = (omega > edge) & (tail < tol8)
+            at = done.argmax(axis=0), np.arange(k.size)
+            hit = done[at]
+            if hit.all():
+                limit[k], gauge[k] = omega[at], tail[at]
+                break
+            limit[k[hit]], gauge[k[hit]] = omega[at][hit], tail[at][hit]
+            k, cc, cg, gm, tol8, edge = (x[~hit] for x in (k, cc, cg, gm, tol8, edge))
+        else:
+            raise AccuracyError("could not find a finite truncation limit")
+    return first, limit, gauge
 
 
-def gil_pelaez_cdf(log_m, g: float, c: float, *, tol: float = 1e-6) -> tuple[float, float]:
-    """P(G >= g) by inversion along the line Re z = c, 0 < c < s_max, and an
-    error estimate (not a bound: in a far tail it can understate the error).
-
-    `log_m(w)` maps a float ndarray of frequencies to a complex log M(c + jw)
-    on any branch, such as `np.log(cf(w - 1j * c))` of a closed-form CF.  The
-    panels, [0, sigma/4] and dyadic above it up to the truncation limit
-    (`_panel_ladder`), each cut to at most one period 2 pi / |g|, are bisected
-    until the error estimate meets `tol`.  Raises :class:`AccuracyError`, not
-    a degraded value, when the panels exceed `MAX_PANELS` or when no panel
-    qualifies for a split (a nan in the integrand).
-    """
-
-    def integrand(w):
-        log_w = log_m(w)
-        theta = log_w.imag - w * g
-        return (np.exp(log_w.real - c * g) * (c * np.cos(theta) + w * np.sin(theta))
-                / (math.pi * (c * c + w * w)))
-
-    first, omega_hi, tail = _panel_ladder(log_m, g, c, tol)
-    doublings = np.arange(round(math.log2(omega_hi / first)) + 1)
-    width = np.diff(np.append(0.0, first * np.ldexp(1.0, doublings)))
+def _first_panels(first: float, omega_hi: float, g: float):
+    """Initial panels [0, first], then dyadic up to omega_hi, each cut to at
+    most one period 2 pi / |g|."""
+    width = first * _PANEL_WIDTHS[:round(math.log2(omega_hi / first)) + 1]
     pieces = np.ceil(width * (abs(g) / (2.0 * math.pi))).clip(1).astype(int)
     hi = np.cumsum(np.repeat(width / pieces, pieces))
-    lo = np.append(0.0, hi[:-1])
+    if hi.size > MAX_PANELS:
+        raise AccuracyError(f"panel budget exceeded ({hi.size} initial panels)")
+    return np.append(0.0, hi[:-1]), hi
 
-    if lo.size > MAX_PANELS:
-        raise AccuracyError(f"panel budget exceeded ({lo.size} initial panels)")
-    vals, errs = _gk15(integrand, lo, hi)
+
+def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
+    """Bisect member k's panels until their error estimate meets tol."""
     while not errs.sum() <= tol / 2.0:   # a nan error enters too, and raises below
         total_err = errs.sum()
         if lo.size > MAX_PANELS:
@@ -288,44 +362,115 @@ def gil_pelaez_cdf(log_m, g: float, c: float, *, tol: float = 1e-6) -> tuple[flo
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _gk15(integrand, new_lo, new_hi)
+        new_vals, new_errs = _gk15_sums(*_gk15(f, new_lo, new_hi, k))
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-    return min(max(float(vals.sum()), 0.0), 1.0), float(errs.sum()) + tail
+    return min(max(float(vals.sum()), 0.0), 1.0), float(errs.sum())
+
+
+def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
+    """P(G >= g) by inversion along the line Re z = c, 0 < c < s_max, and an
+    error estimate (not a bound: in a far tail it can understate the error).
+
+    `log_m(w)` maps a float ndarray of frequencies to a complex log M(c + jw)
+    on any branch, such as `np.log(cf(w - 1j * c))` of a closed-form CF.  The
+    panels, [0, sigma/4] and dyadic above it up to the truncation limit
+    (`_panel_ladder`), each cut to at most one period 2 pi / |g|, are bisected
+    until the error estimate meets `tol`.  Raises :class:`AccuracyError`, not
+    a degraded value, when the panels exceed `MAX_PANELS` or when no panel
+    qualifies for a split (a nan in the integrand).
+
+    A batch of K inversions takes (K,) arrays g, c and tol and returns (K,)
+    arrays; `log_m(w, k)` then gets the inversion k (an int) or inversions
+    k (an (n,) int array, one per column of w) the frequencies w belong to.
+    The truncation probes and the first panels of all inversions are
+    evaluated together, then each inversion is refined on its own.
+    """
+    if np.ndim(g) == 0:
+        tail, err = gil_pelaez_cdf(lambda w, k: log_m(w), np.array([g], dtype=float),
+                                   np.array([c], dtype=float), tol=np.array([tol], dtype=float))
+        return float(tail[0]), float(err[0])
+
+    def integrand(w, k):
+        log_w = log_m(w, k)
+        gk, ck = g[k], c[k]
+        theta = log_w.imag - w * gk
+        return (np.exp(log_w.real - ck * gk) * (ck * np.cos(theta) + w * np.sin(theta))
+                / (math.pi * (ck * ck + w * w)))
+
+    first, omega_hi, gauge = _panel_ladder(log_m, g, c, tol)
+    panels = [_first_panels(*member)
+              for member in zip(first.tolist(), omega_hi.tolist(), g.tolist())]
+    sizes = [lo.size for lo, _ in panels]
+    ends = np.cumsum(sizes)
+    tail, err = np.empty((2, g.size))
+    start = 0
+    while start < g.size:   # members with at most MAX_PANELS first panels in all, or one
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + MAX_PANELS,
+                                                  side="right")))
+        lo, hi = (np.concatenate(p) for p in zip(*panels[start:stop]))
+        half, vals = _gk15(integrand, lo, hi, np.repeat(np.arange(start, stop), sizes[start:stop]))
+        b = 0
+        for k in range(start, stop):
+            a, b = b, b + sizes[k]
+            tail[k], err[k] = _refine(integrand, k, lo[a:b], hi[a:b],
+                                      *_gk15_sums(half[a:b], vals[:, a:b]), tol[k])
+        start = stop
+    return tail, err + gauge
 
 
 def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
     """Outage probability of one user via characteristic-function inversion."""
+    return analytic_outages([config], user)[0]
+
+
+def analytic_outages(configs, user: int) -> list[OutageResult]:
+    """One user's outage probability at each of a batch of configs, in one
+    pass: one saddle-point grid for all, the Chernoff shortcut decided per
+    config, and one batched inversion (`gil_pelaez_cdf`) of the rest.  A
+    failure of any config raises."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
-    if config.joint_outage_u2 and user != config.active_user:
+    if any(c.joint_outage_u2 and user != c.active_user for c in configs):
         raise NotImplementedError(
             "joint decode outage is simulation-only; unset joint_outage_u2"
         )
-    digest = config.digest()
-    v = rate_to_threshold(config.rate_threshold_bps_hz)
-    if v <= 0.0:
-        return OutageResult(op=0.0, trials=0, std_err=0.0, method="analytic",
-                            user=user, config_digest=digest)
+    v = [rate_to_threshold(c.rate_threshold_bps_hz) for c in configs]
+    live = [i for i, x in enumerate(v) if x > 0.0]
+    out = [(0.0, 0.0)] * len(configs)   # a threshold of 0 is never missed
+    if live:
+        for i, result in zip(live, _outage_probabilities([configs[i] for i in live], user,
+                                                         [v[i] for i in live])):
+            out[i] = result
+    return [OutageResult(op=p, trials=0, std_err=e, method="analytic",
+                         user=user, config_digest=c.digest())
+            for c, (p, e) in zip(configs, out)]
 
-    spec = build_quadform(config, user)
-    g = dbm_to_watt(config.w0_dbm) * v
 
+def _outage_probabilities(configs, user: int, v) -> list[tuple[float, float]]:
+    """(outage probability, error) at configs with thresholds v > 0."""
+    specs = [build_quadform(c, user) for c in configs]
     # normalized, the tail on the threshold's side of the mean is the upper
     # tail of G or of -G; far out, a proven bound pins it to 0 as its error
-    upper = g > spec.mean()
-    scale = math.sqrt(spec.variance())
-    side = spec.scaled((1.0 if upper else -1.0) / scale)
-    g_side = (g if upper else -g) / scale
+    sides = []
+    for config, spec, v_ in zip(configs, specs, v):
+        g = dbm_to_watt(config.w0_dbm) * v_
+        upper = g > spec.mean()
+        scale = math.sqrt(spec.variance())
+        sides.append(((1.0 if upper else -1.0) / scale, (g if upper else -g) / scale,
+                      config.quad_tol, upper))
+    factor, g_side, quad_tol, upper = np.array(sides).T
+    side = QuadFormBatch.of(specs).scaled(factor)
     bound, c, log_mc = saddle_point(side, g_side)
-    if bound <= 1e-3 * config.quad_tol:
-        tail, err = 0.0, bound
-    else:
+    tail, err = np.zeros(len(specs)), bound.copy()
+    inv = ~(bound <= 1e-3 * quad_tol)
+    if inv.any():
+        tol = np.minimum(quad_tol, 1e-4 * bound)
+        if not inv.all():
+            side, g_side, c, log_mc, tol = side[inv], *np.array([g_side, c, log_mc, tol])[:, inv]
         tilted = side.tilted(c)
-        tail, err = gil_pelaez_cdf(lambda w: log_mc + log_cf(tilted, w), g_side, c,
-                                   tol=min(config.quad_tol, 1e-4 * bound))
-    p = 1.0 - tail if upper else tail
-    return OutageResult(op=p, trials=0, std_err=err, method="analytic",
-                        user=user, config_digest=digest)
+        tail[inv], err[inv] = gil_pelaez_cdf(lambda w, k: log_mc[k] + log_cf(tilted[k], w),
+                                             g_side, c, tol=tol)
+    return [(1.0 - t if u else t, e) for t, e, u in zip(tail.tolist(), err.tolist(), upper)]

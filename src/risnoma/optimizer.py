@@ -10,10 +10,11 @@ absolute performance.  When one user is unservable everywhere in the
 interval the search falls back to minimizing the servable user's outage
 alone.
 
-A coarse grid over the whole interval is the global search; golden-section
-then refines inside the one-grid-step bracket around the grid's argmin,
-where the objective is single-dipped or flat (where the gain cap or floor
-binds).
+A coarse grid over the whole interval is the global search, its distinct
+gains evaluated in one batch (`outage_pairs`); golden-section then refines
+inside the one-grid-step bracket around the grid's argmin, one budget at a
+time, where the objective is single-dipped or flat (where the gain cap or
+floor binds).
 """
 
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import analytic_outage
+from .analytic import analytic_outages
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pair
 from .ris import _alpha_at_budget
@@ -42,16 +43,23 @@ class OptimizationOutcome:
     delta: float     # max(op1, op2) at the optimum, the fairness ceiling
     mode: str        # balanced | fallback_user1 | fallback_user2
     evaluations: int  # distinct gains evaluated (budgets sharing a gain count once)
+    results: tuple   # the two users' OutageResults at the optimum
+
+
+def outage_pairs(configs, method: str, *, workers: int = 1):
+    """Both users' OutageResults at each config by one of METHODS: "mc"
+    simulates config by config (with `workers` processes), "analytic" inverts
+    all configs' characteristic functions in one batch per user."""
+    if method == "mc":
+        return [estimate_outage_pair(config, workers=workers) for config in configs]
+    if method == "analytic":
+        return list(zip(analytic_outages(configs, 1), analytic_outages(configs, 2)))
+    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def outage_pair(config: SystemConfig, method: str, *, workers: int = 1):
-    """Both users' OutageResults by one of METHODS: "mc" simulates (with
-    `workers` processes), "analytic" inverts the characteristic function."""
-    if method == "mc":
-        return estimate_outage_pair(config, workers=workers)
-    if method == "analytic":
-        return analytic_outage(config, 1), analytic_outage(config, 2)
-    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    """`outage_pairs` at one config."""
+    return outage_pairs([config], method, workers=workers)[0]
 
 
 def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
@@ -103,17 +111,27 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
 
     # both evaluators see the budget only through the gain it implies, and
     # the gain clamps at 0 and 30 dB, so many budgets share one evaluation
-    cache: dict[float, tuple[float, float]] = {}
+    cache: dict[float, tuple] = {}
+
+    def evaluate(budgets) -> list[float]:
+        """The budgets' gains; those not cached yet are evaluated in one batch."""
+        gains = [_alpha_at_budget(config, x) for x in budgets]
+        todo: dict[float, float] = {}
+        for gain, x in zip(gains, budgets):
+            if gain not in cache:
+                todo.setdefault(gain, x)
+        if todo:
+            pairs = outage_pairs([at_budget(config, x) for x in todo.values()], evaluator,
+                                 workers=workers)
+            cache.update(zip(todo, pairs))
+        return gains
 
     def pair_at(x: float) -> tuple[float, float]:
-        gain = _alpha_at_budget(config, x)
-        if gain not in cache:
-            r1, r2 = outage_pair(at_budget(config, x), evaluator, workers=workers)
-            cache[gain] = (r1.op, r2.op)
-        return cache[gain]
+        r1, r2 = cache[evaluate([x])[0]]
+        return r1.op, r2.op
 
     grid = [float(x) for x in np.arange(lo, hi + GRID_STEP_DB / 2.0, GRID_STEP_DB)]
-    grid_pairs = [pair_at(x) for x in grid]
+    grid_pairs = [(r1.op, r2.op) for r1, r2 in map(cache.get, evaluate(grid))]
 
     if all(p2 >= TAU for _, p2 in grid_pairs):
         mode = "fallback_user1"
@@ -151,13 +169,15 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
             x = best_x
 
     op1, op2 = pair_at(x)
+    alpha = _alpha_at_budget(config, x)
     return OptimizationOutcome(
         pt_ris_dbm=x,
-        alpha=_alpha_at_budget(config, x),
+        alpha=alpha,
         op1=op1,
         op2=op2,
         gap=abs(op1 - op2),
         delta=max(op1, op2),
         mode=mode,
         evaluations=len(cache),
+        results=cache[alpha],
     )

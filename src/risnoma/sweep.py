@@ -149,11 +149,12 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
     digest = config.digest()
     mode = config.alpha_mode
     eval_config = config
+    known = {}   # method -> its pair at the optimum, as the search evaluated it
 
     if config.alpha_mode == "optimized":
         t0 = time.perf_counter()
         try:
-            outcome = optimize(config)
+            outcome = optimize(config, evaluator="analytic")
         except Exception as exc:  # the point fails; the run continues
             ms = (time.perf_counter() - t0) * 1e3
             return _error_rows(sweep_param, sweep_value, methods, exc,
@@ -161,6 +162,7 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
         opt_ms = (time.perf_counter() - t0) * 1e3
         eval_config = at_budget(config, outcome.pt_ris_dbm)
         mode = outcome.mode
+        known["analytic"] = outcome.results
     else:
         opt_ms = 0.0
     alpha = resolve_alpha(eval_config)
@@ -168,7 +170,7 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
     for method in methods:
         t0 = time.perf_counter()
         try:
-            pair = outage_pair(eval_config, method, workers=workers)
+            pair = known.get(method) or outage_pair(eval_config, method, workers=workers)
             ms = (time.perf_counter() - t0) * 1e3 + opt_ms
             for res in pair:
                 rows.append(ResultRow(

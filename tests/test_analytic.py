@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats as sstats
 import risnoma as rn
 from risnoma.analytic import (QfComponent, QuadFormSpec, _panel_ladder, chernoff_bound,
                               saddle_point)
+from risnoma.optimizer import at_budget
 from conftest import mc_outage, unit_config
 
 PI = np.pi
@@ -316,6 +318,11 @@ class TestGilPelaez:
                     return first, w
             raise AssertionError("no limit below c 2^200")
 
+        def ladder(log_m, g, c, tol):
+            # _panel_ladder on a batch of one inversion
+            out = _panel_ladder(lambda w, k: log_m(w), *(np.array([x]) for x in (g, c, tol)))
+            return tuple(float(x[0]) for x in out)
+
         def at_saddle(spec, g):
             _, c, log_mc = saddle_point(spec, g)
             tilted = spec.tilted(c)
@@ -335,13 +342,13 @@ class TestGilPelaez:
         for log_m, g, c in cases:
             first, limit = one_at_a_time(log_m, g, c)
             spans.add(round(math.log2(limit / first)))
-            assert _panel_ladder(log_m, g, c, 1e-6)[:2] == (first, limit)
+            assert ladder(log_m, g, c, 1e-6)[:2] == (first, limit)
         assert min(spans) <= 4 and max(spans) >= 15
         # an undamped CF (a point mass at 0.3) at a tight tolerance runs to
         # the last gauge, 2^43, past the first chunk of probed frequencies
         point_mass = lambda w: 0.3 * (1.0 + 1j * w)
         assert one_at_a_time(point_mass, 0.0, 1.0, tol=1e-9)[1] == 2.0**43
-        assert _panel_ladder(point_mass, 0.0, 1.0, 1e-9)[1] == 2.0**43
+        assert ladder(point_mass, 0.0, 1.0, 1e-9)[1] == 2.0**43
 
     def test_accuracy_error_is_loud(self, monkeypatch):
         monkeypatch.setattr(rn.analytic, "MAX_PANELS", 2)
@@ -445,6 +452,71 @@ class TestAnalyticOutage:
         assert rn.analytic_outage(low, 2).op == pytest.approx(0.0, abs=1e-4)
         high = unit_config(w0_dbm=250.0, pt_user_dbm=30.0)
         assert rn.analytic_outage(high, 2).op == pytest.approx(1.0, abs=1e-4)
+
+
+class TestBatchedOutages:
+    """analytic_outages over the 1 dB budget grid against one-config calls."""
+
+    CASES = {
+        "default": {},
+        "gain cap plateau": dict(m_active=64, n_passive=64),
+        "sic residue": dict(epsilon_sic=0.01),          # a five-component user-2 form
+        "active user 2": dict(active_user=2),
+        "zero rate": dict(rate_threshold_bps_hz=0.0),   # v <= 0: nothing to invert
+        "refined": dict(rate_threshold_bps_hz=8.0),     # user 1 bisects its panels
+    }
+
+    @staticmethod
+    def _grid(case):
+        cfg = rn.validate(replace(rn.SystemConfig(), **TestBatchedOutages.CASES[case]))
+        return [at_budget(cfg, float(x)) for x in range(-70, -9)]
+
+    @pytest.mark.parametrize("user", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_matches_one_config_calls(self, case, user):
+        grid = self._grid(case)
+        for config, res in zip(grid, rn.analytic_outages(grid, user)):
+            one = rn.analytic_outage(config, user)
+            assert (res.user, res.config_digest, res.method) == (user, config.digest(), "analytic")
+            assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
+            assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
+
+    def test_forms_of_different_sizes_share_a_batch(self):
+        # user 2 has three components without a SIC residue and five with
+        # one; the shorter form is padded with zero-weight components
+        cfgs = [rn.validate(replace(rn.SystemConfig(), epsilon_sic=eps))
+                for eps in (0.0, 0.01, 0.0)]
+        assert [len(rn.build_quadform(c, 2).components) for c in cfgs] == [3, 5, 3]
+        for config, res in zip(cfgs, rn.analytic_outages(cfgs, 2)):
+            one = rn.analytic_outage(config, 2)
+            assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
+            assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
+
+    def test_cases_reach_the_shortcut_and_refinement(self, monkeypatch):
+        inverted, refined = [], []
+        gp, gk15 = rn.analytic.gil_pelaez_cdf, rn.analytic._gk15
+
+        def counted_gp(log_m, g, c, *, tol):
+            inverted.append(np.size(g))
+            return gp(log_m, g, c, tol=tol)
+
+        def counted_gk15(f, lo, hi, k):
+            refined.append(isinstance(k, int))   # an int: one inversion's bisection
+            return gk15(f, lo, hi, k)
+
+        monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", counted_gp)
+        monkeypatch.setattr(rn.analytic, "_gk15", counted_gk15)
+        for case, user in (("default", 2), ("zero rate", 1), ("refined", 1)):
+            inverted.clear()
+            refined.clear()
+            grid = self._grid(case)
+            rn.analytic_outages(grid, user)
+            if case == "default":
+                assert inverted == [42] and not any(refined)   # 19 far tails take the bound
+            elif case == "zero rate":
+                assert inverted == []
+            else:
+                assert sum(refined) > 0
 
 
 def _normalized(cfg, user):
