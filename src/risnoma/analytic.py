@@ -12,7 +12,9 @@ few nodes and has relative accuracy (Rice, SIAM J. Sci. Stat. Comput. 1 (1980)):
 
     P(G >= g) = (1/pi) * integral_0^inf Re[M(c + jw) e^{-(c + jw) g} / (c + jw)] dw
 
-It is skipped where a Chernoff bound proves the tail below 1e-3 quad_tol.
+The integral is truncated where the oscillating tail past the limit comes
+by parts from one term, or is negligible.  It is skipped where a Chernoff
+bound proves the tail below 1e-3 quad_tol.
 """
 
 import math
@@ -297,45 +299,71 @@ def _gk15_sums(half, vals):
 
 _LADDER = np.ldexp(1.0, np.arange(-40, 200))   # probed frequencies, in units of c
 _LADDER_CHUNK = 80                             # divides _LADDER.size
-_FIRST_PROBES = np.append(0.0, _LADDER[:_LADDER_CHUNK])[:, None]
-_EDGE_DROP = 0.5 * np.log1p(_FIRST_PROBES[1:] ** 2)
+_EDGE_DROP = 0.5 * np.log1p(_LADDER[:_LADDER_CHUNK, None] ** 2)
+_STEP = 2.0**-12                               # relative step of the central difference
+_SHIFTS = np.repeat([1.0, 1.0 + _STEP, 1.0 - _STEP], _LADDER_CHUNK)[:, None]
 _PANEL_WIDTHS = np.append(1.0, _LADDER[40:])   # [0, 1], then [2^k, 2^(k+1)], in units of the first
-_LADDER_MEMBERS = PANEL_CHUNK * _NODES.size // _FIRST_PROBES.size   # per probe call
 MAX_PANELS = 60_000         # each refinement adds a panel, so this bounds the loop
 
 
 def _panel_ladder(log_m, g, c, tol):
-    """Per member: the first panel edge, the truncation limit and the tail
-    gauge there, all frequencies c 2^k, probed in chunks of one `log_m` call
-    each for up to _LADDER_MEMBERS members.  The edge is where the envelope
-    |M(c + jw) / (c + jw)| has fallen by 1/32: at sigma/4 for a Gaussian of
+    """Per member: the first panel edge, the truncation limit W, the tail
+    past W and its error estimate, all frequencies c 2^k, probed in chunks
+    of one `log_m` call each for up to PANEL_CHUNK * 15 nodes.  With the
+    integrand Re[H(w) e^{-jwg}], H(w) = M(c + jw) e^{-cg} / (pi (c + jw)):
+
+    the edge is where |H| has fallen by 1/32, at sigma/4 for a Gaussian of
     width sigma = (Var_c + 1/c^2)^(-1/2).  The limit is the first frequency
-    past it where min(A, 2 A / (|g| w)) / pi, with A = |M(c + jw) e^{-(c + jw) g}|,
-    is below tol / 8."""
-    first, limit, gauge = np.empty((3, g.size))
-    for start in range(0, g.size, _LADDER_MEMBERS):
-        part = slice(start, start + _LADDER_MEMBERS)
-        k = np.arange(g.size)[part]
-        cc, cg = c[part], c[part] * g[part]
-        gm, tol8 = np.maximum(np.abs(g[part]), 1e-3), tol[part] / 8.0
-        log_amp = np.real(log_m(cc * _FIRST_PROBES, _one_form(k))) - cg
-        drop = log_amp[0] - log_amp[1:] + _EDGE_DROP
-        edge = first[part] = cc * _FIRST_PROBES[1 + (drop >= 1.0 / 32.0).argmax(axis=0), 0]
+    past it where the by-parts remainder 2 |H'(W)| / g^2 (Bleistein &
+    Handelsman, Asymptotic Expansions of Integrals (1975), ch. 3) or, for
+    small |g|, the envelope estimate min(A, 2 A / (|g| w)) / pi, with
+    A = pi |c + jw| |H| and |g| at least 1e-3, is below tol / 8.  The
+    smaller of the two is the error; where it is the remainder, the tail is
+    the leading term Re[H(W) e^{-jWg} / (jg)].  H'/H = L' - j / (c + jw),
+    L' a central difference of log_m at relative step _STEP with its
+    imaginary part wrapped into [-pi, pi]."""
+    first, limit, past, gauge = np.zeros((4, g.size))
+    members = max(1, PANEL_CHUNK * _NODES.size // (_SHIFTS.size + 1))
+    for start in range(0, g.size, members):
+        k = np.arange(g.size)[start:start + members]
+        cc, gg, tol8 = c[k], g[k], tol[k] / 8.0
+        edge = None
         for chunk in range(0, _LADDER.size, _LADDER_CHUNK):
             omega = cc * _LADDER[chunk:chunk + _LADDER_CHUNK, None]
-            amp = np.exp(np.real(log_m(omega, _one_form(k))) - cg if chunk else log_amp[1:])
-            tail = np.minimum(amp, 2.0 * amp / (gm * omega)) / math.pi
-            done = (omega > edge) & (tail < tol8)
+            probes = np.tile(omega, (3, 1)) * _SHIFTS
+            if edge is None:
+                probes = np.vstack([np.zeros_like(cc), probes])
+            lm = log_m(probes, _one_form(k))
+            if edge is None:
+                log_zero, lm = np.real(lm[0]), lm[1:]
+                drop = log_zero - np.real(lm[:_LADDER_CHUNK]) + _EDGE_DROP
+                edge = cc * _LADDER[(drop >= 1.0 / 32.0).argmax(axis=0)]
+                first[k] = edge
+            lw, lp, lq = lm.reshape(3, _LADDER_CHUNK, k.size)
+            # a closed-form CF's log is -inf where it underflows: L' is taken as 0 there
+            both = np.isfinite(lp.real) & np.isfinite(lq.real)
+            dl = np.subtract(lp, lq, out=np.zeros_like(lw), where=both)
+            dl.imag -= (2.0 * math.pi) * np.round(dl.imag / (2.0 * math.pi))
+            z = cc + 1j * omega
+            amp = np.exp(lw.real - cc * gg)
+            dh2 = 2.0 * amp / (math.pi * np.abs(z)) * np.abs(dl / (2.0 * _STEP * omega) - 1j / z)
+            env = np.minimum(amp, 2.0 * amp / (np.maximum(np.abs(gg), 1e-3) * omega)) / math.pi
+            g2 = gg * gg
+            by_parts = dh2 < env * g2          # the remainder 2 |H'| / g^2 is the smaller
+            done = (omega > edge) & ((dh2 < tol8 * g2) | (env < tol8))
             at = done.argmax(axis=0), np.arange(k.size)
             hit = done[at]
+            use = hit & by_parts[at]           # never at g = 0
+            limit[k[hit]], gauge[k[hit]] = omega[at][hit], env[at][hit]
+            w, gu = omega[at][use], gg[use]
+            h = amp[at][use] * np.exp(1j * (lw.imag[at][use] - w * gu)) / (math.pi * z[at][use])
+            past[k[use]], gauge[k[use]] = (h / (1j * gu)).real, dh2[at][use] / g2[use]
             if hit.all():
-                limit[k], gauge[k] = omega[at], tail[at]
                 break
-            limit[k[hit]], gauge[k[hit]] = omega[at][hit], tail[at][hit]
-            k, cc, cg, gm, tol8, edge = (x[~hit] for x in (k, cc, cg, gm, tol8, edge))
+            k, cc, gg, tol8, edge = (x[~hit] for x in (k, cc, gg, tol8, edge))
         else:
             raise AccuracyError("could not find a finite truncation limit")
-    return first, limit, gauge
+    return first, limit, past, gauge
 
 
 def _first_panels(first: float, omega_hi: float, g: float):
@@ -367,7 +395,7 @@ def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
         hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-    return min(max(float(vals.sum()), 0.0), 1.0), float(errs.sum())
+    return float(vals.sum()), float(errs.sum())
 
 
 def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
@@ -376,11 +404,16 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
 
     `log_m(w)` maps a float ndarray of frequencies to a complex log M(c + jw)
     on any branch, such as `np.log(cf(w - 1j * c))` of a closed-form CF.  The
-    panels, [0, sigma/4] and dyadic above it up to the truncation limit
+    panels, [0, sigma/4] and dyadic above it up to the truncation limit W
     (`_panel_ladder`), each cut to at most one period 2 pi / |g|, are bisected
-    until the error estimate meets `tol`.  Raises :class:`AccuracyError`, not
-    a degraded value, when the panels exceed `MAX_PANELS` or when no panel
-    qualifies for a split (a nan in the integrand).
+    until the error estimate meets `tol`.  The tail past W is the leading
+    term of its integration by parts, Re[H(W) e^{-jWg} / (jg)] with
+    H(w) = M(c + jw) e^{-cg} / (pi (c + jw)), whose remainder, estimated as
+    2 |H'(W)| / g^2, joins the error; near g = 0, where that fails, W lies
+    where the integrand's envelope is negligible.  Raises
+    :class:`AccuracyError`, not a degraded value, when the panels exceed
+    `MAX_PANELS` or when no panel qualifies for a split (a nan in the
+    integrand).
 
     A batch of K inversions takes (K,) arrays g, c and tol and returns (K,)
     arrays; `log_m(w, k)` then gets the inversion k (an int) or inversions
@@ -400,7 +433,7 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
         return (np.exp(log_w.real - ck * gk) * (ck * np.cos(theta) + w * np.sin(theta))
                 / (math.pi * (ck * ck + w * w)))
 
-    first, omega_hi, gauge = _panel_ladder(log_m, g, c, tol)
+    first, omega_hi, past, gauge = _panel_ladder(log_m, g, c, tol)
     panels = [_first_panels(*member)
               for member in zip(first.tolist(), omega_hi.tolist(), g.tolist())]
     sizes = [lo.size for lo, _ in panels]
@@ -418,6 +451,7 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
             tail[k], err[k] = _refine(integrand, k, lo[a:b], hi[a:b],
                                       *_gk15_sums(half[a:b], vals[:, a:b]), tol[k])
         start = stop
+    tail = np.clip(tail + past, 0.0, 1.0)
     return tail, err + gauge
 
 
@@ -428,12 +462,18 @@ def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
 
 def analytic_outages(configs, user: int) -> list[OutageResult]:
     """One user's outage probability at each of a batch of configs, in one
-    pass: one saddle-point grid for all, the Chernoff shortcut decided per
-    config, and one batched inversion (`gil_pelaez_cdf`) of the rest.  A
-    failure of any config raises."""
+    pass (`_outage_results`).  A failure of any config raises."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
-    if any(c.joint_outage_u2 and user != c.active_user for c in configs):
+    return _outage_results(configs, [user] * len(configs), [c.digest() for c in configs])
+
+
+def _outage_results(configs, users, digests) -> list[OutageResult]:
+    """The OutageResult of users[i] (1 or 2) at configs[i], tagged
+    digests[i], for every i in one pass: one saddle-point grid for all, the
+    Chernoff shortcut decided per member, and one batched inversion
+    (`gil_pelaez_cdf`) of the rest."""
+    if any(c.joint_outage_u2 and u != c.active_user for c, u in zip(configs, users)):
         raise NotImplementedError(
             "joint decode outage is simulation-only; unset joint_outage_u2"
         )
@@ -441,17 +481,16 @@ def analytic_outages(configs, user: int) -> list[OutageResult]:
     live = [i for i, x in enumerate(v) if x > 0.0]
     out = [(0.0, 0.0)] * len(configs)   # a threshold of 0 is never missed
     if live:
-        for i, result in zip(live, _outage_probabilities([configs[i] for i in live], user,
-                                                         [v[i] for i in live])):
+        for i, result in zip(live, _outage_probabilities(
+                [configs[i] for i in live], [users[i] for i in live], [v[i] for i in live])):
             out[i] = result
-    return [OutageResult(op=p, trials=0, std_err=e, method="analytic",
-                         user=user, config_digest=c.digest())
-            for c, (p, e) in zip(configs, out)]
+    return [OutageResult(op=p, trials=0, std_err=e, method="analytic", user=u, config_digest=d)
+            for (p, e), u, d in zip(out, users, digests)]
 
 
-def _outage_probabilities(configs, user: int, v) -> list[tuple[float, float]]:
-    """(outage probability, error) at configs with thresholds v > 0."""
-    specs = [build_quadform(c, user) for c in configs]
+def _outage_probabilities(configs, users, v) -> list[tuple[float, float]]:
+    """(outage probability, error) of users at configs with thresholds v > 0."""
+    specs = [build_quadform(c, u) for c, u in zip(configs, users)]
     # normalized, the tail on the threshold's side of the mean is the upper
     # tail of G or of -G; far out, a proven bound pins it to 0 as its error
     sides = []
@@ -473,4 +512,8 @@ def _outage_probabilities(configs, user: int, v) -> list[tuple[float, float]]:
         tilted = side.tilted(c)
         tail[inv], err[inv] = gil_pelaez_cdf(lambda w, k: log_mc[k] + log_cf(tilted[k], w),
                                              g_side, c, tol=tol)
-    return [(1.0 - t if u else t, e) for t, e, u in zip(tail.tolist(), err.tolist(), upper)]
+    upper = upper == 1.0
+    op = np.where(upper, 1.0 - tail, tail)
+    # 1 - tail is rounded to a double: err is no less than that rounding
+    err = np.where(upper & (tail > 0.0), np.maximum(err, np.spacing(op)), err)
+    return list(zip(op.tolist(), err.tolist()))

@@ -11,7 +11,7 @@ interval the search falls back to minimizing the servable user's outage
 alone.
 
 A coarse grid over the whole interval is the global search, its distinct
-gains evaluated in one batch (`outage_pairs`); golden-section then refines
+gains evaluated in one batch (`_outage_pairs`); golden-section then refines
 inside the one-grid-step bracket around the grid's argmin, one budget at a
 time, where the objective is single-dipped or flat (where the gain cap or
 floor binds).
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import analytic_outages
+from .analytic import _outage_results
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pair
 from .ris import _alpha_at_budget
@@ -49,11 +49,21 @@ class OptimizationOutcome:
 def outage_pairs(configs, method: str, *, workers: int = 1):
     """Both users' OutageResults at each config by one of METHODS: "mc"
     simulates config by config (with `workers` processes), "analytic" inverts
-    all configs' characteristic functions in one batch per user."""
+    both users at all configs in one batch."""
+    return [tuple(replace(r, config_digest=config.digest()) for r in pair)
+            for config, pair in zip(configs, _outage_pairs(configs, method, workers=workers))]
+
+
+def _outage_pairs(configs, method: str, *, workers: int):
+    """`outage_pairs`, but an analytic result's config digest is left empty:
+    the optimizer's probes are fresh configs, and only the pair it returns
+    needs one."""
     if method == "mc":
         return [estimate_outage_pair(config, workers=workers) for config in configs]
     if method == "analytic":
-        return list(zip(analytic_outages(configs, 1), analytic_outages(configs, 2)))
+        n = len(configs)
+        both = _outage_results([*configs, *configs], [1] * n + [2] * n, [""] * (2 * n))
+        return list(zip(both[:n], both[n:]))
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
@@ -121,8 +131,8 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
             if gain not in cache:
                 todo.setdefault(gain, x)
         if todo:
-            pairs = outage_pairs([at_budget(config, x) for x in todo.values()], evaluator,
-                                 workers=workers)
+            pairs = _outage_pairs([at_budget(config, x) for x in todo.values()], evaluator,
+                                  workers=workers)
             cache.update(zip(todo, pairs))
         return gains
 
@@ -170,6 +180,7 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
 
     op1, op2 = pair_at(x)
     alpha = _alpha_at_budget(config, x)
+    digest = at_budget(config, x).digest()
     return OptimizationOutcome(
         pt_ris_dbm=x,
         alpha=alpha,
@@ -179,5 +190,5 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
         delta=max(op1, op2),
         mode=mode,
         evaluations=len(cache),
-        results=cache[alpha],
+        results=tuple(replace(r, config_digest=digest) for r in cache[alpha]),
     )

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -302,20 +303,35 @@ class TestGilPelaez:
         assert all(a <= b + 1e-9 for a, b in zip(ps, ps[1:]))
 
     def test_truncation_limit_matches_doubling_search(self):
-        # the first panel edge and the limit are the ones a search over the
-        # ladder c 2^k, one frequency at a time from k = -40, would find
+        # the first panel edge, the limit and the tail past it are the ones
+        # a search over the ladder c 2^k, one frequency at a time from
+        # k = -40, would find: the limit is the first frequency past the edge
+        # where the by-parts remainder 2 |H'| / g^2 or the envelope estimate
+        # is below tol / 8, H(w) = M(c + jw) e^{-cg} / (pi (c + jw))
+        step = 2.0**-12
+
         def one_at_a_time(log_m, g, c, tol=1e-6):
-            log_amp = lambda w: float(np.real(log_m(np.array([w])))[0]) - c * g
+            log_at = lambda w: complex(log_m(np.array([w]))[0])
             first = None
             for k in range(-40, 200):
                 w = c * 2.0**k
                 if first is None:
-                    if log_amp(0.0) - log_amp(w) + 0.5 * math.log1p((w / c) ** 2) >= 1 / 32:
+                    drop = log_at(0.0).real - log_at(w).real + 0.5 * math.log1p((w / c) ** 2)
+                    if drop >= 1 / 32:
                         first = w
                     continue
-                amp = math.exp(log_amp(w))
-                if min(amp, 2.0 * amp / (max(abs(g), 1e-3) * w)) / math.pi < tol / 8.0:
-                    return first, w
+                z = c + 1j * w
+                h = cmath.exp(log_at(w) - c * g) / (PI * z)
+                d = log_at(w * (1.0 + step)) - log_at(w * (1.0 - step))
+                d = complex(d.real, math.remainder(d.imag, 2.0 * PI))
+                remainder = (2.0 * abs(h * (d / (2.0 * step * w) - 1j / z)) / g**2
+                             if g else math.inf)
+                amp = abs(h * z) * PI
+                envelope = min(amp, 2.0 * amp / (max(abs(g), 1e-3) * w)) / PI
+                if min(remainder, envelope) < tol / 8.0:
+                    if remainder < envelope:
+                        return first, w, (h * cmath.exp(-1j * w * g) / (1j * g)).real, remainder
+                    return first, w, 0.0, envelope
             raise AssertionError("no limit below c 2^200")
 
         def ladder(log_m, g, c, tol):
@@ -338,14 +354,20 @@ class TestGilPelaez:
         cases += [(log_of(lambda w: expo(w - 0.5j)), g, 0.5) for g in (0.5, 2.0)]
         cases += [at_saddle(slow, g) for g in (0.5, 3.0)]
         cases += [at_saddle(norm, g) for g in (norm.mean() + 1.0, norm.mean() + 2.0)]
-        spans = set()
+        spans, by_parts = set(), 0
         for log_m, g, c in cases:
-            first, limit = one_at_a_time(log_m, g, c)
+            first, limit, past, gauge = one_at_a_time(log_m, g, c)
             spans.add(round(math.log2(limit / first)))
-            assert ladder(log_m, g, c, 1e-6)[:2] == (first, limit)
-        assert min(spans) <= 4 and max(spans) >= 15
-        # an undamped CF (a point mass at 0.3) at a tight tolerance runs to
-        # the last gauge, 2^43, past the first chunk of probed frequencies
+            by_parts += past != 0.0
+            found = ladder(log_m, g, c, 1e-6)
+            assert found[:2] == (first, limit)
+            assert found[2:] == pytest.approx((past, gauge), rel=1e-9, abs=1e-300)
+        # short and long ladders, and both tail estimates, are covered
+        assert min(spans) <= 4 and max(spans) >= 14
+        assert 0 < by_parts < len(cases)
+        # an undamped CF (a point mass at 0.3) at g = 0, where no tail comes
+        # by parts, runs on the envelope estimate at a tight tolerance to
+        # 2^43, past the first chunk of probed frequencies
         point_mass = lambda w: 0.3 * (1.0 + 1j * w)
         assert one_at_a_time(point_mass, 0.0, 1.0, tol=1e-9)[1] == 2.0**43
         assert ladder(point_mass, 0.0, 1.0, 1e-9)[1] == 2.0**43
@@ -370,9 +392,10 @@ class TestAnalyticOutage:
         # OP1 and OP2 of the default point as the saddle-line inversion gives
         # them; scipy QAWF on the real axis (real_axis_cdf) gives
         # 9.94076790e-07 and 2.29667390e-05, inside each value's err
+        # (1.0e-11 and 3.4e-10)
         cfg = rn.validate(rn.SystemConfig())
         assert rn.analytic_outage(cfg, 1).op == pytest.approx(9.940765219490504e-07, rel=1e-12)
-        assert rn.analytic_outage(cfg, 2).op == pytest.approx(2.2966476901270122e-05, rel=1e-12)
+        assert rn.analytic_outage(cfg, 2).op == pytest.approx(2.2966628538981072e-05, rel=1e-12)
 
     @pytest.mark.parametrize("user", [1, 2])
     def test_default_point_within_err_of_real_axis_reference(self, user):
@@ -391,6 +414,29 @@ class TestAnalyticOutage:
         res = rn.analytic_outage(cfg, 2)
         assert abs(res.op - ref) <= cfg.quad_tol
         assert abs(res.op - ref) <= res.std_err + ref_err
+
+    def test_algebraic_tail_comes_by_parts(self, monkeypatch):
+        # user 2's |M(c + jw)| falls only like 1/w here (a chi2_2-like
+        # leakage component); cut to one period per panel, its tail took
+        # 1296 first panels out to w ~ 1.3e4, and integrated by parts it
+        # takes fewer than a fifth of them
+        sizes = []
+        first_panels = rn.analytic._first_panels
+
+        def counted(*args):
+            lo, hi = first_panels(*args)
+            sizes.append(lo.size)
+            return lo, hi
+
+        monkeypatch.setattr(rn.analytic, "_first_panels", counted)
+        cfg = rn.validate(rn.SystemConfig(m_active=128, n_passive=128, pt_user_dbm=12.0,
+                                          alpha_mode="fixed", alpha_linear=1000.0))
+        ref, ref_err = real_axis_cdf(cfg, 2)
+        assert ref == pytest.approx(0.4622380975, abs=1e-10)
+        res = rn.analytic_outage(cfg, 2)
+        assert abs(res.op - ref) <= res.std_err + ref_err
+        assert abs(res.op - ref) <= cfg.quad_tol
+        assert len(sizes) == 1 and sizes[0] < 1296 / 5
 
     def test_far_tail_within_its_own_err(self):
         # 1 - op is 1.82e-10 here; the real-axis quadrature gave 6.77e-8
@@ -480,6 +526,23 @@ class TestBatchedOutages:
             assert (res.user, res.config_digest, res.method) == (user, config.digest(), "analytic")
             assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
             assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_both_users_share_one_batch(self, case, monkeypatch):
+        # outage_pairs inverts users 1 and 2 of every config in one batch,
+        # with results equal to one batch per user
+        grid = self._grid(case)
+        per_user = list(zip(rn.analytic_outages(grid, 1), rn.analytic_outages(grid, 2)))
+        batches = []
+        gp = rn.analytic.gil_pelaez_cdf
+
+        def counted(log_m, g, c, *, tol):
+            batches.append(np.size(g))
+            return gp(log_m, g, c, tol=tol)
+
+        monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", counted)
+        assert rn.outage_pairs(grid, "analytic") == per_user
+        assert len(batches) == (case != "zero rate")
 
     def test_forms_of_different_sizes_share_a_batch(self):
         # user 2 has three components without a SIC residue and five with

@@ -2,7 +2,6 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
-from types import SimpleNamespace
 
 import risnoma as rn
 from risnoma import optimizer
@@ -133,13 +132,13 @@ class TestOptimize:
         settings = dict(evaluator=evaluator, interval_dbm=(x_cap - 4.0, x_cap + 6.0))
 
         seen = []
-        evaluate = optimizer.outage_pairs
+        evaluate = optimizer._outage_pairs
 
         def counted(configs, method, *, workers):
             seen.extend(alpha_from_power(config) for config in configs)
             return evaluate(configs, method, workers=workers)
 
-        monkeypatch.setattr(optimizer, "outage_pairs", counted)
+        monkeypatch.setattr(optimizer, "_outage_pairs", counted)
         out = rn.optimize(cfg, **settings)
         monkeypatch.undo()
 
@@ -164,7 +163,7 @@ class TestOptimize:
         def unreachable(*args, **kwargs):
             raise AssertionError("evaluated before the settings were checked")
 
-        monkeypatch.setattr(optimizer, "outage_pairs", unreachable)
+        monkeypatch.setattr(optimizer, "_outage_pairs", unreachable)
         with pytest.raises(ValueError, match="tol_db must be a finite number > 0"):
             rn.optimize(rn.validate(rn.SystemConfig()), tol_db=tol_db)
 
@@ -175,22 +174,22 @@ class TestOptimize:
         def unreachable(*args, **kwargs):
             raise AssertionError("evaluated before the interval was checked")
 
-        monkeypatch.setattr(optimizer, "outage_pairs", unreachable)
+        monkeypatch.setattr(optimizer, "_outage_pairs", unreachable)
         with pytest.raises(ValueError, match="search interval must be two finite"):
             rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=interval)
 
 
 class TestBatchedGrid:
     def test_accuracy_error_in_one_member_gives_error_rows(self, monkeypatch):
-        # one default grid member needs 403 initial panels, the most of any:
+        # one default grid member needs 51 initial panels, the most of any:
         # below that budget it fails the batch, and run_point reports the point
-        monkeypatch.setattr(rn.analytic, "MAX_PANELS", 400)
+        monkeypatch.setattr(rn.analytic, "MAX_PANELS", 50)
         cfg = rn.validate(rn.SystemConfig(alpha_mode="optimized"))
-        with pytest.raises(rn.AccuracyError, match="403 initial panels"):
+        with pytest.raises(rn.AccuracyError, match="51 initial panels"):
             rn.optimize(cfg)
         rows = rn.run_point(cfg, ("analytic",))
         assert [r.mode for r in rows] == ["error:AccuracyError"] * 2
-        assert "403 initial panels" in rows[0].error
+        assert "51 initial panels" in rows[0].error
 
     def test_joint_outage_stays_simulation_only(self):
         cfg = rn.validate(rn.SystemConfig(joint_outage_u2=True))
@@ -200,8 +199,9 @@ class TestBatchedGrid:
             rn.analytic_outages([cfg, at_budget(cfg, -50.0)], 2)
 
     def test_node_pass_is_cut_into_chunks(self, monkeypatch):
-        # the default grid batch has about 12 000 panels; no log-CF call may
-        # see more than PANEL_CHUNK of them (15 nodes each)
+        # the default grid batch has about 800 panels; with chunks of 256 no
+        # log-CF call may see more than PANEL_CHUNK of them (15 nodes each)
+        monkeypatch.setattr(rn.analytic, "PANEL_CHUNK", 256)
         nodes = []
         log_cf = rn.analytic.log_cf
 
@@ -212,6 +212,22 @@ class TestBatchedGrid:
         monkeypatch.setattr(rn.analytic, "log_cf", recorded)
         rn.optimize(rn.validate(rn.SystemConfig()))
         assert max(nodes) == rn.analytic.PANEL_CHUNK * 15
+
+    def test_probes_are_not_hashed(self, monkeypatch):
+        # the search hashes one config, the one at its outcome; its results
+        # carry that digest, as a direct evaluation's do
+        hashed = []
+        digest = rn.SystemConfig.digest
+
+        def counted(config):
+            hashed.append(config.pt_ris_dbm)
+            return digest(config)
+
+        monkeypatch.setattr(rn.SystemConfig, "digest", counted)
+        cfg = rn.validate(rn.SystemConfig())
+        out = rn.optimize(cfg)
+        assert out.evaluations > 30 and hashed == [out.pt_ris_dbm]
+        assert [r.config_digest for r in out.results] == [at_budget(cfg, out.pt_ris_dbm).digest()] * 2
 
     def test_run_point_rows_are_the_searched_pair(self, monkeypatch):
         # the analytic rows at an optimized point come from the search's own
@@ -226,10 +242,13 @@ class TestBatchedGrid:
 
 
 def _made_up_pair(op1, op2):
-    """An optimizer.outage_pairs stand-in: made-up op curves of the budget."""
+    """An optimizer._outage_pairs stand-in: made-up op curves of the budget."""
+    def result(op, user):
+        return rn.OutageResult(op=op, trials=0, std_err=0.0, method="analytic", user=user,
+                               config_digest="")
+
     def pairs(configs, method, *, workers):
-        return [(SimpleNamespace(op=op1(c.pt_ris_dbm)), SimpleNamespace(op=op2(c.pt_ris_dbm)))
-                for c in configs]
+        return [(result(op1(c.pt_ris_dbm), 1), result(op2(c.pt_ris_dbm), 2)) for c in configs]
     return pairs
 
 
@@ -248,7 +267,7 @@ class TestRefinementBranches:
         # the gap is zero only at the grid point X0; golden-section probes
         # around it but never at it, so the grid point is kept
         x0 = self.X0
-        monkeypatch.setattr(optimizer, "outage_pairs", _made_up_pair(
+        monkeypatch.setattr(optimizer, "_outage_pairs", _made_up_pair(
             lambda x: 0.1, lambda x: 0.1 + 0.01 * abs(x - x0)))
         out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=self.INTERVAL)
         assert out.mode == "balanced"
@@ -259,7 +278,7 @@ class TestRefinementBranches:
         # (0.22) is beyond delta* + slack = 0.21, so the refinement that finds
         # it is sent back to the grid point
         x0 = self.X0
-        monkeypatch.setattr(optimizer, "outage_pairs", _made_up_pair(
+        monkeypatch.setattr(optimizer, "_outage_pairs", _made_up_pair(
             lambda x: 0.2, lambda x: 0.15 - 0.001 * (x0 - x) if x <= x0 else 0.22))
         out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=self.INTERVAL)
         assert out.mode == "balanced"
