@@ -3,7 +3,7 @@ NOMA system enabled over-the-air by a hybrid active/passive RIS."""
 
 __version__ = "0.1.0"
 
-from .analytic import (AccuracyError, QfComponent, QuadFormSpec, TermStats,
+from .analytic import (AccuracyError, QfComponent, QuadForm, TermStats,
                        analytic_outage, analytic_outages, build_quadform, log_cf,
                        gil_pelaez_cdf, term_statistics)
 from .channel import (ChannelRealization, LinkVariances, RandomStream,

@@ -74,42 +74,13 @@ class QfComponent(NamedTuple):
     mean: float = 0.0
 
 
-@dataclass(frozen=True)
-class QuadFormSpec:
-    """A weighted sum of independent chi-square-like components."""
-
-    components: tuple
-
-    def mean(self) -> float:
-        return sum(c.weight * c.dof * (c.var + c.mean**2) for c in self.components)
-
-    def variance(self) -> float:
-        return sum(
-            c.weight**2 * c.dof * (2.0 * c.var**2 + 4.0 * c.mean**2 * c.var)
-            for c in self.components
-        )
-
-    def scaled(self, factor: float) -> "QuadFormSpec":
-        """The spec of (factor * G); rescaling weights only."""
-        return QuadFormSpec(components=tuple(
-            QfComponent(weight=c.weight * factor, dof=c.dof, var=c.var, mean=c.mean)
-            for c in self.components))
-
-    def tilted(self, s: float) -> "QuadFormSpec":
-        """The exponentially tilted spec, whose CF at w is M(s + jw) / M(s)
-        (`QuadFormBatch.tilted`)."""
-        tilted = QuadFormBatch.of([self]).tilted(np.array([s]))[0]
-        return QuadFormSpec(components=tuple(
-            QfComponent(weight=c.weight, dof=c.dof, var=var, mean=mean)
-            for c, var, mean in zip(self.components, tilted.var, tilted.mean)))
-
-
 @dataclass(slots=True)
-class QuadFormBatch:
-    """K quadratic forms as (C, K) arrays of their C components' fields.  A
-    form with fewer components is padded with zero-weight ones, which add
-    exactly nothing; `central` flags the components whose mean is 0 in every
-    form."""
+class QuadForm:
+    """K quadratic forms, each a weighted sum of independent chi-square-like
+    components, as (C, K) arrays of their C components' fields.  A form with
+    fewer components is padded with zero-weight ones, which add exactly
+    nothing; `central` flags the components whose mean is 0 in every form.
+    Form k is forms[k], its fields (C,) arrays."""
 
     weight: np.ndarray
     dof: np.ndarray
@@ -118,45 +89,48 @@ class QuadFormBatch:
     central: tuple
 
     @classmethod
-    def of(cls, specs) -> "QuadFormBatch":
-        size = max(len(s.components) for s in specs)
+    def of(cls, forms) -> "QuadForm":
+        """The batch of forms, each a sequence of QfComponents."""
+        size = max(len(f) for f in forms)
         pad = (QfComponent(weight=0.0, dof=0, var=0.0),)
-        rows = np.array([c for s in specs for c in s.components + pad * (size - len(s.components))],
-                        dtype=float)
-        weight, dof, var, mean = rows.reshape(len(specs), size, 4).T
+        rows = np.array([c for f in forms for c in (*f, *pad * (size - len(f)))], dtype=float)
+        weight, dof, var, mean = rows.reshape(len(forms), size, 4).T
         return cls(weight, dof, var, mean, tuple((mean == 0.0).all(axis=1).tolist()))
 
-    def __getitem__(self, k) -> "QuadFormBatch":
-        """Form k, its fields as lists of numbers, or forms k (an index array)."""
-        fields = self.weight[:, k], self.dof[:, k], self.var[:, k], self.mean[:, k]
-        if isinstance(k, int):
-            fields = [x.tolist() for x in fields]
-        return QuadFormBatch(*fields, self.central)
+    def __getitem__(self, k) -> "QuadForm":
+        """Form k, or forms k (an index array or mask)."""
+        return QuadForm(self.weight[:, k], self.dof[:, k], self.var[:, k], self.mean[:, k],
+                        self.central)
 
-    def scaled(self, factor) -> "QuadFormBatch":
+    def moments(self):
+        """The (K,) means and variances of the forms."""
+        w, dof, var, mean = self.weight, self.dof, self.var, self.mean
+        return (sum(w * dof * (var + mean**2)),
+                sum(w**2 * dof * (2.0 * var**2 + 4.0 * mean**2 * var)))
+
+    def scaled(self, factor) -> "QuadForm":
         """The forms of factor * G, one factor per form."""
-        return QuadFormBatch(self.weight * factor, self.dof, self.var, self.mean, self.central)
+        return QuadForm(self.weight * factor, self.dof, self.var, self.mean, self.central)
 
-    def tilted(self, s) -> "QuadFormBatch":
+    def tilted(self, s) -> "QuadForm":
         """The exponentially tilted forms, whose CF at w is M(s + jw) / M(s),
         one s per form: each component's var and mean divide by
         1 - 2 s weight var (> 0)."""
         r = 1.0 - (2.0 * s) * self.weight * self.var
-        return QuadFormBatch(self.weight, self.dof, self.var / r, self.mean / r, self.central)
+        return QuadForm(self.weight, self.dof, self.var / r, self.mean / r, self.central)
 
 
-def log_cf(spec, omega):
-    """Log characteristic function of the quadratic form: log|Psi| + j arg Psi.
+def log_cf(forms, omega):
+    """Log characteristic function of quadratic forms: log|Psi| + j arg Psi.
 
     Each component contributes the standard chi-square CF evaluated at the
     weighted frequency (the CF scaling rule for cX), and independence turns
     the product into a sum of logs.  With t = 2 u s^2 the principal log of
     1 - j t is (1/2) log1p(t^2) - j atan(t), so the sum is formed in real
-    arithmetic.  exp(log_cf(spec, omega)) is the CF itself.  `spec` may also
-    be `QuadFormBatch` forms k, k an (n,) int array: column i of an (m, n)
-    omega is then evaluated on form k[i].
+    arithmetic.  exp(log_cf(forms, omega)) is the CF itself.  The last axis
+    of omega runs over the K forms (column i of an (m, K) omega is evaluated
+    on form i); one form, forms[k], takes omega of any shape.
     """
-    forms = spec if isinstance(spec, QuadFormBatch) else QuadFormBatch.of([spec])[0]
     w = np.asarray(omega, dtype=float)
     log_mag = np.zeros(w.shape)
     phase = np.zeros(w.shape)
@@ -180,7 +154,7 @@ def log_cf(spec, omega):
             log_mag -= u
     out = log_mag.astype(np.complex128)
     out.imag = phase
-    return complex(out) if w.ndim == 0 else out
+    return complex(out) if out.ndim == 0 else out
 
 
 # perfbench's `analytic.cf` span times the per-node evaluator under this
@@ -188,8 +162,8 @@ def log_cf(spec, omega):
 cf_eval = log_cf
 
 
-def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
-    """Assemble the outage quadratic form of one user's decode.
+def build_quadform(config: SystemConfig, user: int) -> tuple:
+    """The QfComponents of the outage quadratic form of one user's decode.
 
     The squared magnitude of a real-plus-complex sum splits into a
     noncentral 1-dof part (real axis) and a central 1-dof part (imaginary
@@ -216,13 +190,13 @@ def build_quadform(config: SystemConfig, user: int) -> QuadFormSpec:
             comps += part(-config.epsilon_sic * pt * v, sa, sb)
     comps.append(QfComponent(-dbm_to_watt(config.namp_dbm) * resolve_alpha(config) * v,
                              2 * config.m_active, link_variances(config).bs / 2.0))
-    return QuadFormSpec(components=tuple(c for c in comps if c.weight != 0.0))
+    return tuple(c for c in comps if c.weight != 0.0)
 
 
 _CHERNOFF_T = np.geomspace(1e-3, 1e12, 121)
 
 
-def saddle_point(spec, g):
+def saddle_point(forms: QuadForm, g):
     """Chernoff bound on P(G >= g), and the tilt c with log M(c) to invert it.
 
     The bound (Chernoff, Ann. Math. Stat. 1952) is the least exp(log M(s) - s g)
@@ -230,10 +204,10 @@ def saddle_point(spec, g):
     (0, 1e12] where no component limits s; any such s gives a valid bound.
     log M(s) = sum -(dof/2) log(1 - 2 s w v) + dof mean^2 w s / (1 - 2 s w v)
     while all 2 s w v < 1.  On the same grid c minimizes log M(s) - s g - log s:
-    the real saddle point of M(z) e^{-z g} / z.  For a `QuadFormBatch` and (K,)
-    g the three values are (K,) arrays, from one (K, 121, C) pass.
+    the real saddle point of M(z) e^{-z g} / z.  For (K,) g the three values
+    are (K,) arrays, from one (K, 121, C) pass; a lower tail P(G <= g) is the
+    upper tail of forms.scaled(-1.0) at -g.
     """
-    forms = spec if isinstance(spec, QuadFormBatch) else QuadFormBatch.of([spec])
     w, var, dof, mean = forms.weight.T, forms.var.T, forms.dof.T, forms.mean.T
     wv = w * var
     s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * np.maximum(0.0, np.max(2.0 * wv, axis=1))[:, None])
@@ -244,11 +218,6 @@ def saddle_point(spec, g):
     at = np.arange(len(s)), np.argmin(exponent - np.log(s), axis=1)
     out = np.exp(np.min(exponent, axis=1)), s[at], log_m[at]
     return out if np.ndim(g) else tuple(float(x[0]) for x in out)
-
-
-def chernoff_bound(spec: QuadFormSpec, g: float, *, upper: bool) -> float:
-    """Chernoff bound on P(G >= g) (upper) or P(G <= g), the upper tail of -G at -g."""
-    return saddle_point(spec if upper else spec.scaled(-1.0), g if upper else -g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +237,18 @@ _W_GAUSS[1:15:2] = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
 PANEL_CHUNK = 1024   # panels per integrand call: bounds the node pass's memory
 
 
-def _one_form(k):
-    """Sorted form indices k as one int when they all name one form (whose
-    fields `QuadFormBatch` then gives as plain numbers), else as they are."""
-    return int(k[0]) if k[0] == k[-1] else k
-
-
 def _gk15(f, lo, hi, k):
     """The panels' half-widths and G7/K15 node values, node j of panel i at
-    [j, i], panel i belonging to inversion k[i] (or all to inversion k).
-    f(nodes, k) sees at most PANEL_CHUNK panels at a time."""
+    [j, i], panel i belonging to inversion k[i].  f(nodes, k) sees at most
+    PANEL_CHUNK panels at a time."""
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (lo + hi) + half * _NODES[:, None]
     if lo.size <= PANEL_CHUNK:
-        return half, f(nodes, k if isinstance(k, int) else _one_form(k))
+        return half, f(nodes, k)
     vals = np.empty_like(nodes)
     for start in range(0, lo.size, PANEL_CHUNK):
         cols = slice(start, start + PANEL_CHUNK)
-        vals[:, cols] = f(nodes[:, cols], k if isinstance(k, int) else _one_form(k[cols]))
+        vals[:, cols] = f(nodes[:, cols], k[cols])
     return half, vals
 
 
@@ -333,7 +296,7 @@ def _panel_ladder(log_m, g, c, tol):
             probes = np.tile(omega, (3, 1)) * _SHIFTS
             if edge is None:
                 probes = np.vstack([np.zeros_like(cc), probes])
-            lm = log_m(probes, _one_form(k))
+            lm = log_m(probes, k)
             if edge is None:
                 log_zero, lm = np.real(lm[0]), lm[1:]
                 drop = log_zero - np.real(lm[:_LADDER_CHUNK]) + _EDGE_DROP
@@ -390,7 +353,7 @@ def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _gk15_sums(*_gk15(f, new_lo, new_hi, k))
+        new_vals, new_errs = _gk15_sums(*_gk15(f, new_lo, new_hi, np.full(new_lo.size, k)))
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
@@ -416,8 +379,8 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     integrand).
 
     A batch of K inversions takes (K,) arrays g, c and tol and returns (K,)
-    arrays; `log_m(w, k)` then gets the inversion k (an int) or inversions
-    k (an (n,) int array, one per column of w) the frequencies w belong to.
+    arrays; `log_m(w, k)` then gets the inversions k (an (n,) int array, one
+    per column of w) the frequencies w belong to.
     The truncation probes and the first panels of all inversions are
     evaluated together, then each inversion is refined on its own.
     """
@@ -456,64 +419,48 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
 
 
 def analytic_outage(config: SystemConfig, user: int) -> OutageResult:
-    """Outage probability of one user via characteristic-function inversion."""
-    return analytic_outages([config], user)[0]
+    """Outage probability of one user via characteristic-function inversion
+    (`analytic_outages`, a batch of one)."""
+    return analytic_outages([config], [user])[0]
 
 
-def analytic_outages(configs, user: int) -> list[OutageResult]:
-    """One user's outage probability at each of a batch of configs, in one
-    pass (`_outage_results`).  A failure of any config raises."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    return _outage_results(configs, [user] * len(configs), [c.digest() for c in configs])
-
-
-def _outage_results(configs, users, digests) -> list[OutageResult]:
-    """The OutageResult of users[i] (1 or 2) at configs[i], tagged
-    digests[i], for every i in one pass: one saddle-point grid for all, the
-    Chernoff shortcut decided per member, and one batched inversion
-    (`gil_pelaez_cdf`) of the rest."""
+def analytic_outages(configs, users) -> list[OutageResult]:
+    """The OutageResult of users[i] (1 or 2) at configs[i] for every i, in
+    one pass: one saddle-point grid for all, the Chernoff shortcut decided
+    per member, and one batched inversion (`gil_pelaez_cdf`) of the rest.
+    A failure of any member raises."""
+    if len(configs) != len(users):
+        raise ValueError(f"need one user per config, got {len(users)} for {len(configs)}")
+    if bad := [u for u in users if u not in (1, 2)]:
+        raise ValueError(f"user must be 1 or 2, got {bad[0]}")
     if any(c.joint_outage_u2 and u != c.active_user for c, u in zip(configs, users)):
         raise NotImplementedError(
             "joint decode outage is simulation-only; unset joint_outage_u2"
         )
-    v = [rate_to_threshold(c.rate_threshold_bps_hz) for c in configs]
-    live = [i for i, x in enumerate(v) if x > 0.0]
-    out = [(0.0, 0.0)] * len(configs)   # a threshold of 0 is never missed
-    if live:
-        for i, result in zip(live, _outage_probabilities(
-                [configs[i] for i in live], [users[i] for i in live], [v[i] for i in live])):
-            out[i] = result
-    return [OutageResult(op=p, trials=0, std_err=e, method="analytic", user=u, config_digest=d)
-            for (p, e), u, d in zip(out, users, digests)]
-
-
-def _outage_probabilities(configs, users, v) -> list[tuple[float, float]]:
-    """(outage probability, error) of users at configs with thresholds v > 0."""
-    specs = [build_quadform(c, u) for c, u in zip(configs, users)]
-    # normalized, the tail on the threshold's side of the mean is the upper
-    # tail of G or of -G; far out, a proven bound pins it to 0 as its error
-    sides = []
-    for config, spec, v_ in zip(configs, specs, v):
-        g = dbm_to_watt(config.w0_dbm) * v_
-        upper = g > spec.mean()
-        scale = math.sqrt(spec.variance())
-        sides.append(((1.0 if upper else -1.0) / scale, (g if upper else -g) / scale,
-                      config.quad_tol, upper))
-    factor, g_side, quad_tol, upper = np.array(sides).T
-    side = QuadFormBatch.of(specs).scaled(factor)
-    bound, c, log_mc = saddle_point(side, g_side)
-    tail, err = np.zeros(len(specs)), bound.copy()
-    inv = ~(bound <= 1e-3 * quad_tol)
-    if inv.any():
-        tol = np.minimum(quad_tol, 1e-4 * bound)
-        if not inv.all():
-            side, g_side, c, log_mc, tol = side[inv], *np.array([g_side, c, log_mc, tol])[:, inv]
-        tilted = side.tilted(c)
-        tail[inv], err[inv] = gil_pelaez_cdf(lambda w, k: log_mc[k] + log_cf(tilted[k], w),
-                                             g_side, c, tol=tol)
-    upper = upper == 1.0
-    op = np.where(upper, 1.0 - tail, tail)
-    # 1 - tail is rounded to a double: err is no less than that rounding
-    err = np.where(upper & (tail > 0.0), np.maximum(err, np.spacing(op)), err)
-    return list(zip(op.tolist(), err.tolist()))
+    v = np.array([rate_to_threshold(c.rate_threshold_bps_hz) for c in configs])
+    live = np.flatnonzero(v > 0.0)       # a threshold of 0 is never missed
+    op, err = np.zeros((2, len(configs)))
+    if live.size:
+        forms = QuadForm.of([build_quadform(configs[i], users[i]) for i in live])
+        g = np.array([dbm_to_watt(configs[i].w0_dbm) for i in live]) * v[live]
+        quad_tol = np.array([configs[i].quad_tol for i in live])
+        # normalized, the tail on the threshold's side of the mean is the upper
+        # tail of G or of -G; far out, a proven bound pins it to 0 as its error
+        mean, var = forms.moments()
+        upper = g > mean
+        sign, scale = np.where(upper, 1.0, -1.0), np.sqrt(var)
+        side, g_side = forms.scaled(sign / scale), sign * g / scale
+        bound, c, log_mc = saddle_point(side, g_side)
+        tail, tail_err = np.zeros(live.size), bound.copy()
+        inv = ~(bound <= 1e-3 * quad_tol)
+        if inv.any():
+            tilted, log_mc = side[inv].tilted(c[inv]), log_mc[inv]
+            tail[inv], tail_err[inv] = gil_pelaez_cdf(
+                lambda w, k: log_mc[k] + log_cf(tilted[k], w), g_side[inv], c[inv],
+                tol=np.minimum(quad_tol, 1e-4 * bound)[inv])
+        op[live] = np.where(upper, 1.0 - tail, tail)
+        # 1 - tail is rounded to a double: err is no less than that rounding
+        err[live] = np.maximum(tail_err, np.spacing(op[live]), out=tail_err,
+                               where=upper & (tail > 0.0))
+    return [OutageResult(op=p, trials=0, std_err=e, method="analytic", user=u)
+            for p, e, u in zip(op.tolist(), err.tolist(), users)]

@@ -39,6 +39,11 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
+def clamp_alpha(alpha: float) -> float:
+    """A power gain held to the amplifier's 0-30 dB range."""
+    return min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scalar parameters of one run; immutable after validation.
@@ -105,6 +110,8 @@ def _type_problem(name: str, kind, value) -> str:
     """Why a field's value has the wrong type, or "" when it has the right one."""
     if kind is int and type(value) is not int:
         return f"{name} must be an integer, got {value!r}"
+    if kind is bool and type(value) is not bool:
+        return f"{name} must be true or false, got {value!r}"
     if kind in (float, float | None) and not (value is None and kind is not float):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
@@ -163,8 +170,8 @@ def validate(config: SystemConfig) -> SystemConfig:
     if problems:
         raise ConfigError(problems)
 
-    if not (ALPHA_MIN <= config.alpha_linear <= ALPHA_MAX):
-        clamped = min(max(config.alpha_linear, ALPHA_MIN), ALPHA_MAX)
+    clamped = clamp_alpha(config.alpha_linear)
+    if clamped != config.alpha_linear:
         warnings.warn(
             f"alpha_linear={config.alpha_linear} outside [{ALPHA_MIN}, {ALPHA_MAX}], "
             f"clamped to {clamped}",

@@ -32,7 +32,6 @@ class OutageResult:
     std_err: float     # binomial SE (MC); analytic: inversion error estimate or Chernoff bound
     method: str        # "mc" | "analytic"
     user: int
-    config_digest: str
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,11 @@ def estimate_outage_pair(config: SystemConfig, *,
     c1 = sum(c[0] for c in counts)
     c2 = sum(c[1] for c in counts)
     cj = sum(c[2] for c in counts)
-    digest = config.digest()
 
     def _result(count, user):
         op = count / n
-        return OutageResult(
-            op=op, trials=n, std_err=math.sqrt(op * (1.0 - op) / n),
-            method="mc", user=user, config_digest=digest,
-        )
+        return OutageResult(op=op, trials=n, std_err=math.sqrt(op * (1.0 - op) / n),
+                            method="mc", user=user)
 
     passive_count = cj if config.joint_outage_u2 else c2
     if config.active_user == 1:

@@ -11,7 +11,7 @@ interval the search falls back to minimizing the servable user's outage
 alone.
 
 A coarse grid over the whole interval is the global search, its distinct
-gains evaluated in one batch (`_outage_pairs`); golden-section then refines
+gains evaluated in one batch (`outage_pairs`); golden-section then refines
 inside the one-grid-step bracket around the grid's argmin, one budget at a
 time, where the objective is single-dipped or flat (where the gain cap or
 floor binds).
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import _outage_results
+from .analytic import analytic_outages
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pair
 from .ris import _alpha_at_budget
@@ -50,19 +50,11 @@ def outage_pairs(configs, method: str, *, workers: int = 1):
     """Both users' OutageResults at each config by one of METHODS: "mc"
     simulates config by config (with `workers` processes), "analytic" inverts
     both users at all configs in one batch."""
-    return [tuple(replace(r, config_digest=config.digest()) for r in pair)
-            for config, pair in zip(configs, _outage_pairs(configs, method, workers=workers))]
-
-
-def _outage_pairs(configs, method: str, *, workers: int):
-    """`outage_pairs`, but an analytic result's config digest is left empty:
-    the optimizer's probes are fresh configs, and only the pair it returns
-    needs one."""
     if method == "mc":
         return [estimate_outage_pair(config, workers=workers) for config in configs]
     if method == "analytic":
         n = len(configs)
-        both = _outage_results([*configs, *configs], [1] * n + [2] * n, [""] * (2 * n))
+        both = analytic_outages([*configs, *configs], [1] * n + [2] * n)
         return list(zip(both[:n], both[n:]))
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
@@ -131,8 +123,8 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
             if gain not in cache:
                 todo.setdefault(gain, x)
         if todo:
-            pairs = _outage_pairs([at_budget(config, x) for x in todo.values()], evaluator,
-                                  workers=workers)
+            pairs = outage_pairs([at_budget(config, x) for x in todo.values()], evaluator,
+                                 workers=workers)
             cache.update(zip(todo, pairs))
         return gains
 
@@ -180,7 +172,6 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
 
     op1, op2 = pair_at(x)
     alpha = _alpha_at_budget(config, x)
-    digest = at_budget(config, x).digest()
     return OptimizationOutcome(
         pt_ris_dbm=x,
         alpha=alpha,
@@ -190,5 +181,5 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
         delta=max(op1, op2),
         mode=mode,
         evaluations=len(cache),
-        results=tuple(replace(r, config_digest=digest) for r in cache[alpha]),
+        results=cache[alpha],
     )

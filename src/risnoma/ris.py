@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALPHA_MAX, ALPHA_MIN, SystemConfig, dbm_to_watt
+from .config import SystemConfig, clamp_alpha, dbm_to_watt
 from .channel import ChannelRealization, link_variances
 
 
@@ -56,13 +56,13 @@ def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float) -> float:
     p_o = dbm_to_watt(pt_ris_dbm) / config.m_active  # split evenly per element
     pt = dbm_to_watt(config.pt_user_dbm)
     g = math.sqrt(p_o / (pt * s_a))
-    return min(max(g * g, ALPHA_MIN), ALPHA_MAX)
+    return clamp_alpha(g * g)
 
 
 def resolve_alpha(config: SystemConfig) -> float:
     """The power gain this config implies.  `optimized` needs the optimizer."""
     if config.alpha_mode == "fixed":
-        return min(max(config.alpha_linear, ALPHA_MIN), ALPHA_MAX)
+        return clamp_alpha(config.alpha_linear)
     if config.alpha_mode == "from_power":
         return alpha_from_power(config)
     raise ValueError(

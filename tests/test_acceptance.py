@@ -13,7 +13,7 @@ import pytest
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadFormSpec, saddle_point
+from risnoma.analytic import QfComponent, QuadForm, saddle_point
 from test_analytic import ncx2_cdf_series, upper_tail
 
 PI = np.pi
@@ -95,7 +95,7 @@ def test_c03_gil_pelaez_oracles():
     p = 1.0 - upper_tail(lambda w: 1.0 / (1.0 - 2j * w), 2.0, 0.25)[0]
     if abs(p - (1.0 - math.exp(-1.0))) > 1e-4:
         failures.append("chi2(2)@2")
-    spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
+    spec = QuadForm.of([(QfComponent(1.0, 1, 1.0, 1.0),)])
     for g in (0.5, 1.0, 3.0):
         _, c, log_mc = saddle_point(spec, g)
         tilted = spec.tilted(c)

@@ -8,12 +8,21 @@ from scipy import integrate
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import (QfComponent, QuadFormSpec, _panel_ladder, chernoff_bound,
-                              saddle_point)
+from risnoma.analytic import QfComponent, QuadForm, _panel_ladder, saddle_point
 from risnoma.optimizer import at_budget
 from conftest import mc_outage, unit_config
 
 PI = np.pi
+
+
+def form(*components):
+    """One quadratic form, as a batch of one."""
+    return QuadForm.of([components])
+
+
+def moments(forms):
+    """The mean and variance of a batch of one form, as numbers."""
+    return forms[0].moments()
 
 
 def log_of(cf):
@@ -43,11 +52,8 @@ def real_axis_cdf(cfg, user):
     normalized form, by scipy quad on [0, a] and QAWF (quad's Fourier-integral
     mode, weight cos / sin) on [a, inf), a the first power of two with
     |psi(a)| <= 1e-2.  Returns the CDF and quad's summed error estimate."""
-    spec = rn.build_quadform(cfg, user)
-    g = rn.dbm_to_watt(cfg.w0_dbm) * rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
-    scale = math.sqrt(spec.variance())
-    norm, g = spec.scaled(1.0 / scale), g / scale
-    psi = lambda w: np.exp(rn.log_cf(norm, w))
+    norm, g = _normalized(cfg, user)
+    psi = lambda w: np.exp(rn.log_cf(norm[0], w))
     a = 1.0
     while abs(psi(a)) > 1e-2:
         a *= 2.0
@@ -142,55 +148,55 @@ class TestQuadForm:
     def test_active_user_structure_at_defaults(self):
         cfg = rn.validate(rn.SystemConfig())
         spec = self._spec(cfg, 1)
-        assert len(spec.components) == 5
-        assert sorted(c.dof for c in spec.components) == [1, 1, 1, 1, 2 * 512]
-        negs = [c for c in spec.components if c.weight < 0]
+        assert len(spec) == 5
+        assert sorted(c.dof for c in spec) == [1, 1, 1, 1, 2 * 512]
+        negs = [c for c in spec if c.weight < 0]
         # exactly the threshold-scaled terms are negative
         assert len(negs) == 3
 
     def test_passive_user_zero_threshold(self):
         cfg = unit_config(rate_threshold_bps_hz=0.0)
         spec = self._spec(cfg, 2)
-        assert all(c.weight > 0 for c in spec.components)
+        assert all(c.weight > 0 for c in spec)
 
     def test_epsilon_adds_components(self):
         cfg0 = unit_config(epsilon_sic=0.0)
         cfg1 = unit_config(epsilon_sic=0.01)
-        assert len(self._spec(cfg1, 2).components) == len(self._spec(cfg0, 2).components) + 2
+        assert len(self._spec(cfg1, 2)) == len(self._spec(cfg0, 2)) + 2
 
     def test_variance_bookkeeping(self):
         # the two quadrature components recompose each complex term's variance
         cfg = unit_config(alpha_linear=3.0)
         sa, sb, sc, sd = rn.term_statistics(cfg)
         spec = self._spec(cfg, 1)
-        pos = [c for c in spec.components if c.weight > 0]
+        pos = [c for c in spec if c.weight > 0]
         assert sum(c.var for c in pos) == pytest.approx(sa.var + sb.var, rel=1e-12)
 
     def test_moment_formulas_against_sampling(self, rng):
-        spec = QuadFormSpec(components=(
+        mean, var = moments(form(
             QfComponent(weight=0.8, dof=1, var=1.3, mean=2.0),
             QfComponent(weight=-0.5, dof=4, var=0.6),
         ))
         draws = (0.8 * (rng.normal(2.0, np.sqrt(1.3), 200_000) ** 2)
                  - 0.5 * np.sum(rng.normal(0, np.sqrt(0.6), (200_000, 4)) ** 2, axis=1))
-        assert draws.mean() == pytest.approx(spec.mean(), rel=0.01)
-        assert draws.var() == pytest.approx(spec.variance(), rel=0.02)
+        assert draws.mean() == pytest.approx(mean, rel=0.01)
+        assert draws.var() == pytest.approx(var, rel=0.02)
 
 
 class TestCfEval:
     def test_normalized_at_zero(self):
         cfg = rn.validate(rn.SystemConfig())
-        spec = TestQuadForm()._spec(cfg, 1)
-        assert np.exp(rn.log_cf(spec, 0.0)) == pytest.approx(1.0 + 0j)
+        spec = form(*TestQuadForm()._spec(cfg, 1))
+        assert np.exp(rn.log_cf(spec[0], 0.0)) == pytest.approx(1.0 + 0j)
 
     def test_unit_exponential(self):
         # one central 2-dof component with per-component variance 1/2
-        spec = QuadFormSpec(components=(QfComponent(1.0, 2, 0.5),))
-        assert np.exp(rn.log_cf(spec, 1.0)) == pytest.approx(0.5 + 0.5j, rel=1e-12)
+        spec = form(QfComponent(1.0, 2, 0.5))
+        assert np.exp(rn.log_cf(spec[0], 1.0)) == pytest.approx(0.5 + 0.5j, rel=1e-12)
 
     def test_conjugate_symmetry_and_bound(self, rng):
         for _ in range(10):
-            spec = QuadFormSpec(components=tuple(
+            spec = form(*(
                 QfComponent(weight=rng.normal(), dof=int(rng.integers(1, 6)),
                             var=rng.uniform(0.1, 2.0), mean=rng.normal())
                 for _ in range(4)))
@@ -202,7 +208,7 @@ class TestCfEval:
 
     def test_matches_noncentral_chisq_cf(self):
         # weight 1, dof 1, unit variance, mean 1 vs the textbook form
-        spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
+        spec = form(QfComponent(1.0, 1, 1.0, 1.0))
         w = np.linspace(-5, 5, 11)
         denom = 1 - 2j * w
         expected = denom**-0.5 * np.exp(1j * w / denom)
@@ -211,34 +217,37 @@ class TestCfEval:
     def test_matches_complex_log_form(self):
         # the textbook log-CF summed in complex arithmetic, per component:
         # -(k/2) log(1 - 2j u s^2) + j u k m^2 / (1 - 2j u s^2), u = weight w
-        spec = QuadFormSpec(components=(
+        components = (
             QfComponent(weight=1.0, dof=1, var=0.7, mean=1.3),
             QfComponent(weight=-0.6, dof=1, var=0.4, mean=-0.9),
             QfComponent(weight=-0.25, dof=6, var=0.5),
             QfComponent(weight=0.4, dof=2, var=1.1, mean=0.5),
-        ))
+        )
+        spec = form(*components)
         mag = np.logspace(-8, 6, 500)
         w = np.concatenate([-mag[::-1], mag])
         log_psi = np.zeros(w.shape, dtype=complex)
-        for c in spec.components:
+        for c in components:
             u = c.weight * w
             denom = 1.0 - 2.0j * u * c.var
             log_psi += -(c.dof / 2.0) * np.log(denom) + 1.0j * u * c.dof * c.mean**2 / denom
         expected = np.exp(log_psi)
         psi = cf_of(spec)(w)
         assert np.all(np.abs(psi - expected) <= 1e-13 * np.abs(expected))
-        assert isinstance(rn.log_cf(spec, 2.5), complex)
+        assert isinstance(rn.log_cf(spec[0], 2.5), complex)
 
     def test_polar_integrand_matches_complex_form(self, rng):
         # on the line Re z = c, exp(log M(c) + log_cf(tilted spec)) is M(c + jw),
         # and the real-arithmetic integrand A (c cos t + w sin t) / (c^2 + w^2)
         # with t = Im L - w g is Re[M(z) e^{-z g} / z], the textbook form
         for _ in range(10):
-            spec = QuadFormSpec(components=tuple(
+            components = tuple(
                 QfComponent(weight=rng.normal(), dof=int(rng.integers(1, 6)),
                             var=rng.uniform(0.1, 2.0), mean=rng.normal())
-                for _ in range(4)))
-            g = spec.mean() + rng.uniform(0.5, 3.0) * math.sqrt(spec.variance())
+                for _ in range(4))
+            spec = form(*components)
+            mean, var = moments(spec)
+            g = mean + rng.uniform(0.5, 3.0) * math.sqrt(var)
             _, c, log_mc = saddle_point(spec, g)
             w = np.logspace(-6, 3, 400)
             log_m = log_mc + rn.log_cf(spec.tilted(c), w)
@@ -248,7 +257,7 @@ class TestCfEval:
             z = c + 1j * w
             log_mz = sum(-(k.dof / 2.0) * np.log(1.0 - 2.0 * z * k.weight * k.var)
                          + k.dof * k.mean**2 * k.weight * z / (1.0 - 2.0 * z * k.weight * k.var)
-                         for k in spec.components)
+                         for k in components)
             expected = np.real(np.exp(log_mz - z * g) / z)
             assert np.allclose(polar, expected, rtol=1e-9, atol=1e-14)
 
@@ -275,7 +284,7 @@ class TestGilPelaez:
     def test_central_chi2_2dof_far_upper_tail(self, g):
         # P(chi2_2 >= g) = e^{-g/2}: 2e-9 and 9e-14, with relative accuracy
         # at a tolerance tied to the Chernoff bound, as analytic_outage sets it
-        bound, c, _ = saddle_point(QuadFormSpec(components=(QfComponent(1.0, 2, 1.0),)), g)
+        bound, c, _ = saddle_point(form(QfComponent(1.0, 2, 1.0)), g)
         p_up, err = upper_tail(lambda w: 1.0 / (1.0 - 2j * w), g, c, tol=1e-4 * bound)
         assert p_up == pytest.approx(math.exp(-g / 2.0), rel=0.02)
 
@@ -287,7 +296,7 @@ class TestGilPelaez:
             assert p_up == pytest.approx(math.exp(-1.5), abs=1e-8)
 
     def test_noncentral_chi2_series_oracle(self):
-        spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
+        spec = form(QfComponent(1.0, 1, 1.0, 1.0))
         for g in (0.5, 1.0, 3.0):
             expected = ncx2_cdf_series(g, 1, 1.0)
             # oracle sanity: the series must agree with scipy's ncx2
@@ -344,16 +353,15 @@ class TestGilPelaez:
             tilted = spec.tilted(c)
             return lambda w: log_mc + rn.log_cf(tilted, w), g, c
 
-        cfg = rn.validate(rn.SystemConfig())
-        spec = TestQuadForm()._spec(cfg, 2)
-        norm = spec.scaled(1.0 / math.sqrt(spec.variance()))
-        slow = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, 1.0),))
+        norm, _ = _normalized(rn.validate(rn.SystemConfig()), 2)
+        norm_mean, _ = moments(norm)
+        slow = form(QfComponent(1.0, 1, 1.0, 1.0))
         normal = lambda w: np.exp(-w**2 / 2.0)
         expo = lambda w: 1.0 / (1.0 - 1j * w)
         cases = [(log_of(lambda w: normal(w - 1j)), g, 1.0) for g in (-2.0, 0.0, 1.5)]
         cases += [(log_of(lambda w: expo(w - 0.5j)), g, 0.5) for g in (0.5, 2.0)]
         cases += [at_saddle(slow, g) for g in (0.5, 3.0)]
-        cases += [at_saddle(norm, g) for g in (norm.mean() + 1.0, norm.mean() + 2.0)]
+        cases += [at_saddle(norm, g) for g in (norm_mean + 1.0, norm_mean + 2.0)]
         spans, by_parts = set(), 0
         for log_m, g, c in cases:
             first, limit, past, gauge = one_at_a_time(log_m, g, c)
@@ -462,12 +470,11 @@ class TestAnalyticOutage:
         an = rn.analytic_outage(cfg, 2)
         assert abs(mc.op - an.op) <= max(0.01, 3 * mc.std_err)
 
-    def test_method_tag_and_digest(self):
+    def test_method_tag(self):
         cfg = unit_config(w0_dbm=30.0, pt_user_dbm=30.0)
         res = rn.analytic_outage(cfg, 2)
         assert res.method == "analytic"
         assert res.trials == 0
-        assert res.config_digest == cfg.digest()
 
     def test_link_variances_computed_once(self, monkeypatch):
         # the path loss is evaluated once per hop and config object, however
@@ -521,9 +528,9 @@ class TestBatchedOutages:
     @pytest.mark.parametrize("case", CASES)
     def test_batch_matches_one_config_calls(self, case, user):
         grid = self._grid(case)
-        for config, res in zip(grid, rn.analytic_outages(grid, user)):
+        for config, res in zip(grid, rn.analytic_outages(grid, [user] * len(grid))):
             one = rn.analytic_outage(config, user)
-            assert (res.user, res.config_digest, res.method) == (user, config.digest(), "analytic")
+            assert (res.user, res.method) == (user, "analytic")
             assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
             assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
 
@@ -532,7 +539,8 @@ class TestBatchedOutages:
         # outage_pairs inverts users 1 and 2 of every config in one batch,
         # with results equal to one batch per user
         grid = self._grid(case)
-        per_user = list(zip(rn.analytic_outages(grid, 1), rn.analytic_outages(grid, 2)))
+        ones, twos = [1] * len(grid), [2] * len(grid)
+        per_user = list(zip(rn.analytic_outages(grid, ones), rn.analytic_outages(grid, twos)))
         batches = []
         gp = rn.analytic.gil_pelaez_cdf
 
@@ -549,8 +557,8 @@ class TestBatchedOutages:
         # one; the shorter form is padded with zero-weight components
         cfgs = [rn.validate(replace(rn.SystemConfig(), epsilon_sic=eps))
                 for eps in (0.0, 0.01, 0.0)]
-        assert [len(rn.build_quadform(c, 2).components) for c in cfgs] == [3, 5, 3]
-        for config, res in zip(cfgs, rn.analytic_outages(cfgs, 2)):
+        assert [len(rn.build_quadform(c, 2)) for c in cfgs] == [3, 5, 3]
+        for config, res in zip(cfgs, rn.analytic_outages(cfgs, [2] * len(cfgs))):
             one = rn.analytic_outage(config, 2)
             assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
             assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
@@ -564,7 +572,7 @@ class TestBatchedOutages:
             return gp(log_m, g, c, tol=tol)
 
         def counted_gk15(f, lo, hi, k):
-            refined.append(isinstance(k, int))   # an int: one inversion's bisection
+            refined.append(len(set(k.tolist())) == 1)   # one inversion's bisection
             return gk15(f, lo, hi, k)
 
         monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", counted_gp)
@@ -573,7 +581,7 @@ class TestBatchedOutages:
             inverted.clear()
             refined.clear()
             grid = self._grid(case)
-            rn.analytic_outages(grid, user)
+            rn.analytic_outages(grid, [user] * len(grid))
             if case == "default":
                 assert inverted == [42] and not any(refined)   # 19 far tails take the bound
             elif case == "zero rate":
@@ -581,13 +589,61 @@ class TestBatchedOutages:
             else:
                 assert sum(refined) > 0
 
+    def test_mixed_shuffled_batch_is_one_config_calls_bit_for_bit(self, rng, monkeypatch):
+        # every kind of member in one shuffled batch: each result is exactly
+        # the one its config gives alone
+        base = rn.validate(rn.SystemConfig())
+        swapped = rn.validate(replace(base, active_user=2))
+        members = [
+            (base, 1), (base, 2), (swapped, 1), (swapped, 2),
+            (rn.validate(replace(base, rate_threshold_bps_hz=0.0)), 2),   # zero rate
+            (rn.validate(replace(base, rate_threshold_bps_hz=9.5)), 2),   # Chernoff shortcut
+            (at_budget(replace(base, rate_threshold_bps_hz=8.0), -30.0), 1),   # refined
+            (rn.validate(replace(base, epsilon_sic=0.01)), 2),            # five components
+        ]
+        configs, users = zip(*(members[i] for i in rng.permutation(len(members))))
+        inverted, bisected = [], []
+        gp, gk15 = rn.analytic.gil_pelaez_cdf, rn.analytic._gk15
+
+        def counted_gp(log_m, g, c, *, tol):
+            inverted.append(np.size(g))
+            return gp(log_m, g, c, tol=tol)
+
+        def counted_gk15(f, lo, hi, k):
+            bisected.append(len(set(k.tolist())) == 1)
+            return gk15(f, lo, hi, k)
+
+        monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", counted_gp)
+        monkeypatch.setattr(rn.analytic, "_gk15", counted_gk15)
+        batch = rn.analytic_outages(list(configs), list(users))
+        assert inverted == [len(members) - 2] and any(bisected)
+        monkeypatch.undo()
+        for config, user, res in zip(configs, users, batch):
+            one = rn.analytic_outage(config, user)
+            assert (res.user, res.op.hex(), res.std_err.hex()) == (
+                user, one.op.hex(), one.std_err.hex())
+
+    def test_empty_and_mismatched_batches(self):
+        assert rn.analytic_outages([], []) == []
+        cfg = rn.validate(rn.SystemConfig())
+        with pytest.raises(ValueError, match="one user per config"):
+            rn.analytic_outages([cfg, cfg], [1])
+
 
 def _normalized(cfg, user):
-    """The unit-variance spec and threshold that analytic_outage inverts."""
-    spec = rn.build_quadform(cfg, user)
+    """The unit-variance form (a batch of one) and threshold that
+    analytic_outage inverts."""
+    spec = form(*rn.build_quadform(cfg, user))
     g = rn.dbm_to_watt(cfg.w0_dbm) * rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
-    scale = math.sqrt(spec.variance())
+    scale = math.sqrt(moments(spec)[1])
     return spec.scaled(1.0 / scale), g / scale
+
+
+def tail_bound(forms, g, *, upper):
+    """saddle_point's bound on P(G >= g) (upper) or P(G <= g), the upper
+    tail of -G at -g."""
+    sign = 1.0 if upper else -1.0
+    return saddle_point(forms.scaled(sign), sign * g)[0]
 
 
 class TestChernoffBound:
@@ -597,29 +653,28 @@ class TestChernoffBound:
         # G = c X, X ~ chi2_k: the tail of G past c x is that of X on the far
         # side of x from k, and the least Chernoff bound of X there is
         # (x/k)^(k/2) exp((k - x)/2); the grid search must come close to it
-        spec = QuadFormSpec(components=(QfComponent(weight=c, dof=k, var=1.0),))
+        spec = form(QfComponent(weight=c, dof=k, var=1.0))
         for x in (0.02 * k, 0.3 * k, 3.0 * k, 20.0 * k):
             exact = sstats.chi2.sf(x, k) if x > k else sstats.chi2.cdf(x, k)
             optimum = (x / k) ** (k / 2.0) * math.exp((k - x) / 2.0)
-            bound = chernoff_bound(spec, c * x, upper=(x > k) == (c > 0))
+            bound = tail_bound(spec, c * x, upper=(x > k) == (c > 0))
             assert exact <= bound <= 1.25 * optimum
 
     @pytest.mark.parametrize("mu", [0.5, 2.0, 4.0])
     def test_noncentral_chi2_1(self, mu):
-        spec = QuadFormSpec(components=(QfComponent(1.0, 1, 1.0, mu),))
-        mean = spec.mean()
+        spec = form(QfComponent(1.0, 1, 1.0, mu))
+        mean, _ = moments(spec)
         for g in (0.01, 0.2, mean + 8.0, mean + 30.0):
             cdf = ncx2_cdf_series(g, 1, mu**2)
             upper = g > mean
-            assert (1.0 - cdf if upper else cdf) <= chernoff_bound(spec, g, upper=upper) < 1.0
+            assert (1.0 - cdf if upper else cdf) <= tail_bound(spec, g, upper=upper) < 1.0
 
     def test_lower_tail_of_a_positive_form_is_searched(self):
         # no component limits s below 0, so the bound comes from searching
         # that unbounded side; it is never taken as 0
-        spec = QuadFormSpec(components=(QfComponent(0.5, 4, 1.0),
-                                        QfComponent(2.0, 1, 0.7, 1.5)))
-        for g in (1e-3, 0.1, 0.5 * spec.mean()):
-            assert 0.0 < chernoff_bound(spec, g, upper=False) < 1.0
+        spec = form(QfComponent(0.5, 4, 1.0), QfComponent(2.0, 1, 0.7, 1.5))
+        for g in (1e-3, 0.1, 0.5 * moments(spec)[0]):
+            assert 0.0 < tail_bound(spec, g, upper=False) < 1.0
 
     def test_far_tails_take_the_shortcut(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -629,17 +684,17 @@ class TestChernoffBound:
         # |z| > 200 on the upper side: outage is certain
         cfg = rn.validate(rn.SystemConfig(rate_threshold_bps_hz=9.5))
         norm, g = _normalized(cfg, 2)
-        assert g - norm.mean() > 200.0
+        assert g - moments(norm)[0] > 200.0
         res = rn.analytic_outage(cfg, 2)
-        assert res.op == 1.0 and res.std_err == chernoff_bound(norm, g, upper=True)
+        assert res.op == 1.0 and res.std_err == tail_bound(norm, g, upper=True)
         assert res.std_err <= 1e-3 * cfg.quad_tol
         # only 3.4 standard deviations below the mean, yet the lower tail of
         # this all-positive form is proven negligible: outage is impossible
         low = unit_config(w0_dbm=-250.0, pt_user_dbm=30.0)
         norm, g = _normalized(low, 2)
-        assert -4.0 < g - norm.mean() < -3.0
+        assert -4.0 < g - moments(norm)[0] < -3.0
         res = rn.analytic_outage(low, 2)
-        assert res.op == 0.0 and res.std_err == chernoff_bound(norm, g, upper=False)
+        assert res.op == 0.0 and res.std_err == tail_bound(norm, g, upper=False)
         assert 0.0 < res.std_err <= 1e-3 * low.quad_tol
 
     def test_default_point_is_quadrature_bit_for_bit(self):
@@ -649,10 +704,10 @@ class TestChernoffBound:
         cfg = rn.validate(rn.SystemConfig())
         for user in (1, 2):
             norm, g = _normalized(cfg, user)
-            upper = g > norm.mean()
+            upper = g > moments(norm)[0]
             side, g_side = (norm, g) if upper else (norm.scaled(-1.0), -g)
             bound, c, log_mc = saddle_point(side, g_side)
-            assert bound == chernoff_bound(norm, g, upper=upper) > 1e-3 * cfg.quad_tol
+            assert bound == tail_bound(norm, g, upper=upper) > 1e-3 * cfg.quad_tol
             tilted = side.tilted(c)
             tail, err = rn.gil_pelaez_cdf(lambda w: log_mc + rn.log_cf(tilted, w), g_side, c,
                                           tol=min(cfg.quad_tol, 1e-4 * bound))

@@ -94,6 +94,15 @@ class TestValidate:
             with pytest.raises(rn.ConfigError, match="active_user must be an integer"):
                 rn.validate(rn.SystemConfig(active_user=value))
 
+    def test_bool_field_refuses_other_types(self):
+        # "no" is a true value, so it ran with joint outage on
+        for value in ("no", 0, 1, 0.5, None):
+            with pytest.raises(rn.ConfigError) as info:
+                rn.validate(rn.SystemConfig(joint_outage_u2=value))
+            assert info.value.problems == [
+                f"joint_outage_u2 must be true or false, got {value!r}"]
+        assert rn.validate(rn.SystemConfig(joint_outage_u2=True)).joint_outage_u2 is True
+
     def test_float_fields_refuse_other_types_and_non_finite(self):
         # each passed validate before and failed later, or gave a number
         bad = dict(fc_ghz="5", pt_user_dbm="15", w0_dbm=math.nan, pt_ris_dbm=math.inf,

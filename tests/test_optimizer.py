@@ -132,13 +132,13 @@ class TestOptimize:
         settings = dict(evaluator=evaluator, interval_dbm=(x_cap - 4.0, x_cap + 6.0))
 
         seen = []
-        evaluate = optimizer._outage_pairs
+        evaluate = optimizer.outage_pairs
 
         def counted(configs, method, *, workers):
             seen.extend(alpha_from_power(config) for config in configs)
             return evaluate(configs, method, workers=workers)
 
-        monkeypatch.setattr(optimizer, "_outage_pairs", counted)
+        monkeypatch.setattr(optimizer, "outage_pairs", counted)
         out = rn.optimize(cfg, **settings)
         monkeypatch.undo()
 
@@ -163,7 +163,7 @@ class TestOptimize:
         def unreachable(*args, **kwargs):
             raise AssertionError("evaluated before the settings were checked")
 
-        monkeypatch.setattr(optimizer, "_outage_pairs", unreachable)
+        monkeypatch.setattr(optimizer, "outage_pairs", unreachable)
         with pytest.raises(ValueError, match="tol_db must be a finite number > 0"):
             rn.optimize(rn.validate(rn.SystemConfig()), tol_db=tol_db)
 
@@ -174,7 +174,7 @@ class TestOptimize:
         def unreachable(*args, **kwargs):
             raise AssertionError("evaluated before the interval was checked")
 
-        monkeypatch.setattr(optimizer, "_outage_pairs", unreachable)
+        monkeypatch.setattr(optimizer, "outage_pairs", unreachable)
         with pytest.raises(ValueError, match="search interval must be two finite"):
             rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=interval)
 
@@ -196,7 +196,7 @@ class TestBatchedGrid:
         with pytest.raises(NotImplementedError, match="simulation-only"):
             rn.optimize(cfg, evaluator="analytic")
         with pytest.raises(NotImplementedError, match="simulation-only"):
-            rn.analytic_outages([cfg, at_budget(cfg, -50.0)], 2)
+            rn.analytic_outages([cfg, at_budget(cfg, -50.0)], [2, 2])
 
     def test_node_pass_is_cut_into_chunks(self, monkeypatch):
         # the default grid batch has about 800 panels; with chunks of 256 no
@@ -213,9 +213,9 @@ class TestBatchedGrid:
         rn.optimize(rn.validate(rn.SystemConfig()))
         assert max(nodes) == rn.analytic.PANEL_CHUNK * 15
 
-    def test_probes_are_not_hashed(self, monkeypatch):
-        # the search hashes one config, the one at its outcome; its results
-        # carry that digest, as a direct evaluation's do
+    def test_optimize_hashes_no_config(self, monkeypatch):
+        # neither the search's probes nor its outcome are hashed: a row's
+        # digest comes from the config run_point evaluates
         hashed = []
         digest = rn.SystemConfig.digest
 
@@ -226,8 +226,7 @@ class TestBatchedGrid:
         monkeypatch.setattr(rn.SystemConfig, "digest", counted)
         cfg = rn.validate(rn.SystemConfig())
         out = rn.optimize(cfg)
-        assert out.evaluations > 30 and hashed == [out.pt_ris_dbm]
-        assert [r.config_digest for r in out.results] == [at_budget(cfg, out.pt_ris_dbm).digest()] * 2
+        assert out.evaluations > 30 and hashed == []
 
     def test_run_point_rows_are_the_searched_pair(self, monkeypatch):
         # the analytic rows at an optimized point come from the search's own
@@ -242,10 +241,9 @@ class TestBatchedGrid:
 
 
 def _made_up_pair(op1, op2):
-    """An optimizer._outage_pairs stand-in: made-up op curves of the budget."""
+    """An optimizer.outage_pairs stand-in: made-up op curves of the budget."""
     def result(op, user):
-        return rn.OutageResult(op=op, trials=0, std_err=0.0, method="analytic", user=user,
-                               config_digest="")
+        return rn.OutageResult(op=op, trials=0, std_err=0.0, method="analytic", user=user)
 
     def pairs(configs, method, *, workers):
         return [(result(op1(c.pt_ris_dbm), 1), result(op2(c.pt_ris_dbm), 2)) for c in configs]
@@ -267,7 +265,7 @@ class TestRefinementBranches:
         # the gap is zero only at the grid point X0; golden-section probes
         # around it but never at it, so the grid point is kept
         x0 = self.X0
-        monkeypatch.setattr(optimizer, "_outage_pairs", _made_up_pair(
+        monkeypatch.setattr(optimizer, "outage_pairs", _made_up_pair(
             lambda x: 0.1, lambda x: 0.1 + 0.01 * abs(x - x0)))
         out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=self.INTERVAL)
         assert out.mode == "balanced"
@@ -278,7 +276,7 @@ class TestRefinementBranches:
         # (0.22) is beyond delta* + slack = 0.21, so the refinement that finds
         # it is sent back to the grid point
         x0 = self.X0
-        monkeypatch.setattr(optimizer, "_outage_pairs", _made_up_pair(
+        monkeypatch.setattr(optimizer, "outage_pairs", _made_up_pair(
             lambda x: 0.2, lambda x: 0.15 - 0.001 * (x0 - x) if x <= x0 else 0.22))
         out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=self.INTERVAL)
         assert out.mode == "balanced"

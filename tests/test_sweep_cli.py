@@ -304,6 +304,18 @@ class TestCli:
         assert code == 1
         assert "fc_ghz must be in" in capsys.readouterr().err
 
+    def test_sweep_bool_param_values_are_error_rows(self, tmp_path, capsys):
+        # a sweep value is a number, never a bool: 0.5 ran as true before
+        out = tmp_path / "joint.csv"
+        code = main(["sweep", "--param", "joint_outage_u2", "--values", "0,0.5",
+                     "--method", "mc", "--trials", "2000", "--allow-noisy",
+                     "--out", str(out)])
+        assert code == 1
+        assert "joint_outage_u2 must be true or false, got 0.5" in capsys.readouterr().err
+        body = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert len(body) == 4 and all(r[7] == "error:ConfigError" for r in body)
+
     def test_sweep_optimizer_failure_is_error_rows(self, tmp_path, capsys):
         out = tmp_path / "opt.csv"
         code = main(["sweep", "--param", "pt_user_dbm", "--values", "10,12",
