@@ -44,21 +44,48 @@ class TermStats(NamedTuple):
 def term_statistics(config: SystemConfig):
     """The TermStats of (a, b, c, d) implied by a config's geometry and gain;
     the active part carries a and c, the passive part b and d."""
-    var = link_variances(config)
-    alpha = resolve_alpha(config)
-    s_act, s_pas = (math.sqrt(s) for s in var.active_passive(config.active_user))
-    s_bs = math.sqrt(var.bs)
+    x = np.array(_form_rows(config)[True])
+    mu, var = (y[[0, 1, 3, 2]].tolist() for y in _term_stats(x[0:4], x[4:8], x[8:12], x[12]))
+    return tuple(map(TermStats, mu, var))
 
-    def coherent(gain, count, s):   # phase-aligned: real, Rayleigh-product mean
-        mu = math.sqrt(gain) * count * RAYLEIGH_MEAN_FACTOR * s * s_bs
-        return TermStats(mu=mu, var=gain * count * s**2 * s_bs**2 * RAYLEIGH_VAR_FACTOR)
 
-    def leakage(gain, count, s):    # unaligned: zero-mean complex
-        return TermStats(mu=0.0, var=gain * count * s**2 * s_bs**2)
+# the terms of a form's two pairs: real (phase-aligned, with a
+# Rayleigh-product mean), complex (unaligned, zero-mean), real, complex
+_REAL = np.array([1.0, 0.0, 1.0, 0.0])
+_VAR_FACTOR = np.array([RAYLEIGH_VAR_FACTOR, 1.0, RAYLEIGH_VAR_FACTOR, 1.0])
 
-    m, n = config.m_active, config.n_passive
-    return (coherent(alpha, m, s_act), leakage(1.0, n, s_act),
-            leakage(alpha, m, s_pas), coherent(1.0, n, s_pas))
+
+def _term_stats(gain, count, hop, bs):
+    """The means and variances of a form's terms (real, complex, real,
+    complex on the last axis) from their gains, element counts and
+    uplink-hop variances, and the RIS-BS hop variance bs; numbers or arrays
+    alike.  Squares are np.float_power, libm's pow as Python's ** on floats."""
+    s, s_bs = np.sqrt(hop), np.sqrt(bs)
+    mu = np.sqrt(gain) * count * RAYLEIGH_MEAN_FACTOR * s * s_bs * _REAL
+    return mu, gain * count * np.float_power(s, 2) * np.float_power(s_bs, 2) * _VAR_FACTOR
+
+
+def _form_rows(config: SystemConfig):
+    """A config's inputs to the outage form of the passive (False) and the
+    active (True) user's decode, kept on the config: the gains, element
+    counts and uplink-hop variances of the decoded pair's terms, (d, c) or
+    (a, b), and of the other pair's; the RIS-BS hop variance; the weights
+    pt, -eps pt v or -pt v, and -sigma_z^2 alpha v; the dofs 1 and 2M; and
+    the variance of the amplifier-noise component, half the RIS-BS hop's."""
+    def rows(config):
+        var = link_variances(config)
+        alpha, (act, pas) = resolve_alpha(config), var.active_passive(config.active_user)
+        m, n, eps = config.m_active, config.n_passive, config.epsilon_sic
+        pt = dbm_to_watt(config.pt_user_dbm)
+        v = rate_to_threshold(config.rate_threshold_bps_hz)
+        tail = -dbm_to_watt(config.namp_dbm) * alpha * v, 1.0, 2 * m, var.bs / 2.0
+        a, b, c, d = (alpha, m, act), (1.0, n, act), (alpha, m, pas), (1.0, n, pas)
+
+        def row(terms, w):
+            gains, counts, hops = zip(*terms)
+            return (*gains, *counts, *hops, var.bs, pt, w, *tail)
+        return row((d, c, a, b), -eps * pt * v), row((a, b, d, c), -pt * v)
+    return config._memo("_form_rows", rows)
 
 
 class QfComponent(NamedTuple):
@@ -162,35 +189,50 @@ def log_cf(forms, omega):
 cf_eval = log_cf
 
 
-def build_quadform(config: SystemConfig, user: int) -> tuple:
-    """The QfComponents of the outage quadratic form of one user's decode.
+def outage_forms(configs, users) -> QuadForm:
+    """The outage quadratic forms of users[i]'s decode at configs[i], as the
+    (C, K) fields of one QuadForm (users 1 or 2; `build_quadform` is a batch
+    of one).
 
     The squared magnitude of a real-plus-complex sum splits into a
     noncentral 1-dof part (real axis) and a central 1-dof part (imaginary
     axis of the complex term); the complex term's variance divides evenly
-    between the two.  The forwarded amplifier noise enters as a central
-    2M-dof component.  Components with zero weight are dropped.
+    between the two.  The decoded user's pair, |a + b|^2 for the active
+    user and |d + c|^2 for the passive one, has weight pt; the other pair
+    has weight -pt v, or -eps pt v as the passive user's SIC residue.  The
+    forwarded amplifier noise enters as a central 2M-dof component.
+    Components with zero weight are dropped: each form keeps the rest in
+    this order, padded at the end with zero-weight ones.
     """
+    x = np.array([_form_rows(config)[user == config.active_user]
+                  for config, user in zip(configs, users)])
+    mu, var = _term_stats(x[:, 0:4], x[:, 4:8], x[:, 8:12], x[:, 12:13])
+    fields = np.zeros((len(x), 4, 5))   # per form: weight, dof, var, mean of 5 components
+    fields[:, 0] = x[:, [13, 13, 14, 14, 15]]
+    fields[:, 1] = x[:, [16, 16, 16, 16, 17]]
+    fields[:, 2, 1:4:2] = var[:, 1::2] / 2.0
+    fields[:, 2, 0:4:2] = var[:, 0::2] + fields[:, 2, 1:4:2]
+    fields[:, 2, 4] = x[:, 18]
+    fields[:, 3, 0:4:2] = mu[:, 0::2]
+    fields = fields.transpose(1, 2, 0)
+    keep = fields[0] != 0.0
+    if not keep.all():
+        slot = np.cumsum(keep, axis=0) - 1
+        packed = np.zeros((4, slot[-1].max() + 1, len(x)))
+        packed[:, slot[keep], np.nonzero(keep)[1]] = fields[:, keep]
+        fields = packed
+    weight, dof, var, mean = fields
+    return QuadForm(weight, dof, var, mean, tuple((mean == 0.0).all(axis=1).tolist()))
+
+
+def build_quadform(config: SystemConfig, user: int) -> tuple:
+    """The QfComponents of the outage quadratic form of one user's decode
+    (`outage_forms`, a batch of one)."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
-    sa, sb, sc, sd = term_statistics(config)
-    pt = dbm_to_watt(config.pt_user_dbm)
-    v = rate_to_threshold(config.rate_threshold_bps_hz)
-
-    def part(weight, real, cplx):
-        """weight |real + cplx|^2: its noncentral and its central component."""
-        return [QfComponent(weight, 1, real.var + cplx.var / 2.0, real.mu),
-                QfComponent(weight, 1, cplx.var / 2.0)]
-
-    if user == config.active_user:
-        comps = part(pt, sa, sb) + part(-pt * v, sd, sc)
-    else:
-        comps = part(pt, sd, sc)
-        if config.epsilon_sic > 0.0:
-            comps += part(-config.epsilon_sic * pt * v, sa, sb)
-    comps.append(QfComponent(-dbm_to_watt(config.namp_dbm) * resolve_alpha(config) * v,
-                             2 * config.m_active, link_variances(config).bs / 2.0))
-    return tuple(c for c in comps if c.weight != 0.0)
+    form = outage_forms([config], [user])
+    return tuple(QfComponent(w, int(dof), var, mean) for w, dof, var, mean in
+                 zip(*(x[:, 0].tolist() for x in (form.weight, form.dof, form.var, form.mean))))
 
 
 _CHERNOFF_T = np.geomspace(1e-3, 1e12, 121)
@@ -205,15 +247,19 @@ def saddle_point(forms: QuadForm, g):
     log M(s) = sum -(dof/2) log(1 - 2 s w v) + dof mean^2 w s / (1 - 2 s w v)
     while all 2 s w v < 1.  On the same grid c minimizes log M(s) - s g - log s:
     the real saddle point of M(z) e^{-z g} / z.  For (K,) g the three values
-    are (K,) arrays, from one (K, 121, C) pass; a lower tail P(G <= g) is the
-    upper tail of forms.scaled(-1.0) at -g.
+    are (K,) arrays, from one (K, 121) pass per component, summed in
+    component order; a lower tail P(G <= g) is the upper tail of
+    forms.scaled(-1.0) at -g.
     """
-    w, var, dof, mean = forms.weight.T, forms.var.T, forms.dof.T, forms.mean.T
-    wv = w * var
-    s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * np.maximum(0.0, np.max(2.0 * wv, axis=1))[:, None])
-    r = 1.0 - 2.0 * (s[:, :, None] * wv[:, None, :])
-    log_m = ((-0.5 * dof)[:, None, :] * np.log(r)
-             + (dof * mean**2)[:, None, :] * (s[:, :, None] * w[:, None, :]) / r).sum(axis=2)
+    wv = forms.weight * forms.var
+    s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * np.maximum(0.0, np.max(2.0 * wv, axis=0))[:, None])
+    half_dof, lam = -0.5 * forms.dof, forms.dof * forms.mean**2
+    for j, central in enumerate(forms.central):
+        r = 1.0 - 2.0 * (s * wv[j, :, None])
+        term = half_dof[j, :, None] * np.log(r)
+        if not central:
+            term += lam[j, :, None] * (s * forms.weight[j, :, None]) / r
+        log_m = term if j == 0 else log_m + term
     exponent = log_m - s * np.reshape(g, (-1, 1))
     at = np.arange(len(s)), np.argmin(exponent - np.log(s), axis=1)
     out = np.exp(np.min(exponent, axis=1)), s[at], log_m[at]
@@ -261,48 +307,75 @@ def _gk15_sums(half, vals):
 
 
 _LADDER = np.ldexp(1.0, np.arange(-40, 200))   # probed frequencies, in units of c
-_LADDER_CHUNK = 80                             # divides _LADDER.size
-_EDGE_DROP = 0.5 * np.log1p(_LADDER[:_LADDER_CHUNK, None] ** 2)
-_STEP = 2.0**-12                               # relative step of the central difference
-_SHIFTS = np.repeat([1.0, 1.0 + _STEP, 1.0 - _STEP], _LADDER_CHUNK)[:, None]
-_PANEL_WIDTHS = np.append(1.0, _LADDER[40:])   # [0, 1], then [2^k, 2^(k+1)], in units of the first
+_BAND = 28, 52             # _LADDER[28:52] = 2^-12 ... 2^11, the first frequencies probed
+_LADDER_CHUNK = 24         # frequencies per probe call past the band
+_EDGE_DROP = 0.5 * np.log1p(_LADDER[:_BAND[1], None] ** 2)
+_STEP = 2.0**-12           # relative step of the central difference
+_SHIFTS = np.array([1.0, 1.0 + _STEP, 1.0 - _STEP])[:, None, None]
+_PANEL_WIDTHS = np.append(1.0, np.ldexp(1.0, np.arange(160)))   # [0, 1], then [2^k, 2^(k+1)]
 MAX_PANELS = 60_000         # each refinement adds a panel, so this bounds the loop
+_SUM_BLOCK = 1 << 18        # floats in a padded block of _first_panels' running sums
 
 
 def _panel_ladder(log_m, g, c, tol):
     """Per member: the first panel edge, the truncation limit W, the tail
-    past W and its error estimate, all frequencies c 2^k, probed in chunks
-    of one `log_m` call each for up to PANEL_CHUNK * 15 nodes.  With the
+    past W and its error estimate, all frequencies c 2^k.  With the
     integrand Re[H(w) e^{-jwg}], H(w) = M(c + jw) e^{-cg} / (pi (c + jw)):
 
-    the edge is where |H| has fallen by 1/32, at sigma/4 for a Gaussian of
-    width sigma = (Var_c + 1/c^2)^(-1/2).  The limit is the first frequency
-    past it where the by-parts remainder 2 |H'(W)| / g^2 (Bleistein &
-    Handelsman, Asymptotic Expansions of Integrals (1975), ch. 3) or, for
-    small |g|, the envelope estimate min(A, 2 A / (|g| w)) / pi, with
-    A = pi |c + jw| |H| and |g| at least 1e-3, is below tol / 8.  The
-    smaller of the two is the error; where it is the remainder, the tail is
-    the leading term Re[H(W) e^{-jWg} / (jg)].  H'/H = L' - j / (c + jw),
-    L' a central difference of log_m at relative step _STEP with its
-    imaginary part wrapped into [-pi, pi]."""
-    first, limit, past, gauge = np.zeros((4, g.size))
-    members = max(1, PANEL_CHUNK * _NODES.size // (_SHIFTS.size + 1))
-    for start in range(0, g.size, members):
-        k = np.arange(g.size)[start:start + members]
+    the edge is the first frequency where |H| has fallen by 1/32 (the
+    drop), at sigma/4 for a Gaussian of width sigma = (Var_c + 1/c^2)^(-1/2).
+    For a quadratic form the drop grows with w, is at most w^2 / (2 sigma^2)
+    (log1p(t^2) <= t^2) and at least (1/2) log1p(1/4) > 1/32 at w = c/2, so
+    the edge lies in [sigma/4, c/2].  The ladder is probed from c 2^-12, and
+    from c 2^-40 for a member whose drop reaches 1/32 already there (or
+    nowhere up to c 2^11), so that the first probe that does is the edge.
+    The limit is the first frequency past it where the by-parts remainder
+    2 |H'(W)| / g^2 (Bleistein & Handelsman, Asymptotic Expansions of
+    Integrals (1975), ch. 3) or, for small |g|, the envelope estimate
+    min(A, 2 A / (|g| w)) / pi, with A = pi |c + jw| |H| and |g| at least
+    1e-3, is below tol / 8.  The smaller of the two is the error; where it
+    is the remainder, the tail is the leading term Re[H(W) e^{-jWg} / (jg)].
+    H'/H = L' - j / (c + jw), L' a central difference of log_m at relative
+    step _STEP with its imaginary part wrapped into [-pi, pi]."""
+    out = np.zeros((4, g.size))
+    redo = _climb(log_m, np.arange(g.size), g, c, tol, out, _BAND[0])
+    if redo.size:
+        _climb(log_m, redo, g, c, tol, out, 0)
+    return tuple(out)
+
+
+def _climb(log_m, members, g, c, tol, out, start):
+    """_panel_ladder's search for `members` from _LADDER[start], writing
+    their (first, limit, past, gauge) into out; each `log_m` call probes up
+    to PANEL_CHUNK * 15 nodes.  From the band (start > 0) it returns the
+    members it could not place an edge for, and skips them."""
+    first, limit, past, gauge = out
+    chunks = [(start, _BAND[1]),
+              *((lo, lo + _LADDER_CHUNK) for lo in range(_BAND[1], _LADDER.size, _LADDER_CHUNK))]
+    group = max(1, PANEL_CHUNK * _NODES.size // (3 * (_BAND[1] - start) + 1))
+    redo = []
+    for at_member in range(0, members.size, group):
+        k = members[at_member:at_member + group]
         cc, gg, tol8 = c[k], g[k], tol[k] / 8.0
         edge = None
-        for chunk in range(0, _LADDER.size, _LADDER_CHUNK):
-            omega = cc * _LADDER[chunk:chunk + _LADDER_CHUNK, None]
-            probes = np.tile(omega, (3, 1)) * _SHIFTS
+        for lo, hi in chunks:
+            ladder = _LADDER[lo:hi, None]
+            omega = cc * ladder
+            probes = (omega * _SHIFTS).reshape(-1, k.size)
             if edge is None:
                 probes = np.vstack([np.zeros_like(cc), probes])
             lm = log_m(probes, k)
+            placed = True
             if edge is None:
                 log_zero, lm = np.real(lm[0]), lm[1:]
-                drop = log_zero - np.real(lm[:_LADDER_CHUNK]) + _EDGE_DROP
-                edge = cc * _LADDER[(drop >= 1.0 / 32.0).argmax(axis=0)]
+                drop = log_zero - np.real(lm[:ladder.size]) + _EDGE_DROP[lo:hi]
+                at_edge = (drop >= 1.0 / 32.0).argmax(axis=0)
+                edge = cc * _LADDER[lo + at_edge]
                 first[k] = edge
-            lw, lp, lq = lm.reshape(3, _LADDER_CHUNK, k.size)
+                if start:
+                    placed = at_edge > 0
+                    redo.append(k[~placed])
+            lw, lp, lq = lm.reshape(3, ladder.size, k.size)
             # a closed-form CF's log is -inf where it underflows: L' is taken as 0 there
             both = np.isfinite(lp.real) & np.isfinite(lq.real)
             dl = np.subtract(lp, lq, out=np.zeros_like(lw), where=both)
@@ -313,7 +386,7 @@ def _panel_ladder(log_m, g, c, tol):
             env = np.minimum(amp, 2.0 * amp / (np.maximum(np.abs(gg), 1e-3) * omega)) / math.pi
             g2 = gg * gg
             by_parts = dh2 < env * g2          # the remainder 2 |H'| / g^2 is the smaller
-            done = (omega > edge) & ((dh2 < tol8 * g2) | (env < tol8))
+            done = (omega > edge) & ((dh2 < tol8 * g2) | (env < tol8)) & placed
             at = done.argmax(axis=0), np.arange(k.size)
             hit = done[at]
             use = hit & by_parts[at]           # never at g = 0
@@ -321,23 +394,44 @@ def _panel_ladder(log_m, g, c, tol):
             w, gu = omega[at][use], gg[use]
             h = amp[at][use] * np.exp(1j * (lw.imag[at][use] - w * gu)) / (math.pi * z[at][use])
             past[k[use]], gauge[k[use]] = (h / (1j * gu)).real, dh2[at][use] / g2[use]
-            if hit.all():
+            climbing = ~hit & placed
+            if not climbing.any():
                 break
-            k, cc, gg, tol8, edge = (x[~hit] for x in (k, cc, gg, tol8, edge))
+            k, cc, gg, tol8, edge = (x[climbing] for x in (k, cc, gg, tol8, edge))
         else:
             raise AccuracyError("could not find a finite truncation limit")
-    return first, limit, past, gauge
+    return np.concatenate(redo) if redo else np.zeros(0, dtype=int)
 
 
-def _first_panels(first: float, omega_hi: float, g: float):
-    """Initial panels [0, first], then dyadic up to omega_hi, each cut to at
-    most one period 2 pi / |g|."""
-    width = first * _PANEL_WIDTHS[:round(math.log2(omega_hi / first)) + 1]
-    pieces = np.ceil(width * (abs(g) / (2.0 * math.pi))).clip(1).astype(int)
-    hi = np.cumsum(np.repeat(width / pieces, pieces))
-    if hi.size > MAX_PANELS:
-        raise AccuracyError(f"panel budget exceeded ({hi.size} initial panels)")
-    return np.append(0.0, hi[:-1]), hi
+def _first_panels(first, omega_hi, g):
+    """Every member's initial panels, [0, first] and dyadic up to omega_hi,
+    each cut to at most one period 2 pi / |g|, as one (lo, hi) pair of
+    arrays: member by member, each member's panels starting at its one lo
+    of 0."""
+    spans = np.rint(np.log2(omega_hi / first)).astype(int) + 1   # dyadic pieces per member
+    width = first[:, None] * _PANEL_WIDTHS[:spans.max()]
+    cuts = np.maximum(np.ceil(width * (np.abs(g) / (2.0 * math.pi))[:, None]), 1.0)
+    steps = width / cuts
+    cuts *= np.arange(width.shape[1]) < spans[:, None]
+    sizes = cuts.sum(axis=1)
+    if sizes.max() > MAX_PANELS:
+        over = sizes[sizes > MAX_PANELS][0]
+        raise AccuracyError(f"panel budget exceeded ({int(over)} initial panels)")
+    # a member's panel ends are the running sum of its panel widths: np.cumsum
+    # along the rows of a block of members, each row padded at its end
+    sizes, cuts = sizes.astype(int), cuts.astype(int)
+    most, starts = sizes.max(), np.cumsum(sizes) - sizes
+    cuts[:, -1] += most - sizes
+    rows = max(1, _SUM_BLOCK // most)   # members per padded block
+    hi = np.empty(sizes.sum())
+    for top in range(0, sizes.size, rows):
+        block = slice(top, top + rows)
+        sums = np.cumsum(np.repeat(steps[block], cuts[block].ravel()).reshape(-1, most), axis=1)
+        hi[starts[top]:starts[top] + sizes[block].sum()] = sums[np.arange(most) < sizes[block, None]]
+    lo = np.empty_like(hi)
+    lo[1:] = hi[:-1]
+    lo[starts] = 0.0
+    return lo, hi
 
 
 def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
@@ -397,21 +491,19 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
                 / (math.pi * (ck * ck + w * w)))
 
     first, omega_hi, past, gauge = _panel_ladder(log_m, g, c, tol)
-    panels = [_first_panels(*member)
-              for member in zip(first.tolist(), omega_hi.tolist(), g.tolist())]
-    sizes = [lo.size for lo, _ in panels]
-    ends = np.cumsum(sizes)
+    lo, hi = _first_panels(first, omega_hi, g)
+    starts = np.flatnonzero(lo == 0.0)
+    ends = np.append(starts[1:], lo.size)
     tail, err = np.empty((2, g.size))
     start = 0
     while start < g.size:   # members with at most MAX_PANELS first panels in all, or one
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + MAX_PANELS,
-                                                  side="right")))
-        lo, hi = (np.concatenate(p) for p in zip(*panels[start:stop]))
-        half, vals = _gk15(integrand, lo, hi, np.repeat(np.arange(start, stop), sizes[start:stop]))
-        b = 0
+        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + MAX_PANELS, side="right")))
+        span = slice(starts[start], ends[stop - 1])
+        half, vals = _gk15(integrand, lo[span], hi[span],
+                           np.repeat(np.arange(start, stop), (ends - starts)[start:stop]))
         for k in range(start, stop):
-            a, b = b, b + sizes[k]
-            tail[k], err[k] = _refine(integrand, k, lo[a:b], hi[a:b],
+            a, b = starts[k] - span.start, ends[k] - span.start
+            tail[k], err[k] = _refine(integrand, k, lo[starts[k]:ends[k]], hi[starts[k]:ends[k]],
                                       *_gk15_sums(half[a:b], vals[:, a:b]), tol[k])
         start = stop
     tail = np.clip(tail + past, 0.0, 1.0)
@@ -441,7 +533,7 @@ def analytic_outages(configs, users) -> list[OutageResult]:
     live = np.flatnonzero(v > 0.0)       # a threshold of 0 is never missed
     op, err = np.zeros((2, len(configs)))
     if live.size:
-        forms = QuadForm.of([build_quadform(configs[i], users[i]) for i in live])
+        forms = outage_forms([configs[i] for i in live], [users[i] for i in live])
         g = np.array([dbm_to_watt(configs[i].w0_dbm) for i in live]) * v[live]
         quad_tol = np.array([configs[i].quad_tol for i in live])
         # normalized, the tail on the threshold's side of the mean is the upper

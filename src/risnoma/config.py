@@ -205,6 +205,15 @@ def read_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def read_bool(text: str) -> bool:
+    """A bool key's value from text: true, 1 or yes, or false, 0 or no."""
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
 def _parse_value(key: str, raw: str):
     kind = FIELD_TYPES[key]
     raw = raw.strip()
@@ -213,11 +222,7 @@ def _parse_value(key: str, raw: str):
     if kind is str:
         return raw
     if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
+        return read_bool(raw)
     if kind is int:
         return read_int(raw)
     return float(raw)

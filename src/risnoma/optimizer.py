@@ -12,9 +12,9 @@ alone.
 
 A coarse grid over the whole interval is the global search, its distinct
 gains evaluated in one batch (`outage_pairs`); golden-section then refines
-inside the one-grid-step bracket around the grid's argmin, one budget at a
-time, where the objective is single-dipped or flat (where the gain cap or
-floor binds).
+inside the one-grid-step bracket around the grid's argmin, its opening pair
+in one batch and one budget at a time after that, where the objective is
+single-dipped or flat (where the gain cap or floor binds).
 """
 
 import math
@@ -70,10 +70,13 @@ def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
     return replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float):
-    """Golden-section argmin on [lo, hi]; returns best evaluated point."""
+def _golden_min(fun, lo: float, hi: float, tol: float, evaluate):
+    """Golden-section argmin on [lo, hi]; returns best evaluated point.
+    evaluate(xs) prepares fun at several points in one batch: the opening
+    pair, always both needed, goes through it together."""
     x1 = hi - INV_PHI * (hi - lo)
     x2 = lo + INV_PHI * (hi - lo)
+    evaluate([x1, x2])
     f1, f2 = fun(x1), fun(x2)
     while hi - lo > tol:
         if f1 <= f2:
@@ -162,7 +165,7 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
     # refine inside a one-grid-step bracket around the coarse argmin
     blo = max(lo, best_x - GRID_STEP_DB)
     bhi = min(hi, best_x + GRID_STEP_DB)
-    x, f = _golden_min(objective, blo, bhi, tol_db)
+    x, f = _golden_min(objective, blo, bhi, tol_db, evaluate)
     if best_f < f:
         x, f = best_x, best_f
     if mode == "balanced":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import FIELD_TYPES, ConfigError, SystemConfig, read_int, validate
+from .config import FIELD_TYPES, ConfigError, SystemConfig, read_bool, read_int, validate
 from .optimizer import METHODS, at_budget, optimize, outage_pair
 from .ris import resolve_alpha
 
@@ -26,6 +26,7 @@ CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
 VIRTUAL_PARAMS = {"ris_size": ("m_active", "n_passive")}
 
 INT_PARAMS = {k for k, kind in FIELD_TYPES.items() if kind is int} | set(VIRTUAL_PARAMS)
+BOOL_PARAMS = {k for k, kind in FIELD_TYPES.items() if kind is bool}
 
 NOISY_REL_STD_ERR = 0.2    # MC rows noisier than this need --allow-noisy
 FLOOR_EVENTS = 1000        # events below which an MC tail point is floor-limited
@@ -122,12 +123,16 @@ def parse_values(text: str, as_int: bool = False):
 
 def apply_param(config: SystemConfig, param: str, value) -> SystemConfig:
     """The config with one sweep parameter set; a fractional value for an
-    integer parameter raises ConfigError."""
-    if param in INT_PARAMS:
-        try:
+    integer parameter raises ConfigError, and so does a value for a bool
+    parameter that the config file's rule does not read as true (1) or
+    false (0)."""
+    try:
+        if param in INT_PARAMS:
             value = read_int(value)
-        except ValueError as exc:
-            raise ConfigError([f"{param}: {exc}"]) from None
+        elif param in BOOL_PARAMS:
+            value = read_bool(fmt_value(value))
+    except ValueError as exc:
+        raise ConfigError([f"{param}: {exc}"]) from None
     keys = VIRTUAL_PARAMS.get(param, (param,))
     return replace(config, **dict.fromkeys(keys, value))
 
@@ -210,13 +215,21 @@ def _floor_limited(row: ResultRow) -> bool:
 
 def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
               workers: int = 1):
-    """Run a sweep; returns (rows, noisy_rows) and optionally writes CSV."""
+    """Run a sweep; returns (rows, noisy_rows) and optionally writes CSV.
+
+    Each distinct point is evaluated once: a point whose config differs
+    from an earlier one only in how the gain is set (pt_ris_dbm,
+    alpha_mode, alpha_linear; say two budgets past the 30 dB cap) and that
+    implies the same gain, not an optimized one, takes that point's rows
+    with its own sweep_value and config_digest, and ms 0.
+    """
     spec.check()
     if spec.alpha_mode is not None:
         base = replace(base, alpha_mode=spec.alpha_mode)
     base = validate(base)
 
     rows = []
+    evaluated = {}   # the gain-free config of each point evaluated -> its rows
     for value in spec.values:
         try:
             point = validate(apply_param(base, spec.param, value))
@@ -224,8 +237,19 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
             rows.extend(_error_rows(spec.param, value, spec.methods, exc,
                                     float("nan"), 0.0))
             continue
-        rows.extend(run_point(point, spec.methods, workers=workers,
-                              sweep_param=spec.param, sweep_value=value))
+        key = None
+        if point.alpha_mode != "optimized":
+            key = replace(point, pt_ris_dbm=base.pt_ris_dbm, alpha_mode="fixed",
+                          alpha_linear=resolve_alpha(point))
+        if key in evaluated:
+            rows.extend(replace(r, sweep_value=value, config_digest=point.digest(), ms=0.0)
+                        for r in evaluated[key])
+            continue
+        point_rows = run_point(point, spec.methods, workers=workers,
+                               sweep_param=spec.param, sweep_value=value)
+        if key is not None:
+            evaluated[key] = point_rows
+        rows.extend(point_rows)
 
     noisy = [r for r in rows if is_noisy(r)]
     if out_path is not None:

@@ -8,7 +8,9 @@ from scipy import integrate
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadForm, _panel_ladder, saddle_point
+from risnoma.analytic import (RAYLEIGH_MEAN_FACTOR, RAYLEIGH_VAR_FACTOR, QfComponent, QuadForm,
+                              _panel_ladder, outage_forms, saddle_point)
+from risnoma.ris import resolve_alpha
 from risnoma.optimizer import at_budget
 from conftest import mc_outage, unit_config
 
@@ -348,21 +350,8 @@ class TestGilPelaez:
             out = _panel_ladder(lambda w, k: log_m(w), *(np.array([x]) for x in (g, c, tol)))
             return tuple(float(x[0]) for x in out)
 
-        def at_saddle(spec, g):
-            _, c, log_mc = saddle_point(spec, g)
-            tilted = spec.tilted(c)
-            return lambda w: log_mc + rn.log_cf(tilted, w), g, c
-
-        norm, _ = _normalized(rn.validate(rn.SystemConfig()), 2)
-        norm_mean, _ = moments(norm)
-        slow = form(QfComponent(1.0, 1, 1.0, 1.0))
-        normal = lambda w: np.exp(-w**2 / 2.0)
-        expo = lambda w: 1.0 / (1.0 - 1j * w)
-        cases = [(log_of(lambda w: normal(w - 1j)), g, 1.0) for g in (-2.0, 0.0, 1.5)]
-        cases += [(log_of(lambda w: expo(w - 0.5j)), g, 0.5) for g in (0.5, 2.0)]
-        cases += [at_saddle(slow, g) for g in (0.5, 3.0)]
-        cases += [at_saddle(norm, g) for g in (norm_mean + 1.0, norm_mean + 2.0)]
         spans, by_parts = set(), 0
+        cases = ladder_cases()
         for log_m, g, c in cases:
             first, limit, past, gauge = one_at_a_time(log_m, g, c)
             spans.add(round(math.log2(limit / first)))
@@ -379,6 +368,31 @@ class TestGilPelaez:
         point_mass = lambda w: 0.3 * (1.0 + 1j * w)
         assert one_at_a_time(point_mass, 0.0, 1.0, tol=1e-9)[1] == 2.0**43
         assert ladder(point_mass, 0.0, 1.0, 1e-9)[1] == 2.0**43
+
+    def test_banded_ladder_is_the_full_ladder_bit_for_bit(self):
+        # probed from c 2^-12, and from c 2^-40 only where the drop reaches
+        # 1/32 already at c 2^-12, the search finds what the whole ladder,
+        # 80 frequencies a call from c 2^-40, finds; the last two cases
+        # have their edge below the band
+        huge = 2.0**30    # a Gaussian of variance 2^30 at c = 1: sigma ~ 2^-15
+        cases = ladder_cases() + [
+            at_saddle(form(QfComponent(1.0, 1, 1.0)), 5000.0),
+            (lambda w: huge * (1.0 + 1j * w) ** 2 / 2.0 + huge / 2.0, huge, 1.0)]
+        for i, (log_m, g, c) in enumerate(cases):
+            args = (lambda w, k: log_m(w), *(np.array([x]) for x in (g, c, 1e-6)))
+            banded = _panel_ladder(*args)
+            assert [x.tobytes() for x in banded] == [x.tobytes() for x in full_ladder(*args)]
+            assert (banded[0][0] < c * 2.0**-12) == (i >= len(cases) - 2)
+        # members that need the whole ladder and members that do not share a batch
+        specs = QuadForm.of([[QfComponent(1.0, 1, 1.0)], [QfComponent(1.0, 1, 1.0)],
+                             [QfComponent(0.5, 3, 1.0, 1.0), QfComponent(-0.2, 2, 1.0)]])
+        g = np.array([5000.0, 3.0, 4.0])
+        _, c, log_mc = saddle_point(specs, g)
+        tilted = specs.tilted(c)
+        args = (lambda w, k: log_mc[k] + rn.log_cf(tilted[k], w), g, c, np.full(3, 1e-6))
+        banded = _panel_ladder(*args)
+        assert [x.tobytes() for x in banded] == [x.tobytes() for x in full_ladder(*args)]
+        assert (banded[0] < c * 2.0**-12).tolist() == [True, False, False]
 
     def test_accuracy_error_is_loud(self, monkeypatch):
         monkeypatch.setattr(rn.analytic, "MAX_PANELS", 2)
@@ -630,6 +644,77 @@ class TestBatchedOutages:
             rn.analytic_outages([cfg, cfg], [1])
 
 
+def at_saddle(spec, g):
+    """A form's log M(c + jw) at its saddle point c for threshold g, as
+    (log_m, g, c)."""
+    _, c, log_mc = saddle_point(spec, g)
+    tilted = spec.tilted(c)
+    return lambda w: log_mc + rn.log_cf(tilted, w), g, c
+
+
+def ladder_cases():
+    """(log_m, g, c) of nine inversions: a normal, an exponential, a
+    noncentral chi-square and the default point's user-2 form, the last two
+    at their saddle points; short and long ladders, by parts and not."""
+    norm, _ = _normalized(rn.validate(rn.SystemConfig()), 2)
+    norm_mean, _ = moments(norm)
+    slow = form(QfComponent(1.0, 1, 1.0, 1.0))
+    normal = lambda w: np.exp(-w**2 / 2.0)
+    expo = lambda w: 1.0 / (1.0 - 1j * w)
+    cases = [(log_of(lambda w: normal(w - 1j)), g, 1.0) for g in (-2.0, 0.0, 1.5)]
+    cases += [(log_of(lambda w: expo(w - 0.5j)), g, 0.5) for g in (0.5, 2.0)]
+    cases += [at_saddle(slow, g) for g in (0.5, 3.0)]
+    cases += [at_saddle(norm, g) for g in (norm_mean + 1.0, norm_mean + 2.0)]
+    return cases
+
+
+def full_ladder(log_m, g, c, tol):
+    """The truncation search as it ran over the whole ladder c 2^-40 ...
+    c 2^199, 80 frequencies (241 probes with the zero) per log_m call: the
+    oracle of _panel_ladder's banded search."""
+    ladder = np.ldexp(1.0, np.arange(-40, 200))
+    chunk, step = 80, 2.0**-12
+    edge_drop = 0.5 * np.log1p(ladder[:chunk, None] ** 2)
+    shifts = np.repeat([1.0, 1.0 + step, 1.0 - step], chunk)[:, None]
+    first, limit, past, gauge = np.zeros((4, g.size))
+    k = np.arange(g.size)
+    cc, gg, tol8 = c, g, tol / 8.0
+    edge = None
+    for start in range(0, ladder.size, chunk):
+        omega = cc * ladder[start:start + chunk, None]
+        probes = np.tile(omega, (3, 1)) * shifts
+        if edge is None:
+            probes = np.vstack([np.zeros_like(cc), probes])
+        lm = log_m(probes, k)
+        if edge is None:
+            log_zero, lm = np.real(lm[0]), lm[1:]
+            drop = log_zero - np.real(lm[:chunk]) + edge_drop
+            edge = cc * ladder[(drop >= 1.0 / 32.0).argmax(axis=0)]
+            first[k] = edge
+        lw, lp, lq = lm.reshape(3, chunk, k.size)
+        both = np.isfinite(lp.real) & np.isfinite(lq.real)
+        dl = np.subtract(lp, lq, out=np.zeros_like(lw), where=both)
+        dl.imag -= (2.0 * PI) * np.round(dl.imag / (2.0 * PI))
+        z = cc + 1j * omega
+        amp = np.exp(lw.real - cc * gg)
+        dh2 = 2.0 * amp / (PI * np.abs(z)) * np.abs(dl / (2.0 * step * omega) - 1j / z)
+        env = np.minimum(amp, 2.0 * amp / (np.maximum(np.abs(gg), 1e-3) * omega)) / PI
+        g2 = gg * gg
+        by_parts = dh2 < env * g2
+        done = (omega > edge) & ((dh2 < tol8 * g2) | (env < tol8))
+        at = done.argmax(axis=0), np.arange(k.size)
+        hit = done[at]
+        use = hit & by_parts[at]
+        limit[k[hit]], gauge[k[hit]] = omega[at][hit], env[at][hit]
+        w, gu = omega[at][use], gg[use]
+        h = amp[at][use] * np.exp(1j * (lw.imag[at][use] - w * gu)) / (PI * z[at][use])
+        past[k[use]], gauge[k[use]] = (h / (1j * gu)).real, dh2[at][use] / g2[use]
+        if hit.all():
+            return first, limit, past, gauge
+        k, cc, gg, tol8, edge = (x[~hit] for x in (k, cc, gg, tol8, edge))
+    raise AssertionError("no limit below c 2^200")
+
+
 def _normalized(cfg, user):
     """The unit-variance form (a batch of one) and threshold that
     analytic_outage inverts."""
@@ -713,6 +798,116 @@ class TestChernoffBound:
                                           tol=min(cfg.quad_tol, 1e-4 * bound))
             res = rn.analytic_outage(cfg, user)
             assert (res.op, res.std_err) == (1.0 - tail if upper else tail, err)
+
+
+class TestArrayPasses:
+    """The array passes against the per-component and per-config formulas
+    they replaced, bit for bit."""
+
+    @staticmethod
+    def stacked_saddle_point(forms, g):
+        # every component at once: a (K, 121, C) pass summed over its last axis
+        grid = np.geomspace(1e-3, 1e12, 121)
+        w, var, dof, mean = forms.weight.T, forms.var.T, forms.dof.T, forms.mean.T
+        wv = w * var
+        s = grid / (1.0 + grid * np.maximum(0.0, np.max(2.0 * wv, axis=1))[:, None])
+        r = 1.0 - 2.0 * (s[:, :, None] * wv[:, None, :])
+        log_m = ((-0.5 * dof)[:, None, :] * np.log(r)
+                 + (dof * mean**2)[:, None, :] * (s[:, :, None] * w[:, None, :]) / r).sum(axis=2)
+        exponent = log_m - s * g[:, None]
+        at = np.arange(len(s)), np.argmin(exponent - np.log(s), axis=1)
+        return np.exp(np.min(exponent, axis=1)), s[at], log_m[at]
+
+    def test_saddle_point_is_the_stacked_formula(self, rng):
+        for _ in range(30):
+            size = int(rng.integers(1, 7))
+            batch = [[QfComponent(float(rng.normal()), int(rng.integers(1, 6)),
+                                  float(rng.uniform(0.05, 3.0)),
+                                  float(rng.normal(0.0, 2.0)) if rng.random() < 0.5 else 0.0)
+                      for _ in range(int(rng.integers(1, size + 1)))]
+                     for _ in range(int(rng.integers(1, 9)))]
+            forms = QuadForm.of(batch)
+            g = rng.normal(0.0, 3.0, len(batch))
+            assert ([x.tobytes() for x in saddle_point(forms, g)]
+                    == [x.tobytes() for x in self.stacked_saddle_point(forms, g)])
+
+    @pytest.mark.parametrize("block", [1 << 18, 1])
+    def test_first_panels_are_the_one_member_panels(self, block, monkeypatch):
+        # all members' first panels in one pass, their running sums in padded
+        # blocks (of one member when block = 1), are each member's own
+        def one_member(first, omega_hi, g):
+            widths = np.append(1.0, 2.0 ** np.arange(160))
+            width = first * widths[:round(math.log2(omega_hi / first)) + 1]
+            pieces = np.ceil(width * (abs(g) / (2.0 * PI))).clip(1).astype(int)
+            hi = np.cumsum(np.repeat(width / pieces, pieces))
+            return np.append(0.0, hi[:-1]), hi
+
+        monkeypatch.setattr(rn.analytic, "_SUM_BLOCK", block)
+        first = np.array([0.013, 0.021, 0.37, 1.1e-5])
+        omega_hi = first * np.array([2.0**3, 2.0**9, 2.0**5, 2.0**14])
+        g = np.array([40.0, 0.0, -3.0, 7.5])
+        expected = [one_member(*m) for m in zip(first, omega_hi, g)]
+        got = rn.analytic._first_panels(first, omega_hi, g)
+        assert [x.tobytes() for x in got] == [np.concatenate(x).tobytes() for x in zip(*expected)]
+
+    @staticmethod
+    def one_config_components(cfg, user):
+        # the outage form of one user's decode, built in Python floats
+        var = rn.link_variances(cfg)
+        alpha = resolve_alpha(cfg)
+        s_act, s_pas = (math.sqrt(x) for x in var.active_passive(cfg.active_user))
+        s_bs = math.sqrt(var.bs)
+
+        def coherent(gain, count, s):
+            return (math.sqrt(gain) * count * RAYLEIGH_MEAN_FACTOR * s * s_bs,
+                    gain * count * s**2 * s_bs**2 * RAYLEIGH_VAR_FACTOR)
+
+        def leakage(gain, count, s):
+            return 0.0, gain * count * s**2 * s_bs**2
+
+        m, n = cfg.m_active, cfg.n_passive
+        sa, sb = coherent(alpha, m, s_act), leakage(1.0, n, s_act)
+        sc, sd = leakage(alpha, m, s_pas), coherent(1.0, n, s_pas)
+        pt = rn.dbm_to_watt(cfg.pt_user_dbm)
+        v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
+
+        def part(weight, real, cplx):
+            return [QfComponent(weight, 1, real[1] + cplx[1] / 2.0, real[0]),
+                    QfComponent(weight, 1, cplx[1] / 2.0)]
+
+        if user == cfg.active_user:
+            comps = part(pt, sa, sb) + part(-pt * v, sd, sc)
+        else:
+            comps = part(pt, sd, sc)
+            if cfg.epsilon_sic > 0.0:
+                comps += part(-cfg.epsilon_sic * pt * v, sa, sb)
+        comps.append(QfComponent(-rn.dbm_to_watt(cfg.namp_dbm) * alpha * v, 2 * m,
+                                 var.bs / 2.0))
+        return tuple(c for c in comps if c.weight != 0.0)
+
+    def test_outage_forms_are_the_one_config_forms(self, rng):
+        base = rn.validate(rn.SystemConfig())
+        configs = [at_budget(replace(base, **over), x)
+                   for over in ({}, dict(active_user=2), dict(epsilon_sic=0.01),
+                                dict(epsilon_sic=0.3, active_user=2, m_active=64),
+                                dict(namp_dbm=-4000.0))     # the amplifier noise underflows
+                   for x in (-60.0, -47.0, -20.0)]
+        # hop variances whose square roots s have s**2 (libm's pow) != s * s
+        odd = [x * x for x in rng.uniform(1e-5, 1e-3, 100_000).tolist()
+               if x**2 != x * x and math.sqrt(x * x) == x]
+        configs.append(rn.validate(replace(base, sigma2_u1=odd[0], sigma2_u2=odd[1],
+                                           sigma2_bs=odd[2])))
+        members = [(cfg, user) for cfg in configs for user in (1, 2)]
+        members = [members[i] for i in rng.permutation(len(members))]
+        oracle = [self.one_config_components(cfg, user) for cfg, user in members]
+        assert {len(c) for c in oracle} == {2, 3, 4, 5}   # dropped components pad
+        forms = outage_forms(*zip(*members))
+        expected = QuadForm.of(oracle)
+        for field in ("weight", "dof", "var", "mean", "central"):
+            got, want = getattr(forms, field), getattr(expected, field)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+        for (cfg, user), comps in zip(members, oracle):
+            assert rn.build_quadform(cfg, user) == comps
 
 
 class TestActivePassiveRule:

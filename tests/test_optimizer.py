@@ -213,6 +213,21 @@ class TestBatchedGrid:
         rn.optimize(rn.validate(rn.SystemConfig()))
         assert max(nodes) == rn.analytic.PANEL_CHUNK * 15
 
+    def test_golden_section_opens_with_one_batch(self, monkeypatch):
+        # after the grid, golden-section's two opening budgets are evaluated
+        # in one batch, then one budget at a time
+        sizes = []
+        evaluate = optimizer.outage_pairs
+
+        def counted(configs, method, *, workers):
+            sizes.append(len(configs))
+            return evaluate(configs, method, workers=workers)
+
+        monkeypatch.setattr(optimizer, "outage_pairs", counted)
+        out = rn.optimize(rn.validate(rn.SystemConfig()))
+        assert sizes[1] == 2 and set(sizes[2:]) == {1}
+        assert sum(sizes) == out.evaluations
+
     def test_optimize_hashes_no_config(self, monkeypatch):
         # neither the search's probes nor its outcome are hashed: a row's
         # digest comes from the config run_point evaluates

@@ -8,6 +8,7 @@ import pytest
 
 import risnoma as rn
 from risnoma.cli import main
+from risnoma.ris import resolve_alpha
 from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param, is_noisy
 from conftest import mc_outage
 
@@ -134,6 +135,35 @@ class TestRunSweep:
         lines = out.read_text().splitlines()
         assert lines[-1] == (f"# floor-limited (fewer than {FLOOR_EVENTS} events): "
                              + " ".join(few))
+
+    def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
+        # at M = N = 64 the budgets up to -72 dBm give the 0 dB floor and
+        # those from -32 dBm the 30 dB cap: each gain is evaluated once, and
+        # every row is the row of one run_point call at its own value
+        base = rn.validate(rn.SystemConfig(m_active=64, n_passive=64, mc_trials=650,
+                                           rate_threshold_bps_hz=3.0))
+        values = tuple(float(x) for x in range(-80, 1, 8))
+        spec = rn.SweepSpec(param="pt_ris_dbm", values=values, alpha_mode="from_power")
+        evaluated = []
+        run_point = rn.sweep.run_point
+
+        def counted(config, *args, **kwargs):
+            evaluated.append(config.pt_ris_dbm)
+            return run_point(config, *args, **kwargs)
+
+        monkeypatch.setattr(rn.sweep, "run_point", counted)
+        rows, _ = rn.run_sweep(spec, base)
+        monkeypatch.undo()
+        points = [rn.validate(apply_param(replace(base, alpha_mode="from_power"),
+                                          "pt_ris_dbm", x)) for x in values]
+        gains = [resolve_alpha(p) for p in points]
+        assert len(evaluated) == len(set(gains)) == len(values) - 5
+        one_call_each = [r for x, p in zip(values, points)
+                         for r in rn.run_point(p, spec.methods, sweep_param="pt_ris_dbm",
+                                               sweep_value=x)]
+        assert [replace(r, ms=0.0) for r in rows] == [replace(r, ms=0.0) for r in one_call_each]
+        assert {r.config_digest for r in rows} == {p.digest() for p in points}
+        assert all((r.ms > 0.0) == (r.sweep_value in evaluated) for r in rows)
 
     def test_determinism_across_workers(self, tmp_path):
         spec = rn.SweepSpec(param="pt_user_dbm", values=(28.0, 30.0, 32.0),
@@ -305,16 +335,32 @@ class TestCli:
         assert "fc_ghz must be in" in capsys.readouterr().err
 
     def test_sweep_bool_param_values_are_error_rows(self, tmp_path, capsys):
-        # a sweep value is a number, never a bool: 0.5 ran as true before
+        # a bool sweep value reads as the config file reads one: 0.5 is
+        # neither true nor false (it ran as true before)
         out = tmp_path / "joint.csv"
         code = main(["sweep", "--param", "joint_outage_u2", "--values", "0,0.5",
                      "--method", "mc", "--trials", "2000", "--allow-noisy",
                      "--out", str(out)])
         assert code == 1
-        assert "joint_outage_u2 must be true or false, got 0.5" in capsys.readouterr().err
+        assert "joint_outage_u2: expected a boolean, got '0.5'" in capsys.readouterr().err
         body = [l.split(",") for l in out.read_text().splitlines()
                 if not l.startswith("#")][1:]
-        assert len(body) == 4 and all(r[7] == "error:ConfigError" for r in body)
+        assert [(r[1], r[7]) for r in body] == [("0", "fixed")] * 2 + [
+            ("0.5", "error:ConfigError")] * 2
+
+    def test_sweep_bool_param_reads_zero_and_one(self, tmp_path, capsys):
+        out = tmp_path / "joint.csv"
+        code = main(["sweep", "--param", "joint_outage_u2", "--values", "0,1",
+                     "--method", "mc", "--trials", "2000", "--allow-noisy",
+                     "--set", "rate_threshold_bps_hz=3", "--out", str(out)])
+        assert code == 0
+        body = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [(r[1], r[2], r[7]) for r in body] == [
+            (v, u, "fixed") for v in ("0", "1") for u in ("1", "2")]
+        # joint decoding fails user 2 also where user 1 fails
+        assert float(body[0][4]) == float(body[2][4]) > 0.0
+        assert float(body[3][4]) > float(body[1][4]) > 0.0
 
     def test_sweep_optimizer_failure_is_error_rows(self, tmp_path, capsys):
         out = tmp_path / "opt.csv"
