@@ -12,8 +12,9 @@ from .channel import (ChannelRealization, LinkVariances, RandomStream,
 from .config import (ConfigError, ConfigWarning, SystemConfig,
                      apply_overrides, dbm_to_watt, load_config,
                      parse_config_text, validate)
-from .montecarlo import (GammaFit, OutageResult, estimate_outage_pair, fit_gamma,
-                         rate_to_threshold, sample_link_terms, sample_sinr)
+from .montecarlo import (GammaFit, OutageResult, estimate_outage_pair,
+                         estimate_outage_pairs, fit_gamma, rate_to_threshold,
+                         sample_link_terms, sample_sinr)
 from .optimizer import OptimizationOutcome, at_budget, optimize, outage_pair, outage_pairs
 from .ris import (HybridRisState, align_phases, alpha_from_power, resolve_alpha,
                   ris_state)

@@ -96,19 +96,20 @@ class ChannelRealization:
     g_bs: np.ndarray  # passive part -> BS, length N
 
 
-def _draw_block(config: SystemConfig, stream: RandomStream, nb: int):
-    """Unit-scale draws for a block of nb phase-aligned trials.
+def _draw_block(config: SystemConfig, rng: Generator, buf: np.ndarray):
+    """Fill buf, one chunk of k phase-aligned trials, with unit-scale draws.
 
-    Returns Exp(1) squared magnitudes (|h_a|^2, |h_bs|^2) of shape (nb, M)
-    and (|g_p|^2, |g_bs|^2) of shape (nb, N), and standard normals z of
-    shape (nb, 4) for the two leakage sums, all from the one substream;
-    `_kernels` says why these determine a trial's link terms.
+    buf has shape (k, 2M + 2N) and is filled in place with Exp(1) squared
+    magnitudes from rng; returns its views (|h_a|^2, |h_bs|^2) of shape
+    (k, M) and (|g_p|^2, |g_bs|^2) of shape (k, N).  A block's chunks come
+    one after another from its one substream, which then gives the block's
+    standard normals for the two leakage sums, so a block's draw does not
+    depend on its chunking; `_kernels` says why these determine a trial's
+    link terms.
     """
     m, n = config.m_active, config.n_passive
-    rng = stream.generator()
-    q = rng.standard_exponential((nb, 2 * m + 2 * n))
-    z = rng.standard_normal((nb, 4))
-    return q[:, :m], q[:, m:2 * m], q[:, 2 * m:2 * m + n], q[:, 2 * m + n:], z
+    rng.standard_exponential(out=buf)
+    return buf[:, :m], buf[:, m:2 * m], buf[:, 2 * m:2 * m + n], buf[:, 2 * m + n:]
 
 
 def draw_realization(config: SystemConfig, stream: RandomStream) -> ChannelRealization:

@@ -13,16 +13,18 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from ._kernels import link_terms_block
+from ._kernels import link_terms_block, scale_terms
 from .channel import RandomStream, _draw_block, link_variances
 from .config import SystemConfig
 from .ris import resolve_alpha
 from .sinr import LinkTerms, sinr
 
-# fixes the block size at BLOCK_FLOAT_BUDGET / (6 (M + N)) trials; blocks
-# sized for the reduced draw's 2 (M + N) + 4 floats per trial ran no
-# faster and raised the peak memory
+# fixes the block plan, hence every bit of an estimate: blocks of
+# BLOCK_FLOAT_BUDGET / (6 (M + N)) trials, each from its own substream
 BLOCK_FLOAT_BUDGET = 2_000_000
+# floats per chunk of a block's draw; a block is drawn and reduced chunk by
+# chunk into one buffer, so its memory does not grow with the block
+CHUNK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -51,25 +53,49 @@ def block_size(m_active: int, n_passive: int) -> int:
     return max(128, BLOCK_FLOAT_BUDGET // (6 * (m_active + n_passive)))
 
 
-def _block_terms(config: SystemConfig, block_id: int, nb: int, alpha: float):
-    qa, qhb, qgp, qgb, z = _draw_block(config, RandomStream(config.seed, block_id), nb)
+def _block_terms(config: SystemConfig, block_id: int, nb: int):
+    """Unit-scale row sums (4, nb) and leakage normals (nb, 4) of one block.
+
+    The block's Exp(1) draw is made and reduced CHUNK_FLOATS at a time in one
+    reused buffer; the sums and normals are bit-identical to those of the
+    whole draw at once."""
+    m, n = config.m_active, config.n_passive
+    rows = min(nb, max(1, CHUNK_FLOATS // (2 * m + 2 * n)))
+    rng = RandomStream(config.seed, block_id).generator()
+    buf = np.empty((rows, 2 * m + 2 * n))
+    tmp = np.empty((rows, max(m, n)))
+    sums = np.empty((4, nb))
+    for lo in range(0, nb, rows):
+        k = min(rows, nb - lo)
+        link_terms_block(*_draw_block(config, rng, buf[:k]), tmp, sums[:, lo:lo + k])
+    return sums, rng.standard_normal((nb, 4))
+
+
+def _link_terms(config: SystemConfig, sums, z, alpha: float):
+    """(a, b, c, d, ang) of config from a block's unit-scale sums."""
     var = link_variances(config)
     s_a, s_p = var.active_passive(config.active_user)
-    return link_terms_block(qa, qhb, qgp, qgb, z, s_a, s_p, var.bs, math.sqrt(alpha))
+    return scale_terms(sums, z, s_a, s_p, var.bs, math.sqrt(alpha))
 
 
 def _outage_counts_worker(args):
-    config, block_id, nb, alpha, v = args
-    a, b, c, d, ang = _block_terms(config, block_id, nb, alpha)
-    pair = sinr(LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=alpha), config)
-    out1 = pair.gamma1 < v
-    out2 = pair.gamma2 < v
-    return int(out1.sum()), int(out2.sum()), int((out1 | out2).sum())
+    """(user-1, user-2, either) outage counts in one block for each
+    (config, alpha, threshold) member; the members share the block's draw."""
+    members, block_id, nb = args
+    sums, z = _block_terms(members[0][0], block_id, nb)
+    counts = []
+    for config, alpha, v in members:
+        a, b, c, d, ang = _link_terms(config, sums, z, alpha)
+        pair = sinr(LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=alpha), config)
+        out1 = pair.gamma1 < v
+        out2 = pair.gamma2 < v
+        counts.append((int(out1.sum()), int(out2.sum()), int((out1 | out2).sum())))
+    return counts
 
 
 def _terms_worker(args):
     config, block_id, nb, alpha = args
-    return _block_terms(config, block_id, nb, alpha)
+    return _link_terms(config, *_block_terms(config, block_id, nb), alpha)
 
 
 def _map_blocks(worker, argses, workers: int):
@@ -95,17 +121,33 @@ def _block_plan(config: SystemConfig, n_trials: int):
     return list(enumerate(sizes))
 
 
-def estimate_outage_pair(config: SystemConfig, *,
-                         workers: int = 1) -> tuple[OutageResult, OutageResult]:
-    """Both users' outage estimates from one shared pass of config.mc_trials trials."""
+def estimate_outage_pairs(configs, *, workers: int = 1):
+    """Both users' outage estimates at each config, each from one shared pass
+    of its config.mc_trials trials.
+
+    Configs with the same (seed, m_active, n_passive, mc_trials) draw the
+    same channels, so each of their blocks is drawn once and every one of
+    them is scaled and thresholded on it in the same block worker."""
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        key = (config.seed, config.m_active, config.n_passive, config.mc_trials)
+        groups.setdefault(key, []).append(i)
+    argses, owners = [], []
+    for idx in groups.values():
+        members = tuple((configs[i], resolve_alpha(configs[i]),
+                         rate_to_threshold(configs[i].rate_threshold_bps_hz)) for i in idx)
+        for b, sz in _block_plan(configs[idx[0]], configs[idx[0]].mc_trials):
+            argses.append((members, b, sz))
+            owners.append(idx)
+    totals = [(0, 0, 0)] * len(configs)
+    for idx, counts in zip(owners, _map_blocks(_outage_counts_worker, argses, workers)):
+        for i, c in zip(idx, counts):
+            totals[i] = tuple(map(sum, zip(totals[i], c)))
+    return [_outage_pair(config, *totals[i]) for i, config in enumerate(configs)]
+
+
+def _outage_pair(config: SystemConfig, c1: int, c2: int, cj: int):
     n = config.mc_trials
-    alpha = resolve_alpha(config)
-    v = rate_to_threshold(config.rate_threshold_bps_hz)
-    argses = [(config, b, sz, alpha, v) for b, sz in _block_plan(config, n)]
-    counts = _map_blocks(_outage_counts_worker, argses, workers)
-    c1 = sum(c[0] for c in counts)
-    c2 = sum(c[1] for c in counts)
-    cj = sum(c[2] for c in counts)
 
     def _result(count, user):
         op = count / n
@@ -116,6 +158,12 @@ def estimate_outage_pair(config: SystemConfig, *,
     if config.active_user == 1:
         return _result(c1, 1), _result(passive_count, 2)
     return _result(passive_count, 1), _result(c1, 2)
+
+
+def estimate_outage_pair(config: SystemConfig, *,
+                         workers: int = 1) -> tuple[OutageResult, OutageResult]:
+    """`estimate_outage_pairs` at one config."""
+    return estimate_outage_pairs([config], workers=workers)[0]
 
 
 def sample_sinr(config: SystemConfig, user: int, n: int, *,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytic import analytic_outages
 from .config import SystemConfig
-from .montecarlo import estimate_outage_pair
+from .montecarlo import estimate_outage_pairs
 from .ris import _alpha_at_budget
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,10 +48,11 @@ class OptimizationOutcome:
 
 def outage_pairs(configs, method: str, *, workers: int = 1):
     """Both users' OutageResults at each config by one of METHODS: "mc"
-    simulates config by config (with `workers` processes), "analytic" inverts
+    simulates all configs in one batch (with `workers` processes; configs with
+    the same seed, RIS sizes and trials share one draw), "analytic" inverts
     both users at all configs in one batch."""
     if method == "mc":
-        return [estimate_outage_pair(config, workers=workers) for config in configs]
+        return estimate_outage_pairs(configs, workers=workers)
     if method == "analytic":
         n = len(configs)
         both = analytic_outages([*configs, *configs], [1] * n + [2] * n)

@@ -17,6 +17,13 @@ def _oracle_config():
                        rate_threshold_bps_hz=3.0, seed=31)
 
 
+def _link_terms(qa, qhb, qgp, qgb, z, s_a, s_p, s_bs, sqrt_alpha):
+    """Row sums of one chunk by the block kernel, scaled to (a, b, c, d, ang)."""
+    k, width = qa.shape[0], max(qa.shape[1], qgp.shape[1])
+    sums = _kernels.link_terms_block(qa, qhb, qgp, qgb, np.empty((k, width)), np.empty((4, k)))
+    return _kernels.scale_terms(sums, z, s_a, s_p, s_bs, sqrt_alpha)
+
+
 class TestLinkTermsBlock:
     def test_closed_form_on_fixed_inputs(self):
         m, n, alpha = 4, 3, 2.5
@@ -24,7 +31,7 @@ class TestLinkTermsBlock:
         z = np.array([[0.3, -1.2, 0.7, 2.0],
                       [-0.4, 0.1, -1.5, 0.25]])
         ones_m, ones_n = np.ones((2, m)), np.ones((2, n))
-        a, b, c, d, ang = _kernels.link_terms_block(
+        a, b, c, d, ang = _link_terms(
             ones_m, ones_m, ones_n, ones_n, z, s_a, s_p, s_bs, math.sqrt(alpha))
         for t in range(2):
             assert a[t] == pytest.approx(math.sqrt(alpha * s_a * s_bs) * m, rel=1e-14)
@@ -39,7 +46,7 @@ class TestLinkTermsBlock:
         # sqrt(4*1) + sqrt(1*9) = 5 and sqrt(2*8) + sqrt(9*1) = 7
         qa, qhb = np.array([[4.0, 1.0]]), np.array([[1.0, 9.0]])
         qgp, qgb = np.array([[2.0, 9.0]]), np.array([[8.0, 1.0]])
-        a, b, c, d, ang = _kernels.link_terms_block(
+        a, b, c, d, ang = _link_terms(
             qa, qhb, qgp, qgb, np.ones((1, 4)), 1.0, 1.0, 1.0, 2.0)
         assert a[0] == pytest.approx(10.0) and d[0] == pytest.approx(7.0)
         assert ang[0] == pytest.approx(10.0)
@@ -48,7 +55,7 @@ class TestLinkTermsBlock:
 
     def test_zero_channels(self):
         zm, zn = np.zeros((3, 4)), np.zeros((3, 5))
-        a, b, c, d, ang = _kernels.link_terms_block(
+        a, b, c, d, ang = _link_terms(
             zm, zm, zn, zn, np.ones((3, 4)), 1.0, 1.0, 1.0, 2.0)
         assert not a.any() and not d.any() and not ang.any()
         assert not b.any() and not c.any()

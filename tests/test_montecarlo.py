@@ -1,7 +1,9 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import risnoma as rn
 from risnoma import montecarlo
 from risnoma.montecarlo import block_size
-from conftest import mc_outage, unit_config
+from conftest import make_config, mc_outage, unit_config
 
 
 class TestDeterminism:
@@ -119,6 +121,129 @@ class TestEstimateOutage:
             unit_config(mc_trials=20_000, w0_dbm=59.0, pt_user_dbm=30.0,
                         joint_outage_u2=True), 2).op
         assert joint >= plain
+
+
+def one_shot_block(config, block_id, nb):
+    """A block drawn whole: its (nb, 2M + 2N) Exp(1) draw at once, then z."""
+    m, n = config.m_active, config.n_passive
+    rng = rn.RandomStream(config.seed, block_id).generator()
+    q = rng.standard_exponential((nb, 2 * m + 2 * n))
+    z = rng.standard_normal((nb, 4))
+    return q[:, :m], q[:, m:2 * m], q[:, 2 * m:2 * m + n], q[:, 2 * m + n:], z
+
+
+class TestChunkedBlock:
+    """A block drawn and reduced chunk by chunk against its whole draw."""
+
+    @pytest.mark.parametrize("m, n, nb, chunk_floats", [
+        (64, 64, 100, montecarlo.CHUNK_FLOATS),    # one chunk
+        (64, 64, 512, 16 * 256),                  # 32 whole chunks of 16 rows
+        (96, 40, 333, 7 * 272),                   # 7-row chunks, a last one of 4
+        (5, 300, 50, 1),                          # one row per chunk
+        (512, 512, block_size(512, 512), montecarlo.CHUNK_FLOATS),  # 64 rows, last 5
+    ])
+    def test_sums_and_normals_are_the_whole_draws(self, monkeypatch, m, n, nb, chunk_floats):
+        monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", chunk_floats)
+        cfg = unit_config(m_active=m, n_passive=n, seed=4321)
+        qa, qhb, qgp, qgb, z = one_shot_block(cfg, 3, nb)
+        want = (np.sqrt(qa * qhb).sum(axis=1), qhb.sum(axis=1),
+                np.sqrt(qgp * qgb).sum(axis=1), qgb.sum(axis=1))
+        sums, z_chunked = montecarlo._block_terms(cfg, 3, nb)
+        assert sums.shape == (4, nb)
+        for got, expected in zip(sums, want):
+            assert got.tobytes() == expected.tobytes()
+        assert z_chunked.tobytes() == z.tobytes()
+
+    def test_link_terms_are_the_whole_block_formula(self):
+        # the whole-block kernel, operand for operand, on a ragged block of
+        # 481-row chunks with active_user=2 and unequal variances
+        cfg = unit_config(m_active=96, n_passive=40, active_user=2, alpha_linear=3.0,
+                          sigma2_u1=0.5, sigma2_u2=2.0, sigma2_bs=1.5, seed=99)
+        nb = block_size(96, 40)
+        qa, qhb, qgp, qgb, z = one_shot_block(cfg, 0, nb)
+        s_a, s_p, s_bs, sqrt_alpha = 2.0, 0.5, 1.5, math.sqrt(3.0)
+        hb_sum, gb_sum = qhb.sum(axis=1), qgb.sum(axis=1)
+        want = {
+            "a": sqrt_alpha * np.sqrt(s_a * s_bs) * np.sqrt(qa * qhb).sum(axis=1),
+            "b": np.sqrt(s_a * s_bs * gb_sum / 2.0) * (z[:, 2] + 1j * z[:, 3]),
+            "c": sqrt_alpha * np.sqrt(s_p * s_bs * hb_sum / 2.0) * (z[:, 0] + 1j * z[:, 1]),
+            "d": np.sqrt(s_p * s_bs) * np.sqrt(qgp * qgb).sum(axis=1),
+            "ang": s_bs * hb_sum,
+        }
+        got = rn.sample_link_terms(cfg, nb)
+        for key, expected in want.items():
+            assert got[key].tobytes() == expected.tobytes(), key
+
+    def test_one_buffer_per_block(self, monkeypatch):
+        bufs = []
+        draw = montecarlo._draw_block
+
+        def recorded(config, rng, buf):
+            bufs.append(buf)
+            return draw(config, rng, buf)
+
+        monkeypatch.setattr(montecarlo, "_draw_block", recorded)
+        cfg = unit_config(m_active=96, n_passive=40)
+        rows = montecarlo.CHUNK_FLOATS // 272
+        montecarlo._block_terms(cfg, 0, 5 * rows + 45)
+        assert [b.shape for b in bufs] == [(rows, 272)] * 5 + [(45, 272)]
+        assert all(np.shares_memory(b, bufs[0]) for b in bufs)
+
+    def test_peak_memory_of_an_estimate_is_one_chunk(self):
+        # a whole 325-trial block of M = N = 512 is 5.3 MB of draws alone;
+        # one estimate held it and peaked at about 7.6 MB
+        cfg = make_config(m_active=512, n_passive=512, mc_trials=4000)
+        rn.estimate_outage_pair(cfg)
+        tracemalloc.start()
+        try:
+            rn.estimate_outage_pair(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+
+def _mixed_batch():
+    """Two seeds x two sizes, interleaved, each with four members that differ
+    in active user, joint user-2 outage, rate and gain."""
+    members = [dict(active_user=1, joint_outage_u2=False, rate_threshold_bps_hz=1.0),
+               dict(active_user=2, joint_outage_u2=True, rate_threshold_bps_hz=1.0,
+                    alpha_linear=4.0),
+               dict(active_user=1, joint_outage_u2=True, rate_threshold_bps_hz=2.0,
+                    alpha_linear=4.0),
+               dict(active_user=2, joint_outage_u2=False, rate_threshold_bps_hz=2.0)]
+    return [unit_config(m_active=m, n_passive=n, seed=seed, w0_dbm=59.0, pt_user_dbm=30.0,
+                        mc_trials=6000, **kw)
+            for kw in members for m, n in ((64, 64), (96, 40)) for seed in (5, 6)]
+
+
+class TestOutageBatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_is_one_call_per_config(self, workers):
+        configs = _mixed_batch()
+        alone = [rn.estimate_outage_pair(c) for c in configs]
+        assert rn.estimate_outage_pairs(configs, workers=workers) == alone
+        # most members see events but not always, so a count given to the
+        # wrong member would show
+        assert sum(0.0 < r.op < 1.0 for pair in alone for r in pair) >= 24
+
+    def test_each_group_draws_its_blocks_once(self, monkeypatch):
+        drawn = []
+        terms = montecarlo._block_terms
+
+        def recorded(config, block_id, nb):
+            drawn.append((config.seed, config.m_active, config.n_passive, block_id, nb))
+            return terms(config, block_id, nb)
+
+        monkeypatch.setattr(montecarlo, "_block_terms", recorded)
+        rn.estimate_outage_pairs(_mixed_batch())
+        want = [(seed, m, n, b, nb) for m, n in ((64, 64), (96, 40)) for seed in (5, 6)
+                for b, nb in enumerate(6000 // block_size(m, n) * [block_size(m, n)]
+                                       + [6000 % block_size(m, n)])]
+        assert sorted(drawn) == sorted(want)
+
+    def test_empty_batch(self):
+        assert rn.estimate_outage_pairs([]) == []
 
 
 class TestSampleSinr:

@@ -228,6 +228,20 @@ class TestBatchedGrid:
         assert sizes[1] == 2 and set(sizes[2:]) == {1}
         assert sum(sizes) == out.evaluations
 
+    def test_mc_batch_is_one_simulation(self, monkeypatch):
+        calls = []
+        simulate = optimizer.estimate_outage_pairs
+
+        def counted(configs, *, workers):
+            calls.append(len(configs))
+            return simulate(configs, workers=workers)
+
+        monkeypatch.setattr(optimizer, "estimate_outage_pairs", counted)
+        cfg = rn.validate(rn.SystemConfig(mc_trials=3000, m_active=128, n_passive=128))
+        configs = [at_budget(cfg, x) for x in (-60.0, -45.0, -30.0)]
+        assert rn.outage_pairs(configs, "mc") == [rn.estimate_outage_pair(c) for c in configs]
+        assert calls == [3]
+
     def test_optimize_hashes_no_config(self, monkeypatch):
         # neither the search's probes nor its outcome are hashed: a row's
         # digest comes from the config run_point evaluates
