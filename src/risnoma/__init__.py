@@ -15,7 +15,8 @@ from .config import (ConfigError, ConfigWarning, SystemConfig,
 from .montecarlo import (GammaFit, OutageResult, estimate_outage_pair,
                          estimate_outage_pairs, fit_gamma, rate_to_threshold,
                          sample_link_terms, sample_sinr)
-from .optimizer import OptimizationOutcome, at_budget, optimize, outage_pair, outage_pairs
+from .optimizer import (OptimizationOutcome, at_budget, optimize, optimize_batch, outage_pair,
+                        outage_pairs)
 from .ris import (HybridRisState, align_phases, alpha_from_power, resolve_alpha,
                   ris_state)
 from .sinr import LinkTerms, SinrPair, compute_link_terms, sinr, synthesize_received

@@ -236,6 +236,7 @@ def build_quadform(config: SystemConfig, user: int) -> tuple:
 
 
 _CHERNOFF_T = np.geomspace(1e-3, 1e12, 121)
+SADDLE_BLOCK = 128   # forms per saddle_point pass: bounds its (K, 121) arrays
 
 
 def saddle_point(forms: QuadForm, g):
@@ -248,9 +249,15 @@ def saddle_point(forms: QuadForm, g):
     while all 2 s w v < 1.  On the same grid c minimizes log M(s) - s g - log s:
     the real saddle point of M(z) e^{-z g} / z.  For (K,) g the three values
     are (K,) arrays, from one (K, 121) pass per component, summed in
-    component order; a lower tail P(G <= g) is the upper tail of
-    forms.scaled(-1.0) at -g.
+    component order, over blocks of at most SADDLE_BLOCK forms (each row is
+    its own); a lower tail P(G <= g) is the upper tail of forms.scaled(-1.0)
+    at -g.
     """
+    size = forms.weight.shape[1]
+    if size > SADDLE_BLOCK:
+        blocks = [saddle_point(forms[top:top + SADDLE_BLOCK], g[top:top + SADDLE_BLOCK])
+                  for top in range(0, size, SADDLE_BLOCK)]
+        return tuple(np.concatenate(x) for x in zip(*blocks))
     wv = forms.weight * forms.var
     s = _CHERNOFF_T / (1.0 + _CHERNOFF_T * np.maximum(0.0, np.max(2.0 * wv, axis=0))[:, None])
     half_dof, lam = -0.5 * forms.dof, forms.dof * forms.mean**2
@@ -281,6 +288,7 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:15:2] = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
 
 PANEL_CHUNK = 1024   # panels per integrand call: bounds the node pass's memory
+PANEL_PASS = 2048    # first panels per pass of whole inversions: bounds its arrays
 
 
 def _gk15(f, lo, hi, k):
@@ -476,7 +484,9 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     arrays; `log_m(w, k)` then gets the inversions k (an (n,) int array, one
     per column of w) the frequencies w belong to.
     The truncation probes and the first panels of all inversions are
-    evaluated together, then each inversion is refined on its own.
+    evaluated together, the panels in passes of whole inversions with at
+    most PANEL_PASS panels in all (or one inversion), then each inversion
+    is refined on its own.
     """
     if np.ndim(g) == 0:
         tail, err = gil_pelaez_cdf(lambda w, k: log_m(w), np.array([g], dtype=float),
@@ -496,8 +506,8 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     ends = np.append(starts[1:], lo.size)
     tail, err = np.empty((2, g.size))
     start = 0
-    while start < g.size:   # members with at most MAX_PANELS first panels in all, or one
-        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + MAX_PANELS, side="right")))
+    while start < g.size:   # members with at most PANEL_PASS first panels in all, or one
+        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + PANEL_PASS, side="right")))
         span = slice(starts[start], ends[stop - 1])
         half, vals = _gk15(integrand, lo[span], hi[span],
                            np.repeat(np.arange(start, stop), (ends - starts)[start:stop]))

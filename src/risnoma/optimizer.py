@@ -14,15 +14,19 @@ A coarse grid over the whole interval is the global search, its distinct
 gains evaluated in one batch (`outage_pairs`); golden-section then refines
 inside the one-grid-step bracket around the grid's argmin, its opening pair
 in one batch and one budget at a time after that, where the objective is
-single-dipped or flat (where the gain cap or floor binds).
+single-dipped or flat (where the gain cap or floor binds).  Searches at
+several configs run in lockstep (`optimize_batch`), one `outage_pairs`
+batch per step over all of them.
 """
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .analytic import analytic_outages
+from .channel import link_variances
 from .config import SystemConfig
 from .montecarlo import estimate_outage_pairs
 from .ris import _alpha_at_budget
@@ -67,27 +71,32 @@ def outage_pair(config: SystemConfig, method: str, *, workers: int = 1):
 
 def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
     """The config evaluated at one RIS power budget: the gain follows from
-    the budget, and the seed stays, so the mc objective is deterministic."""
-    return replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
+    the budget, and the seed stays, so the mc objective is deterministic.
+    The link variances do not depend on the budget: the new config keeps
+    those already kept on `config`."""
+    out = replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
+    object.__setattr__(out, "_link_variances", link_variances(config))
+    return out
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float, evaluate):
     """Golden-section argmin on [lo, hi]; returns best evaluated point.
-    evaluate(xs) prepares fun at several points in one batch: the opening
-    pair, always both needed, goes through it together."""
+    fun and evaluate are search steps (generators, see `_search`):
+    evaluate(xs) prepares fun at several points in one request, and the
+    opening pair, always both needed, goes through it together."""
     x1 = hi - INV_PHI * (hi - lo)
     x2 = lo + INV_PHI * (hi - lo)
-    evaluate([x1, x2])
-    f1, f2 = fun(x1), fun(x2)
+    yield from evaluate([x1, x2])
+    f1, f2 = (yield from fun(x1)), (yield from fun(x2))
     while hi - lo > tol:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - INV_PHI * (hi - lo)
-            f1 = fun(x1)
+            f1 = yield from fun(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + INV_PHI * (hi - lo)
-            f2 = fun(x2)
+            f2 = yield from fun(x2)
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
@@ -107,7 +116,26 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
     both users fail equally (the outage of the passively served user is
     not monotone in the budget), which maximizes fairness in the
     difference sense while being strictly worse for everyone.
+
+    `optimize_batch` of one config; an exception of the search is raised.
     """
+    outcome, = optimize_batch([config], interval_dbm=interval_dbm, tol_db=tol_db,
+                              evaluator=evaluator, workers=workers)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def optimize_batch(configs, *, interval_dbm=(-70.0, -10.0), tol_db: float = 0.1,
+                   evaluator: str = "analytic", workers: int = 1) -> list:
+    """`optimize` at each config, the searches run in lockstep: every step
+    makes one `outage_pairs` call over the requests of all searches still
+    running, so the grids are one batch and so is each golden-section step.
+    Each search sees the same pairs as on its own, so its outcome is the
+    same, bit for bit.  Returns, per config, its OptimizationOutcome or the
+    exception its search raised: where a lockstep call fails, each
+    request is evaluated again on its own, and only the searches whose own
+    request fails get the exception."""
     lo, hi = interval_dbm
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"search interval must be two finite dBm values lo < hi, "
@@ -115,66 +143,106 @@ def optimize(config: SystemConfig, *, interval_dbm=(-70.0, -10.0), tol_db: float
     if not (math.isfinite(tol_db) and tol_db > 0.0):
         raise ValueError(f"tol_db must be a finite number > 0, got {tol_db}")
 
+    searches = [_search(config, interval_dbm, tol_db, evaluator) for config in configs]
+    outcomes = [None] * len(searches)
+    pending = {}   # search index -> the configs it asked for
+
+    def resume(i, reply):
+        """Send search i its pairs (None to start it), or throw it an exception."""
+        search = searches[i]
+        try:
+            pending[i] = search.throw(reply) if isinstance(reply, Exception) else search.send(reply)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:  # this search fails; the others go on
+            outcomes[i] = exc
+
+    def alone(request):
+        try:
+            return outage_pairs(request, evaluator, workers=workers)
+        except Exception as exc:
+            return exc
+
+    for i in range(len(searches)):
+        resume(i, None)
+    while pending:
+        requests = list(pending.items())
+        pending.clear()
+        try:
+            pairs = outage_pairs([c for _, request in requests for c in request], evaluator,
+                                 workers=workers)
+        except Exception as exc:
+            replies = [exc] if len(requests) == 1 else [alone(r) for _, r in requests]
+        else:
+            it = iter(pairs)
+            replies = [list(islice(it, len(request))) for _, request in requests]
+        for (i, _), reply in zip(requests, replies):
+            resume(i, reply)
+    return outcomes
+
+
+def _search(config: SystemConfig, interval_dbm, tol_db: float, evaluator: str):
+    """`optimize`'s search at one config, as a generator: it yields the
+    configs whose pairs it needs, is sent their pairs, and returns the
+    OptimizationOutcome.  A search whose gains are all cached yields nothing."""
+    lo, hi = interval_dbm
+
     # both evaluators see the budget only through the gain it implies, and
     # the gain clamps at 0 and 30 dB, so many budgets share one evaluation
     cache: dict[float, tuple] = {}
 
-    def evaluate(budgets) -> list[float]:
-        """The budgets' gains; those not cached yet are evaluated in one batch."""
+    def evaluate(budgets):
+        """The budgets' gains; those not cached yet are evaluated in one request."""
         gains = [_alpha_at_budget(config, x) for x in budgets]
         todo: dict[float, float] = {}
         for gain, x in zip(gains, budgets):
             if gain not in cache:
                 todo.setdefault(gain, x)
         if todo:
-            pairs = outage_pairs([at_budget(config, x) for x in todo.values()], evaluator,
-                                 workers=workers)
+            pairs = yield [at_budget(config, x) for x in todo.values()]
             cache.update(zip(todo, pairs))
         return gains
 
-    def pair_at(x: float) -> tuple[float, float]:
-        r1, r2 = cache[evaluate([x])[0]]
+    def pair_at(x: float):
+        r1, r2 = cache[(yield from evaluate([x]))[0]]
         return r1.op, r2.op
 
     grid = [float(x) for x in np.arange(lo, hi + GRID_STEP_DB / 2.0, GRID_STEP_DB)]
-    grid_pairs = [(r1.op, r2.op) for r1, r2 in map(cache.get, evaluate(grid))]
+    grid_pairs = [(r1.op, r2.op) for r1, r2 in map(cache.get, (yield from evaluate(grid)))]
 
+    candidates = list(zip(grid, grid_pairs))
     if all(p2 >= TAU for _, p2 in grid_pairs):
-        mode = "fallback_user1"
-        objective = lambda x: pair_at(x)[0]
-        candidates = grid
+        mode, pick = "fallback_user1", lambda p: p[0]
     elif all(p1 >= TAU for p1, _ in grid_pairs):
-        mode = "fallback_user2"
-        objective = lambda x: pair_at(x)[1]
-        candidates = grid
+        mode, pick = "fallback_user2", lambda p: p[1]
     else:
-        mode = "balanced"
-        def objective(x):
-            op1, op2 = pair_at(x)
-            return abs(op1 - op2)
+        mode, pick = "balanced", lambda p: abs(p[0] - p[1])
         deltas = [max(p) for p in grid_pairs]
         delta_star = min(deltas)
         slack = max(1e-9, 0.05 * delta_star)
         if evaluator == "mc":
             slack += 3.0 * math.sqrt(max(delta_star * (1.0 - delta_star), 1e-12)
                                      / config.mc_trials)
-        candidates = [x for x, d in zip(grid, deltas) if d <= delta_star + slack]
+        candidates = [c for c, d in zip(candidates, deltas) if d <= delta_star + slack]
 
-    k = int(np.argmin([objective(x) for x in candidates]))
-    best_x, best_f = candidates[k], objective(candidates[k])
+    def objective(x):
+        return pick((yield from pair_at(x)))
+
+    k = int(np.argmin([pick(p) for _, p in candidates]))
+    best_x, best_f = candidates[k][0], pick(candidates[k][1])
 
     # refine inside a one-grid-step bracket around the coarse argmin
     blo = max(lo, best_x - GRID_STEP_DB)
     bhi = min(hi, best_x + GRID_STEP_DB)
-    x, f = _golden_min(objective, blo, bhi, tol_db, evaluate)
+    x, f = yield from _golden_min(objective, blo, bhi, tol_db, evaluate)
     if best_f < f:
         x, f = best_x, best_f
     if mode == "balanced":
         # the refinement must not leave the near-optimal fairness region
-        if max(pair_at(x)) > delta_star + slack:
+        if max((yield from pair_at(x))) > delta_star + slack:
             x = best_x
 
-    op1, op2 = pair_at(x)
+    op1, op2 = yield from pair_at(x)
     alpha = _alpha_at_budget(config, x)
     return OptimizationOutcome(
         pt_ris_dbm=x,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import FIELD_TYPES, ConfigError, SystemConfig, read_bool, read_int, validate
-from .optimizer import METHODS, at_budget, optimize, outage_pair
+from .optimizer import METHODS, at_budget, optimize_batch, outage_pair
 from .ris import resolve_alpha
 
 CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
@@ -148,8 +148,13 @@ def _error_rows(param, value, methods, exc, alpha, ms, digest=""):
 
 
 def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
-              sweep_param: str = "point", sweep_value: float = 0.0):
-    """Evaluate one configuration; one row per (user, method)."""
+              sweep_param: str = "point", sweep_value: float = 0.0, searched=None):
+    """Evaluate one configuration; one row per (user, method).
+
+    An optimized gain is searched for here, unless `searched` brings the
+    search's result from elsewhere (`run_sweep` searches its points in one
+    `optimize_batch`): the OptimizationOutcome, or the exception the search
+    raised, and the ms it is charged."""
     rows = []
     digest = config.digest()
     mode = config.alpha_mode
@@ -157,14 +162,14 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
     known = {}   # method -> its pair at the optimum, as the search evaluated it
 
     if config.alpha_mode == "optimized":
-        t0 = time.perf_counter()
-        try:
-            outcome = optimize(config, evaluator="analytic")
-        except Exception as exc:  # the point fails; the run continues
-            ms = (time.perf_counter() - t0) * 1e3
-            return _error_rows(sweep_param, sweep_value, methods, exc,
-                               float("nan"), ms, digest)
-        opt_ms = (time.perf_counter() - t0) * 1e3
+        if searched is None:
+            t0 = time.perf_counter()
+            outcome, = optimize_batch([config], evaluator="analytic")
+            searched = outcome, (time.perf_counter() - t0) * 1e3
+        outcome, opt_ms = searched
+        if isinstance(outcome, Exception):  # the point fails; the run continues
+            return _error_rows(sweep_param, sweep_value, methods, outcome,
+                               float("nan"), opt_ms, digest)
         eval_config = at_budget(config, outcome.pt_ris_dbm)
         mode = outcome.mode
         known["analytic"] = outcome.results
@@ -221,20 +226,32 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
     from an earlier one only in how the gain is set (pt_ris_dbm,
     alpha_mode, alpha_linear; say two budgets past the 30 dB cap) and that
     implies the same gain, not an optimized one, takes that point's rows
-    with its own sweep_value and config_digest, and ms 0.
+    with its own sweep_value and config_digest, and ms 0.  The optimized
+    points' gains are searched in lockstep (`optimize_batch`), and each
+    such point is charged an even share of that batch's time.
     """
     spec.check()
     if spec.alpha_mode is not None:
         base = replace(base, alpha_mode=spec.alpha_mode)
     base = validate(base)
 
-    rows = []
-    evaluated = {}   # the gain-free config of each point evaluated -> its rows
+    points = []
     for value in spec.values:
         try:
-            point = validate(apply_param(base, spec.param, value))
+            points.append((value, validate(apply_param(base, spec.param, value))))
         except ConfigError as exc:
-            rows.extend(_error_rows(spec.param, value, spec.methods, exc,
+            points.append((value, exc))
+    optimized = [p for _, p in points
+                 if isinstance(p, SystemConfig) and p.alpha_mode == "optimized"]
+    t0 = time.perf_counter()
+    outcomes = iter(optimize_batch(optimized, evaluator="analytic"))
+    share = (time.perf_counter() - t0) * 1e3 / max(1, len(optimized))
+
+    rows = []
+    evaluated = {}   # the gain-free config of each point evaluated -> its rows
+    for value, point in points:
+        if isinstance(point, ConfigError):
+            rows.extend(_error_rows(spec.param, value, spec.methods, point,
                                     float("nan"), 0.0))
             continue
         key = None
@@ -246,7 +263,8 @@ def run_sweep(spec: SweepSpec, base: SystemConfig, out_path=None, *,
                         for r in evaluated[key])
             continue
         point_rows = run_point(point, spec.methods, workers=workers,
-                               sweep_param=spec.param, sweep_value=value)
+                               sweep_param=spec.param, sweep_value=value,
+                               searched=(next(outcomes), share) if key is None else None)
         if key is not None:
             evaluated[key] = point_rows
         rows.extend(point_rows)

@@ -269,6 +269,79 @@ class TestBatchedGrid:
         assert out.results == rn.outage_pair(at_budget(cfg, out.pt_ris_dbm), "analytic")
 
 
+class TestLockstep:
+    """optimize_batch runs one search per config side by side; the oracle of
+    each search is optimize() at that config on its own."""
+
+    @staticmethod
+    def _counted(monkeypatch, sizes):
+        evaluate = optimizer.outage_pairs
+
+        def counted(configs, method, *, workers):
+            sizes.append(len(configs))
+            return evaluate(configs, method, workers=workers)
+
+        monkeypatch.setattr(optimizer, "outage_pairs", counted)
+
+    def test_mixed_batch_is_one_search_per_config(self, monkeypatch):
+        configs = [
+            # fig5 m128 and fig8 m512 optimized points
+            rn.validate(rn.SystemConfig(m_active=128, n_passive=128, pt_user_dbm=10.0)),
+            rn.validate(rn.SystemConfig(epsilon_sic=0.05)),
+            _fallback_config(),
+            rn.validate(rn.SystemConfig(active_user=2)),
+        ]
+        sizes = []
+        self._counted(monkeypatch, sizes)
+        alone = [rn.optimize(c) for c in configs]
+        calls_alone = len(sizes)
+        assert [o.mode for o in alone] == ["balanced", "balanced", "fallback_user1", "balanced"]
+        sizes.clear()
+        batch = rn.optimize_batch(configs)
+        # equal in every field, evaluations and both users' results included
+        assert batch == alone
+        # one call holds every grid's distinct gains, and each later call
+        # one step of each search still running
+        grid = np.arange(INTERVAL[0], INTERVAL[1] + 0.5, optimizer.GRID_STEP_DB)
+        assert sizes[0] == sum(len({alpha_from_power(at_budget(c, float(x))) for x in grid})
+                               for c in configs)
+        assert sum(sizes) == sum(o.evaluations for o in alone)
+        assert len(sizes) < calls_alone / 2
+
+    def test_mc_batch_sharing_a_seed(self):
+        base = rn.validate(rn.SystemConfig(
+            m_active=64, n_passive=64, sigma2_u1=1.0, sigma2_u2=1.0,
+            sigma2_bs=1.0, pt_user_dbm=30.0, w0_dbm=59.0, namp_dbm=-300.0,
+            mc_trials=2000))
+        configs = [base, replace(base, pt_user_dbm=31.0)]
+        settings = dict(evaluator="mc", interval_dbm=(-50.0, -40.0))
+        assert rn.optimize_batch(configs, **settings) == [rn.optimize(c, **settings)
+                                                          for c in configs]
+
+    def test_failed_search_is_its_own_entry(self):
+        # analytic_outages fails a whole call for one joint-outage member; the
+        # lockstep call is then made request by request, and only the
+        # failing search gets the exception
+        ok = rn.validate(rn.SystemConfig())
+        joint = replace(ok, joint_outage_u2=True)
+        out = rn.optimize_batch([ok, joint, ok])
+        assert out[0] == out[2] == rn.optimize(ok)
+        assert isinstance(out[1], NotImplementedError)
+        assert "simulation-only" in str(out[1])
+
+    def test_settings_are_checked_before_any_evaluation(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before the settings were checked")
+
+        monkeypatch.setattr(optimizer, "outage_pairs", unreachable)
+        cfg = rn.validate(rn.SystemConfig())
+        with pytest.raises(ValueError, match="tol_db"):
+            rn.optimize_batch([cfg, cfg], tol_db=0.0)
+        with pytest.raises(ValueError, match="search interval"):
+            rn.optimize_batch([cfg, cfg], interval_dbm=(-10.0, -70.0))
+        assert rn.optimize_batch([]) == []
+
+
 def _made_up_pair(op1, op2):
     """An optimizer.outage_pairs stand-in: made-up op curves of the budget."""
     def result(op, user):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -164,6 +165,65 @@ class TestRunSweep:
         assert [replace(r, ms=0.0) for r in rows] == [replace(r, ms=0.0) for r in one_call_each]
         assert {r.config_digest for r in rows} == {p.digest() for p in points}
         assert all((r.ms > 0.0) == (r.sweep_value in evaluated) for r in rows)
+
+    @staticmethod
+    def _alone(spec, base):
+        """The oracle: one run_point call per point, each searching on its own;
+        rows as reprs without ms, so that nan rows compare equal."""
+        base = replace(base, alpha_mode=spec.alpha_mode)
+        return [repr(replace(r, ms=0.0)) for x in spec.values
+                for r in rn.run_point(rn.validate(apply_param(base, spec.param, x)),
+                                      spec.methods, sweep_param=spec.param, sweep_value=x)]
+
+    def test_optimized_points_are_searched_in_lockstep(self, monkeypatch):
+        # the searches share their outage_pairs calls, and each point still
+        # goes through one run_point call, with the rows of its own search
+        spec = rn.SweepSpec(param="pt_user_dbm", values=(8.0, 12.0, 16.0),
+                            methods=("analytic",), alpha_mode="optimized")
+        base = rn.validate(rn.SystemConfig(m_active=128, n_passive=128))
+        sizes, points = [], []
+        evaluate, run_point = rn.optimizer.outage_pairs, rn.sweep.run_point
+
+        def counted(configs, method, *, workers):
+            sizes.append(len(configs))
+            return evaluate(configs, method, workers=workers)
+
+        def counted_point(config, *args, **kwargs):
+            points.append(config.pt_user_dbm)
+            return run_point(config, *args, **kwargs)
+
+        monkeypatch.setattr(rn.optimizer, "outage_pairs", counted)
+        monkeypatch.setattr(rn.sweep, "run_point", counted_point)
+        rows, _ = rn.run_sweep(spec, base)
+        batched = len(sizes)
+        sizes.clear()
+        monkeypatch.setattr(rn.sweep, "run_point", run_point)
+        assert [repr(replace(r, ms=0.0)) for r in rows] == self._alone(spec, base)
+        assert points == list(spec.values)
+        assert batched < len(sizes) / 2
+        assert all(r.ms > 0.0 for r in rows)
+
+    def test_failed_joint_point_keeps_the_others(self):
+        # analytic inversion refuses the joint outage: its point gives
+        # error rows, and the point at 0 keeps the rows of its own search
+        spec = rn.SweepSpec(param="joint_outage_u2", values=(0.0, 1.0),
+                            methods=("analytic",), alpha_mode="optimized")
+        rows, _ = rn.run_sweep(spec, rn.validate(rn.SystemConfig()))
+        assert [repr(replace(r, ms=0.0)) for r in rows] == self._alone(spec, rn.SystemConfig())
+        assert [r.mode for r in rows] == ["balanced"] * 2 + ["error:NotImplementedError"] * 2
+        assert all(math.isfinite(r.op) for r in rows[:2])
+
+    def test_accuracy_error_in_one_point_keeps_the_others(self, monkeypatch):
+        # below 51 initial panels the grid at w0 = -130 dBm fails; the grid
+        # at -100 dBm fits, so only the first point gives error rows
+        monkeypatch.setattr(rn.analytic, "MAX_PANELS", 50)
+        spec = rn.SweepSpec(param="w0_dbm", values=(-130.0, -100.0),
+                            methods=("analytic",), alpha_mode="optimized")
+        base = rn.validate(rn.SystemConfig(m_active=128, n_passive=128, pt_user_dbm=30.0))
+        rows, _ = rn.run_sweep(spec, base)
+        assert [repr(replace(r, ms=0.0)) for r in rows] == self._alone(spec, base)
+        assert [r.mode for r in rows] == ["error:AccuracyError"] * 2 + ["fallback_user1"] * 2
+        assert "51 initial panels" in rows[0].error
 
     def test_determinism_across_workers(self, tmp_path):
         spec = rn.SweepSpec(param="pt_user_dbm", values=(28.0, 30.0, 32.0),
