@@ -5,9 +5,9 @@ variance per link is the inverse linear path loss; real and imaginary
 parts carry half of it each.  Randomness comes from counter-based Philox
 substreams so that draws are bit-reproducible and order-independent.
 
-`draw_realization` draws all six fading vectors of one trial; the
-Monte-Carlo block draw `_draw_block` draws only what the phase-aligned
-link terms depend on (see `_kernels`).
+The Monte-Carlo block draw `_draw_block` draws only what the
+phase-aligned link terms depend on (see `_kernels`); the draw of all six
+fading vectors of one trial is the test oracle in `tests/oracle.py`.
 """
 
 from dataclasses import dataclass
@@ -84,18 +84,6 @@ class RandomStream:
         return Generator(Philox(key=self.seed, counter=self.stream_id << 128))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of all six fading vectors."""
-
-    h1: np.ndarray    # user 1 -> active part, length M
-    h2: np.ndarray    # user 2 -> active part, length M
-    h_bs: np.ndarray  # active part -> BS, length M
-    g1: np.ndarray    # user 1 -> passive part, length N
-    g2: np.ndarray    # user 2 -> passive part, length N
-    g_bs: np.ndarray  # passive part -> BS, length N
-
-
 def _draw_block(config: SystemConfig, rng: Generator, buf: np.ndarray):
     """Fill buf, one chunk of k phase-aligned trials, with unit-scale draws.
 
@@ -110,23 +98,3 @@ def _draw_block(config: SystemConfig, rng: Generator, buf: np.ndarray):
     m, n = config.m_active, config.n_passive
     rng.standard_exponential(out=buf)
     return buf[:, :m], buf[:, m:2 * m], buf[:, 2 * m:2 * m + n], buf[:, 2 * m + n:]
-
-
-def draw_realization(config: SystemConfig, stream: RandomStream) -> ChannelRealization:
-    """Draw one full channel realization, deterministic given (seed, stream_id).
-
-    A flat standard-normal draw viewed as complex, split as
-    [h1 | h2 | h_bs | g1 | g2 | g_bs]; the paper-faithful oracle that the
-    reduced block draw is tested against.
-    """
-    m, n = config.m_active, config.n_passive
-    var = link_variances(config)
-    raw = stream.generator().standard_normal(2 * (3 * m + 3 * n)).view(np.complex128)
-    return ChannelRealization(
-        h1=raw[0:m] * np.sqrt(var.u1 / 2.0),
-        h2=raw[m:2 * m] * np.sqrt(var.u2 / 2.0),
-        h_bs=raw[2 * m:3 * m] * np.sqrt(var.bs / 2.0),
-        g1=raw[3 * m:3 * m + n] * np.sqrt(var.u1 / 2.0),
-        g2=raw[3 * m + n:3 * m + 2 * n] * np.sqrt(var.u2 / 2.0),
-        g_bs=raw[3 * m + 2 * n:] * np.sqrt(var.bs / 2.0),
-    )

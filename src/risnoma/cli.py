@@ -156,7 +156,9 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True,
-                   help="'a,b,c', 'start:stop:step', or 'log:a:b:n'")
+                   help="'a,b,c', 'start:stop:step', or 'log:a:b:n'; a list that "
+                        "starts with '-' goes as --values=-70:-10:3, since argparse "
+                        "reads a separate '-70:-10:3' as an option")
     p.add_argument("--method", choices=METHOD_CHOICES, default="both")
     p.add_argument("--out", required=True)
     p.add_argument("--allow-noisy", action="store_true")

@@ -39,6 +39,16 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
+def overflows_watt(p_dbm: float) -> bool:
+    """Whether a finite power in dBm is too large for watts in a double
+    (above about 3082.5 dBm); an underflow to 0 W is not an overflow."""
+    try:
+        dbm_to_watt(p_dbm)
+    except OverflowError:
+        return True
+    return False
+
+
 def clamp_alpha(alpha: float) -> float:
     """A power gain held to the amplifier's 0-30 dB range."""
     return min(max(alpha, ALPHA_MIN), ALPHA_MAX)
@@ -161,6 +171,12 @@ def validate(config: SystemConfig) -> SystemConfig:
         v = getattr(config, name)
         if v is not None and not v > 0.0:
             problems.append(f"{name} must be None or a positive variance, got {v}")
+
+    for name in ("pt_user_dbm", "pt_ris_dbm", "w0_dbm", "namp_dbm"):
+        p = getattr(config, name)
+        if overflows_watt(p):
+            problems.append(f"{name} must be at most about 3082.5 dBm to convert to watts, "
+                            f"got {p}")
 
     if not (0 <= config.seed < 2**64):
         problems.append(f"seed must be a 64-bit unsigned integer, got {config.seed}")

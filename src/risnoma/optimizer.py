@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import analytic_outages
 from .channel import link_variances
-from .config import SystemConfig
+from .config import SystemConfig, overflows_watt
 from .montecarlo import estimate_outage_pairs
 from .ris import _alpha_at_budget
 
@@ -64,11 +64,6 @@ def outage_pairs(configs, method: str, *, workers: int = 1):
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def outage_pair(config: SystemConfig, method: str, *, workers: int = 1):
-    """`outage_pairs` at one config."""
-    return outage_pairs([config], method, workers=workers)[0]
-
-
 def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
     """The config evaluated at one RIS power budget: the gain follows from
     the budget, and the seed stays, so the mc objective is deterministic.
@@ -88,7 +83,7 @@ def _golden_min(fun, lo: float, hi: float, tol: float, evaluate):
     x2 = lo + INV_PHI * (hi - lo)
     yield from evaluate([x1, x2])
     f1, f2 = (yield from fun(x1)), (yield from fun(x2))
-    while hi - lo > tol:
+    while hi - lo > tol and lo < x1 < x2 < hi:  # a bracket a few ulps wide ends it too
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - INV_PHI * (hi - lo)
@@ -137,9 +132,9 @@ def optimize_batch(configs, *, interval_dbm=(-70.0, -10.0), tol_db: float = 0.1,
     request is evaluated again on its own, and only the searches whose own
     request fails get the exception."""
     lo, hi = interval_dbm
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"search interval must be two finite dBm values lo < hi, "
-                         f"got {interval_dbm}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or overflows_watt(hi):
+        raise ValueError(f"search interval must be two finite dBm values lo < hi "
+                         f"that convert to watts, got {interval_dbm}")
     if not (math.isfinite(tol_db) and tol_db > 0.0):
         raise ValueError(f"tol_db must be a finite number > 0, got {tol_db}")
 

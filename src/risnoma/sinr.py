@@ -1,4 +1,4 @@
-"""Per-realization effective link terms and user SINRs.
+"""Effective link terms and both users' SINRs.
 
 The received signal collapses, per user, into a coherent amplified sum
 through the active partition plus an unaligned sum through the passive
@@ -18,11 +18,7 @@ fraction epsilon of the cancelled power remains as interference.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import SystemConfig, dbm_to_watt
-from .channel import ChannelRealization
-from .ris import HybridRisState
 
 
 @dataclass(frozen=True)
@@ -41,27 +37,6 @@ class SinrPair:
     gamma2: float  # passively served user, post SIC
 
 
-def compute_link_terms(ch: ChannelRealization, ris: HybridRisState,
-                       config: SystemConfig) -> LinkTerms:
-    """Collapse one realization into the five effective scalars."""
-    m, n = config.m_active, config.n_passive
-    if not (ch.h1.shape == ch.h2.shape == ch.h_bs.shape == (m,)):
-        raise ValueError(f"active-part vectors must have length {m}")
-    if not (ch.g1.shape == ch.g2.shape == ch.g_bs.shape == (n,)):
-        raise ValueError(f"passive-part vectors must have length {n}")
-    if config.active_user == 1:
-        h_a, h_p, g_a, g_p = ch.h1, ch.h2, ch.g1, ch.g2
-    else:
-        h_a, h_p, g_a, g_p = ch.h2, ch.h1, ch.g2, ch.g1
-    sqrt_alpha = np.sqrt(ris.alpha)
-    a = sqrt_alpha * float(np.sum(np.abs(h_a) * np.abs(ch.h_bs)))
-    b = complex(np.sum(g_a * ris.beta * ch.g_bs))
-    c = sqrt_alpha * complex(np.sum(h_p * ris.theta * ch.h_bs))
-    d = float(np.sum(np.abs(g_p) * np.abs(ch.g_bs)))
-    ang = float(np.sum(np.abs(ch.h_bs) ** 2))
-    return LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=ris.alpha)
-
-
 def sinr(lt: LinkTerms, config: SystemConfig) -> SinrPair:
     """Both users' SINRs from one set of link terms.
 
@@ -76,23 +51,3 @@ def sinr(lt: LinkTerms, config: SystemConfig) -> SinrPair:
     gamma1 = pt * s_ab / (pt * s_cd + forwarded + w0)
     gamma2 = pt * s_cd / (config.epsilon_sic * pt * s_ab + forwarded + w0)
     return SinrPair(gamma1=gamma1, gamma2=gamma2)
-
-
-def synthesize_received(ch: ChannelRealization, ris: HybridRisState,
-                        config: SystemConfig, x1: complex, x2: complex,
-                        z: np.ndarray, w0_sample: complex) -> complex:
-    """One received sample assembled term by term from the signal model.
-
-    Used to validate that the per-user coefficients match the link terms;
-    z is the vector of amplifier noise samples at the active elements.
-    """
-    sqrt_pt = np.sqrt(dbm_to_watt(config.pt_user_dbm))
-    sqrt_alpha = np.sqrt(ris.alpha)
-    y = 0.0 + 0.0j
-    for h_k, g_k, x_k in ((ch.h1, ch.g1, x1), (ch.h2, ch.g2, x2)):
-        through_active = sqrt_alpha * np.sum(h_k * ris.theta * ch.h_bs) * x_k
-        through_passive = np.sum(g_k * ris.beta * ch.g_bs) * x_k
-        y += sqrt_pt * (through_active + through_passive)
-    y += sqrt_alpha * np.sum(z * ris.theta * ch.h_bs)
-    y += w0_sample
-    return complex(y)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import FIELD_TYPES, ConfigError, SystemConfig, read_bool, read_int, validate
-from .optimizer import METHODS, at_budget, optimize_batch, outage_pair
+from .optimizer import METHODS, at_budget, optimize_batch, outage_pairs
 from .ris import resolve_alpha
 
 CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
@@ -180,7 +180,7 @@ def run_point(config: SystemConfig, methods=METHODS, *, workers: int = 1,
     for method in methods:
         t0 = time.perf_counter()
         try:
-            pair = known.get(method) or outage_pair(eval_config, method, workers=workers)
+            pair = known.get(method) or outage_pairs([eval_config], method, workers=workers)[0]
             ms = (time.perf_counter() - t0) * 1e3 + opt_ms
             for res in pair:
                 rows.append(ResultRow(

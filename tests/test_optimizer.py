@@ -1,4 +1,5 @@
 import math
+import signal
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -14,7 +15,7 @@ INTERVAL = (-70.0, -10.0)   # optimize()'s default search range
 
 
 def _ops_at(config, pt_ris_dbm, evaluator="analytic"):
-    r1, r2 = rn.outage_pair(at_budget(config, pt_ris_dbm), evaluator)
+    r1, r2 = rn.outage_pairs([at_budget(config, pt_ris_dbm)], evaluator)[0]
     return r1.op, r2.op
 
 
@@ -49,15 +50,15 @@ class TestOutagePair:
                           alpha_linear=2.0, rate_threshold_bps_hz=1.0)
         mc = rn.estimate_outage_pair(cfg)
         assert 0.0 < mc[0].op < 1.0 and 0.0 < mc[1].op < 1.0
-        assert rn.outage_pair(cfg, "mc") == mc
-        assert rn.outage_pair(cfg, "mc", workers=2) == mc
-        assert rn.outage_pair(cfg, "analytic") == (rn.analytic_outage(cfg, 1),
-                                                   rn.analytic_outage(cfg, 2))
+        assert rn.outage_pairs([cfg], "mc")[0] == mc
+        assert rn.outage_pairs([cfg], "mc", workers=2)[0] == mc
+        assert rn.outage_pairs([cfg], "analytic")[0] == (rn.analytic_outage(cfg, 1),
+                                                         rn.analytic_outage(cfg, 2))
         assert optimizer.METHODS == ("mc", "analytic")
 
     def test_unknown_method_refused(self):
         with pytest.raises(ValueError, match="'newton'"):
-            rn.outage_pair(unit_config(), "newton")
+            rn.outage_pairs([unit_config()], "newton")
 
 
 class TestOptimize:
@@ -168,15 +169,35 @@ class TestOptimize:
             rn.optimize(rn.validate(rn.SystemConfig()), tol_db=tol_db)
 
     @pytest.mark.parametrize("interval", [(-70.0, math.inf), (-math.inf, -10.0),
-                                          (math.nan, -10.0), (-70.0, math.nan)])
+                                          (math.nan, -10.0), (-70.0, math.nan),
+                                          (-70.0, 4000.0)])
     def test_interval_must_be_finite(self, interval, monkeypatch):
-        # the 1 dB grid of an unbounded interval cannot be allocated
+        # the 1 dB grid of an unbounded interval cannot be allocated, and
+        # 4000 dBm has no value in watts
         def unreachable(*args, **kwargs):
             raise AssertionError("evaluated before the interval was checked")
 
         monkeypatch.setattr(optimizer, "outage_pairs", unreachable)
         with pytest.raises(ValueError, match="search interval must be two finite"):
             rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=interval)
+
+    @pytest.mark.parametrize("tol_db", [1e-16, 1e-300])
+    def test_tolerance_finer_than_the_bracket_resolves(self, tol_db):
+        # the bracket stops shrinking a few ulps wide; the search ends there
+        # (an alarm turns a search that never ends into a failure)
+        def timeout(signum, frame):
+            raise TimeoutError(f"optimize at tol_db={tol_db} did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            out = rn.optimize(rn.validate(rn.SystemConfig()), interval_dbm=(-50.0, -44.0),
+                              tol_db=tol_db)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert -50.0 <= out.pt_ris_dbm <= -44.0
+        assert out.mode == "balanced" and out.gap < 1e-12
 
 
 class TestBatchedGrid:
@@ -262,11 +283,11 @@ class TestBatchedGrid:
         # evaluation, not from a second one
         cfg = rn.validate(rn.SystemConfig(alpha_mode="optimized"))
         out = rn.optimize(cfg)
-        monkeypatch.setattr(rn.sweep, "outage_pair", None)
+        monkeypatch.setattr(rn.sweep, "outage_pairs", None)
         rows = rn.run_point(cfg, ("analytic",))
         assert [(r.user, r.op, r.err) for r in rows] == [
             (r.user, r.op, r.std_err) for r in out.results]
-        assert out.results == rn.outage_pair(at_budget(cfg, out.pt_ris_dbm), "analytic")
+        assert out.results == rn.outage_pairs([at_budget(cfg, out.pt_ris_dbm)], "analytic")[0]
 
 
 class TestLockstep:

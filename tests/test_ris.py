@@ -5,37 +5,38 @@ from hypothesis import strategies as st
 
 import risnoma as rn
 from conftest import unit_config
+from oracle import ChannelRealization, align_phases, ris_state
 
 
 def _single_element(h=1.0 + 0j, h_bs=1.0 + 0j, g=1.0 + 0j, g_bs=1.0 + 0j):
     arr = lambda v: np.array([v], dtype=complex)
-    return rn.ChannelRealization(h1=arr(h), h2=arr(h), h_bs=arr(h_bs),
-                                 g1=arr(g), g2=arr(g), g_bs=arr(g_bs))
+    return ChannelRealization(h1=arr(h), h2=arr(h), h_bs=arr(h_bs),
+                              g1=arr(g), g2=arr(g), g_bs=arr(g_bs))
 
 
 class TestAlignPhases:
     def test_identity(self):
-        state = rn.align_phases(_single_element())
+        state = align_phases(_single_element())
         assert state.theta[0] == pytest.approx(1.0 + 0j)
         assert state.beta[0] == pytest.approx(1.0 + 0j)
 
     def test_quarter_turn(self):
-        state = rn.align_phases(_single_element(h=1j))
+        state = align_phases(_single_element(h=1j))
         assert state.theta[0] == pytest.approx(-1j, abs=1e-12)
 
     def test_zero_product_gets_zero_phase(self):
-        state = rn.align_phases(_single_element(h=0.0))
+        state = align_phases(_single_element(h=0.0))
         assert state.theta[0] == pytest.approx(1.0 + 0j)
 
     def test_unit_modulus(self, rng):
         ch = _random_realization(rng, 64, 32)
-        state = rn.align_phases(ch)
+        state = align_phases(ch)
         assert np.allclose(np.abs(state.theta), 1.0, atol=1e-12)
         assert np.allclose(np.abs(state.beta), 1.0, atol=1e-12)
 
     def test_coherent_combining_identity(self, rng):
         ch = _random_realization(rng, 64, 32)
-        state = rn.align_phases(ch, active_user=1)
+        state = align_phases(ch, active_user=1)
         combined = np.sum(ch.h1 * state.theta * ch.h_bs)
         assert combined.imag == pytest.approx(0.0, abs=1e-12)
         assert combined.real == pytest.approx(
@@ -45,19 +46,19 @@ class TestAlignPhases:
 
     def test_magnitudes_untouched(self, rng):
         ch = _random_realization(rng, 16, 16)
-        state = rn.align_phases(ch)
+        state = align_phases(ch)
         assert np.allclose(np.abs(state.theta * ch.h_bs), np.abs(ch.h_bs), rtol=1e-12)
 
     def test_unknown_active_user_rejected(self):
         # the passive part always serves the other user of {1, 2}
         with pytest.raises(ValueError, match="active_user must be 1 or 2"):
-            rn.align_phases(_single_element(), active_user=3)
+            align_phases(_single_element(), active_user=3)
 
 
 def _random_realization(rng, m, n):
     mk = lambda k: rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return rn.ChannelRealization(h1=mk(m), h2=mk(m), h_bs=mk(m),
-                                 g1=mk(n), g2=mk(n), g_bs=mk(n))
+    return ChannelRealization(h1=mk(m), h2=mk(m), h_bs=mk(m),
+                              g1=mk(n), g2=mk(n), g_bs=mk(n))
 
 
 def _from_power(**kw):
@@ -132,5 +133,5 @@ class TestAlphaFromPower:
     def test_ris_state_carries_alpha(self, rng):
         cfg = unit_config(m_active=8, n_passive=8, alpha_linear=4.0)
         ch = _random_realization(rng, 8, 8)
-        state = rn.ris_state(ch, cfg)
+        state = ris_state(ch, cfg)
         assert state.alpha == 4.0

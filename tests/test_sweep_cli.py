@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import risnoma as rn
 from risnoma.cli import main
 from risnoma.ris import resolve_alpha
-from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param, is_noisy
+from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param, fmt_value, is_noisy
 from conftest import mc_outage
 
 
@@ -537,6 +540,44 @@ class TestCli:
     def test_optimize_bad_tol_exits_2(self, tol, capsys):
         assert main(["optimize", "--interval", "-50", "-44", "--tol-db", tol]) == 2
         assert "tol_db must be a finite number > 0" in capsys.readouterr().err
+
+    def test_optimize_interval_overflowing_watts_exits_2(self, capsys):
+        assert main(["optimize", "--interval", "-70", "4000"]) == 2
+        assert "(-70.0, 4000.0)" in capsys.readouterr().err
+
+    def test_point_power_overflowing_watts_exits_2(self, capsys):
+        assert main(["point", "--method", "analytic", "--set", "alpha_mode=from_power",
+                     "--set", "pt_ris_dbm=4000"]) == 2
+        assert "pt_ris_dbm must be at most about 3082.5 dBm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, sets", [("pt_ris_dbm", ["alpha_mode=from_power"]),
+                                             ("pt_user_dbm", [])])
+    def test_sweep_power_overflowing_watts_is_error_rows(self, param, sets, tmp_path, capsys):
+        # the point past the overflow fails alone; the other keeps its numbers
+        out = tmp_path / "overflow.csv"
+        argv = ["sweep", "--param", param, "--values=-50,4000", "--method", "analytic",
+                "--out", str(out)]
+        assert main(argv + [a for s in sets for a in ("--set", s)]) == 1
+        assert f"{param} must be at most about 3082.5 dBm" in capsys.readouterr().err
+        body = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [r[7] for r in body if r[1] == "4000"] == ["error:ConfigError"] * 2
+        base = rn.apply_overrides(rn.SystemConfig(), [*sets, f"{param}=-50"])
+        expected = rn.run_point(rn.validate(base), ("analytic",))
+        assert [(r[4], r[5]) for r in body if r[1] == "-50"] == [
+            (fmt_value(r.op), fmt_value(r.err)) for r in expected]
+
+    def test_readme_sweep_example_runs(self, tmp_path, capsys):
+        # the README's own sweep command, analytic only and writing to tmp_path
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        line = re.search(r"^risnoma sweep (.*)$", readme.replace("\\\n", " "), re.MULTILINE)
+        argv = ["sweep", *shlex.split(line.group(1))]
+        argv[argv.index("--method") + 1] = "analytic"
+        argv[argv.index("--out") + 1] = str(tmp_path / "budget.csv")
+        assert main(argv) == 0
+        body = [l for l in (tmp_path / "budget.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert len(body) == 1 + 42
 
     def test_optimize_infinite_interval_exits_2(self, capsys):
         assert main(["optimize", "--interval", "-70", "inf"]) == 2
