@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import link_variances
-from .config import SystemConfig, dbm_to_watt
-from .montecarlo import OutageResult, rate_to_threshold
-from .ris import resolve_alpha
+from .channel import link_variances, resolve_alpha
+from .config import SystemConfig, dbm_to_watt, rate_to_threshold
+from .sinr import OutageResult
 
 RAYLEIGH_MEAN_FACTOR = math.pi / 4.0          # E|h||g| = sigma_h sigma_g * pi/4
 RAYLEIGH_VAR_FACTOR = 1.0 - math.pi**2 / 16.0
@@ -548,7 +547,11 @@ def analytic_outages(configs, users) -> list[OutageResult]:
         quad_tol = np.array([configs[i].quad_tol for i in live])
         # normalized, the tail on the threshold's side of the mean is the upper
         # tail of G or of -G; far out, a proven bound pins it to 0 as its error
-        mean, var = forms.moments()
+        with np.errstate(over="ignore"):
+            mean, var = forms.moments()
+        if not np.isfinite([mean, var]).all():
+            raise AccuracyError("the outage form's mean or variance overflows a double; "
+                                "the powers or the rate are too large for the analytic route")
         upper = g > mean
         sign, scale = np.where(upper, 1.0, -1.0), np.sqrt(var)
         side, g_side = forms.scaled(sign / scale), sign * g / scale

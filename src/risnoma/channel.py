@@ -1,21 +1,28 @@
-"""UMi NLOS path loss and i.i.d. Rayleigh channel generation.
+"""UMi NLOS path loss, per-link variances, the RIS gain rule, and i.i.d.
+Rayleigh channel generation.
 
 Channel entries are circularly-symmetric complex Gaussians whose total
 variance per link is the inverse linear path loss; real and imaginary
 parts carry half of it each.  Randomness comes from counter-based Philox
 substreams so that draws are bit-reproducible and order-independent.
 
+The gain alpha of the active RIS part is a per-element POWER gain (the
+signal scales by sqrt(alpha), and the 0-30 dB cap applies to alpha); it
+follows from the RIS power budget (`alpha_from_power`, `at_budget`).
+
 The Monte-Carlo block draw `_draw_block` draws only what the
 phase-aligned link terms depend on (see `_kernels`); the draw of all six
 fading vectors of one trial is the test oracle in `tests/oracle.py`.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .config import DISTANCE_RANGE_M, FC_RANGE_GHZ, SystemConfig
+from .config import (DISTANCE_RANGE_M, FC_RANGE_GHZ, SystemConfig, clamp_alpha,
+                     dbm_to_watt)
 
 
 def path_loss_db(d_m: float, fc_ghz: float) -> float:
@@ -66,6 +73,46 @@ def _link_variances(config: SystemConfig) -> LinkVariances:
     if bs is None:
         bs = channel_variance(config.d_ris_bs_m, config.fc_ghz)
     return LinkVariances(u1=u1, u2=u2, bs=bs)
+
+
+def alpha_from_power(config: SystemConfig) -> float:
+    """Power amplification implied by the RIS power budget, clamped to 0-30 dB.
+
+    Uses the per-element average channel power of the amplified user's
+    uplink hop as the reference input power.
+    """
+    return _alpha_at_budget(config, config.pt_ris_dbm)
+
+
+def _alpha_at_budget(config: SystemConfig, pt_ris_dbm: float) -> float:
+    """`alpha_from_power` at another budget, without copying the config."""
+    s_a, _ = link_variances(config).active_passive(config.active_user)
+    p_o = dbm_to_watt(pt_ris_dbm) / config.m_active  # split evenly per element
+    pt = dbm_to_watt(config.pt_user_dbm)
+    g = math.sqrt(p_o / (pt * s_a))
+    return clamp_alpha(g * g)
+
+
+def resolve_alpha(config: SystemConfig) -> float:
+    """The power gain this config implies.  `optimized` needs the optimizer."""
+    if config.alpha_mode == "fixed":
+        return clamp_alpha(config.alpha_linear)
+    if config.alpha_mode == "from_power":
+        return alpha_from_power(config)
+    raise ValueError(
+        "alpha_mode='optimized' has no direct value; run the gain optimizer "
+        "or evaluate at its chosen pt_ris_dbm"
+    )
+
+
+def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
+    """The config evaluated at one RIS power budget: the gain follows from
+    the budget, and the seed stays, so the mc objective is deterministic.
+    The link variances do not depend on the budget: the new config keeps
+    those already kept on `config`."""
+    out = replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
+    object.__setattr__(out, "_link_variances", link_variances(config))
+    return out
 
 
 @dataclass(frozen=True)

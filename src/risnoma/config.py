@@ -39,6 +39,11 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
+def rate_to_threshold(rate_bps_hz: float) -> float:
+    """SINR threshold v = 2^r - 1 for a target rate r."""
+    return 2.0 ** rate_bps_hz - 1.0
+
+
 def overflows_watt(p_dbm: float) -> bool:
     """Whether a finite power in dBm is too large for watts in a double
     (above about 3082.5 dBm); an underflow to 0 W is not an overflow."""
@@ -153,8 +158,9 @@ def validate(config: SystemConfig) -> SystemConfig:
         problems.append(f"alpha_mode must be one of {ALPHA_MODES}, got {config.alpha_mode!r}")
     if not (0.0 <= config.epsilon_sic <= 1.0):
         problems.append(f"epsilon_sic must be in [0, 1], got {config.epsilon_sic}")
-    if config.rate_threshold_bps_hz < 0.0:
-        problems.append(f"rate_threshold_bps_hz must be >= 0, got {config.rate_threshold_bps_hz}")
+    if not (0.0 <= config.rate_threshold_bps_hz < 1024.0):   # 2^r overflows from 1024 on
+        problems.append(f"rate_threshold_bps_hz must be in [0, 1024), got "
+                        f"{config.rate_threshold_bps_hz}")
     if not config.alpha_linear > 0.0:
         problems.append(f"alpha_linear must be positive, got {config.alpha_linear}")
 

@@ -1,9 +1,11 @@
-"""Monte-Carlo outage estimation, SINR sampling, and Gamma fits.
+"""Monte-Carlo outage estimation, SINR and link-term sampling, and Gamma fits.
 
 Trials are processed in fixed-size blocks; block b draws its channels from
 the dedicated substream (seed, b), so results are bit-identical for any
 worker count: the per-block partials are combined in block order and the
 block layout depends only on the configuration, never on the scheduler.
+Outage estimation maps one block worker, `_outage_counts_worker`, over a
+process pool; sampling runs the same block draw and scaling in process.
 """
 
 import math
@@ -14,10 +16,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from ._kernels import link_terms_block, scale_terms
-from .channel import RandomStream, _draw_block, link_variances
-from .config import SystemConfig
-from .ris import resolve_alpha
-from .sinr import LinkTerms, sinr
+from .channel import RandomStream, _draw_block, link_variances, resolve_alpha
+from .config import SystemConfig, rate_to_threshold
+from .sinr import LinkTerms, OutageResult, sinr
 
 # fixes the block plan, hence every bit of an estimate: blocks of
 # BLOCK_FLOAT_BUDGET / (6 (M + N)) trials, each from its own substream
@@ -28,24 +29,10 @@ CHUNK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
-class OutageResult:
-    op: float          # outage probability estimate
-    trials: int        # 0 for analytic results
-    std_err: float     # binomial SE (MC); analytic: inversion error estimate or Chernoff bound
-    method: str        # "mc" | "analytic"
-    user: int
-
-
-@dataclass(frozen=True)
 class GammaFit:
     shape: float     # k
     scale: float     # theta, same unit as the data
     ks_stat: float   # Kolmogorov-Smirnov distance against the fitted CDF
-
-
-def rate_to_threshold(rate_bps_hz: float) -> float:
-    """SINR threshold v = 2^r - 1 for a target rate r."""
-    return 2.0 ** rate_bps_hz - 1.0
 
 
 def block_size(m_active: int, n_passive: int) -> int:
@@ -71,11 +58,12 @@ def _block_terms(config: SystemConfig, block_id: int, nb: int):
     return sums, rng.standard_normal((nb, 4))
 
 
-def _link_terms(config: SystemConfig, sums, z, alpha: float):
-    """(a, b, c, d, ang) of config from a block's unit-scale sums."""
+def _link_terms(config: SystemConfig, sums, z, alpha: float) -> LinkTerms:
+    """The LinkTerms of config at gain alpha from a block's unit-scale sums."""
     var = link_variances(config)
     s_a, s_p = var.active_passive(config.active_user)
-    return scale_terms(sums, z, s_a, s_p, var.bs, math.sqrt(alpha))
+    a, b, c, d, ang = scale_terms(sums, z, s_a, s_p, var.bs, math.sqrt(alpha))
+    return LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=alpha)
 
 
 def _outage_counts_worker(args):
@@ -85,21 +73,15 @@ def _outage_counts_worker(args):
     sums, z = _block_terms(members[0][0], block_id, nb)
     counts = []
     for config, alpha, v in members:
-        a, b, c, d, ang = _link_terms(config, sums, z, alpha)
-        pair = sinr(LinkTerms(a=a, b=b, c=c, d=d, active_noise_gain=ang, alpha=alpha), config)
+        pair = sinr(_link_terms(config, sums, z, alpha), config)
         out1 = pair.gamma1 < v
         out2 = pair.gamma2 < v
         counts.append((int(out1.sum()), int(out2.sum()), int((out1 | out2).sum())))
     return counts
 
 
-def _terms_worker(args):
-    config, block_id, nb, alpha = args
-    return _link_terms(config, *_block_terms(config, block_id, nb), alpha)
-
-
-def _map_blocks(worker, argses, workers: int):
-    """Ordered map over blocks; block order fixes the reduction order.
+def _map_blocks(argses, workers: int):
+    """`_outage_counts_worker` over blocks in order, which fixes the reduction order.
 
     A fork pool starts all its workers at the first submit, so it gets no
     more workers than there are blocks."""
@@ -107,11 +89,11 @@ def _map_blocks(worker, argses, workers: int):
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(argses))
     if workers <= 1:
-        return [worker(a) for a in argses]
+        return [_outage_counts_worker(a) for a in argses]
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=get_context("fork")
     ) as pool:
-        return list(pool.map(worker, argses, chunksize=1))
+        return list(pool.map(_outage_counts_worker, argses, chunksize=1))
 
 
 def _block_plan(config: SystemConfig, n_trials: int):
@@ -140,7 +122,7 @@ def estimate_outage_pairs(configs, *, workers: int = 1):
             argses.append((members, b, sz))
             owners.append(idx)
     totals = [(0, 0, 0)] * len(configs)
-    for idx, counts in zip(owners, _map_blocks(_outage_counts_worker, argses, workers)):
+    for idx, counts in zip(owners, _map_blocks(argses, workers)):
         for i, c in zip(idx, counts):
             totals[i] = tuple(map(sum, zip(totals[i], c)))
     return [_outage_pair(config, *totals[i]) for i, config in enumerate(configs)]
@@ -166,26 +148,29 @@ def estimate_outage_pair(config: SystemConfig, *,
     return estimate_outage_pairs([config], workers=workers)[0]
 
 
-def sample_sinr(config: SystemConfig, user: int, n: int, *,
-                workers: int = 1) -> np.ndarray:
-    """n i.i.d. linear SINR samples for one user, deterministic given seed."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    t = sample_link_terms(config, n, workers=workers)
-    pair = sinr(LinkTerms(a=t["a"], b=t["b"], c=t["c"], d=t["d"],
-                          active_noise_gain=t["ang"], alpha=resolve_alpha(config)), config)
-    return pair.gamma1 if user == config.active_user else pair.gamma2
-
-
-def sample_link_terms(config: SystemConfig, n: int, *, workers: int = 1) -> dict:
-    """Arrays of the five effective link scalars over n realizations."""
+def _sampled_blocks(config: SystemConfig, n: int) -> list[LinkTerms]:
+    """The LinkTerms of n realizations, one per block of the plan, in order."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     alpha = resolve_alpha(config)
-    argses = [(config, b, sz, alpha) for b, sz in _block_plan(config, n)]
-    parts = _map_blocks(_terms_worker, argses, workers)
-    keys = ("a", "b", "c", "d", "ang")
-    return {k: np.concatenate([p[i] for p in parts]) for i, k in enumerate(keys)}
+    return [_link_terms(config, *_block_terms(config, b, sz), alpha)
+            for b, sz in _block_plan(config, n)]
+
+
+def sample_sinr(config: SystemConfig, user: int, n: int) -> np.ndarray:
+    """n i.i.d. linear SINR samples for one user, deterministic given seed."""
+    if user not in (1, 2):
+        raise ValueError(f"user must be 1 or 2, got {user}")
+    pairs = [sinr(terms, config) for terms in _sampled_blocks(config, n)]
+    return np.concatenate([p.gamma1 if user == config.active_user else p.gamma2
+                           for p in pairs])
+
+
+def sample_link_terms(config: SystemConfig, n: int) -> dict:
+    """Arrays of the five effective link scalars over n realizations."""
+    parts = _sampled_blocks(config, n)
+    return {key: np.concatenate([getattr(p, name) for p in parts]) for key, name in
+            zip(("a", "b", "c", "d", "ang"), ("a", "b", "c", "d", "active_noise_gain"))}
 
 
 def fit_gamma(samples) -> GammaFit:

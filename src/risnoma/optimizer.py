@@ -20,16 +20,15 @@ batch per step over all of them.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .analytic import analytic_outages
-from .channel import link_variances
+from .channel import _alpha_at_budget, at_budget
 from .config import SystemConfig, overflows_watt
 from .montecarlo import estimate_outage_pairs
-from .ris import _alpha_at_budget
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_STEP_DB = 1.0   # coarse scan used for mode detection and the golden bracket
@@ -62,16 +61,6 @@ def outage_pairs(configs, method: str, *, workers: int = 1):
         both = analytic_outages([*configs, *configs], [1] * n + [2] * n)
         return list(zip(both[:n], both[n:]))
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
-
-def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
-    """The config evaluated at one RIS power budget: the gain follows from
-    the budget, and the seed stays, so the mc objective is deterministic.
-    The link variances do not depend on the budget: the new config keeps
-    those already kept on `config`."""
-    out = replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
-    object.__setattr__(out, "_link_variances", link_variances(config))
-    return out
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float, evaluate):

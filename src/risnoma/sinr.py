@@ -1,4 +1,4 @@
-"""Effective link terms and both users' SINRs.
+"""Effective link terms, both users' SINRs, and the outage result type.
 
 The received signal collapses, per user, into a coherent amplified sum
 through the active partition plus an unaligned sum through the passive
@@ -14,6 +14,9 @@ one (or vice versa).  Five scalars fully determine both SINRs:
 The BS decodes the amplified user first, treating the other as
 interference, then the passively served user after SIC; a residual
 fraction epsilon of the cancelled power remains as interference.
+
+A user is in outage when its SINR is below 2^r - 1 for its target rate r
+(`config.rate_to_threshold`); both routes report it as an `OutageResult`.
 """
 
 from dataclasses import dataclass
@@ -51,3 +54,12 @@ def sinr(lt: LinkTerms, config: SystemConfig) -> SinrPair:
     gamma1 = pt * s_ab / (pt * s_cd + forwarded + w0)
     gamma2 = pt * s_cd / (config.epsilon_sic * pt * s_ab + forwarded + w0)
     return SinrPair(gamma1=gamma1, gamma2=gamma2)
+
+
+@dataclass(frozen=True)
+class OutageResult:
+    op: float          # outage probability estimate
+    trials: int        # 0 for analytic results
+    std_err: float     # binomial SE (MC); analytic: inversion error estimate or Chernoff bound
+    method: str        # "mc" | "analytic"
+    user: int

@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .channel import at_budget, resolve_alpha
 from .config import FIELD_TYPES, ConfigError, SystemConfig, read_bool, read_int, validate
-from .optimizer import METHODS, at_budget, optimize_batch, outage_pairs
-from .ris import resolve_alpha
+from .optimizer import METHODS, optimize_batch, outage_pairs
 
 CSV_COLUMNS = ("sweep_param", "sweep_value", "user", "method", "op", "err",
                "alpha", "mode", "ms")

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy import stats as sstats
 import risnoma as rn
 from risnoma.analytic import (RAYLEIGH_MEAN_FACTOR, RAYLEIGH_VAR_FACTOR, QfComponent, QuadForm,
                               _panel_ladder, outage_forms, saddle_point)
-from risnoma.ris import resolve_alpha
+from risnoma import resolve_alpha
 from risnoma.optimizer import at_budget
 from conftest import mc_outage, unit_config
 
@@ -520,6 +522,16 @@ class TestAnalyticOutage:
         high = unit_config(w0_dbm=250.0, pt_user_dbm=30.0)
         assert rn.analytic_outage(high, 2).op == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("name, value", [("pt_user_dbm", 2000.0), ("pt_user_dbm", 3000.0),
+                                             ("rate_threshold_bps_hz", 600.0),
+                                             ("rate_threshold_bps_hz", 1000.0)])
+    def test_overflowing_moments_raise(self, name, value):
+        # valid configs whose form moments overflow a double: the inversion
+        # gave 0.25 or 0.75 with a tiny err here, where MC sees 0 or 1
+        cfg = rn.validate(rn.SystemConfig(**{name: value}))
+        with pytest.raises(rn.AccuracyError, match="overflows a double"):
+            rn.analytic_outages([cfg, cfg], [1, 2])
+
 
 class TestBatchedOutages:
     """analytic_outages over the 1 dB budget grid against one-config calls."""
@@ -929,3 +941,16 @@ class TestActivePassiveRule:
             assert 0.0 < r.op < 1.0
         assert (mc1[0].op, mc1[1].op) == (mc2[1].op, mc2[0].op)
         assert (an1[0].op, an1[1].op) == (an2[1].op, an2[0].op)
+
+
+def test_analytic_route_imports_nothing_from_montecarlo():
+    # the two routes check each other, so they share the model (config,
+    # channel, sinr) and not code of one another
+    tree = ast.parse(Path(rn.analytic.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(f"{node.module or ''}.{a.name}" for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert names and not [n for n in names if "montecarlo" in n.split(".")]

@@ -124,6 +124,7 @@ class TestValidate:
         ("seed", -1), ("seed", 2**64), ("quad_tol", 0.0),
         ("pt_user_dbm", 4000.0), ("pt_ris_dbm", 4000.0), ("w0_dbm", 4000.0),
         ("namp_dbm", 4000.0),
+        ("rate_threshold_bps_hz", 1024.0), ("rate_threshold_bps_hz", 1100.0),  # 2^r overflows
     ])
     def test_range_checks(self, name, value):
         with pytest.raises(rn.ConfigError) as info:

@@ -59,14 +59,6 @@ class TestDeterminism:
         cfg = unit_config(mc_trials=1000)
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             rn.estimate_outage_pair(cfg, workers=workers)
-        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
-            rn.sample_link_terms(cfg, 1000, workers=workers)
-
-    def test_sinr_samples_worker_invariance(self):
-        cfg = unit_config(mc_trials=1000)
-        s1 = rn.sample_sinr(cfg, 1, 20_000, workers=1)
-        s2 = rn.sample_sinr(cfg, 1, 20_000, workers=2)
-        assert np.array_equal(s1, s2)
 
     def test_different_seed_differs(self):
         a = mc_outage(unit_config(mc_trials=20_000, w0_dbm=59.0,

@@ -8,7 +8,7 @@ import risnoma as rn
 from risnoma import optimizer
 from risnoma.config import ALPHA_MAX, ALPHA_MIN
 from risnoma.optimizer import at_budget
-from risnoma.ris import alpha_from_power
+from risnoma import alpha_from_power
 from conftest import unit_config
 
 INTERVAL = (-70.0, -10.0)   # optimize()'s default search range

@@ -12,7 +12,7 @@ import pytest
 
 import risnoma as rn
 from risnoma.cli import main
-from risnoma.ris import resolve_alpha
+from risnoma import resolve_alpha
 from risnoma.sweep import CSV_COLUMNS, FLOOR_EVENTS, apply_param, fmt_value, is_noisy
 from conftest import mc_outage
 
@@ -362,6 +362,25 @@ class TestCli:
         assert main(args + ["--json"]) == 1
         rows = json.loads(capsys.readouterr().out)
         assert all("simulation-only" in r["error"] for r in rows)
+
+    @pytest.mark.parametrize("override", ["pt_user_dbm=3000", "rate_threshold_bps_hz=1000"])
+    def test_point_overflowing_moments_are_error_rows(self, override, capsys):
+        assert main(["point", "--method", "analytic", "--set", override, "--json"]) == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["mode"], r["op"]) for r in rows] == [("error:AccuracyError", None)] * 2
+
+    def test_threshold_overflow_is_a_config_error(self, tmp_path, capsys):
+        assert main(["point", "--set", "rate_threshold_bps_hz=1100"]) == 2
+        assert "rate_threshold_bps_hz must be in [0, 1024)" in capsys.readouterr().err
+        out = tmp_path / "rate.csv"
+        code = main(["sweep", "--param", "rate_threshold_bps_hz", "--values", "2,1100",
+                     "--method", "analytic", "--out", str(out)])
+        assert code == 1
+        body = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [(r[1], r[7]) for r in body] == [("2", "fixed")] * 2 + [
+            ("1100", "error:ConfigError")] * 2
+        assert all(math.isfinite(float(r[4])) for r in body[:2])
 
     def test_point_json_is_strict(self, capsys):
         def reject(name):
