@@ -543,18 +543,18 @@ def analytic_outages(configs, users) -> list[OutageResult]:
     op, err = np.zeros((2, len(configs)))
     if live.size:
         forms = outage_forms([configs[i] for i in live], [users[i] for i in live])
-        g = np.array([dbm_to_watt(configs[i].w0_dbm) for i in live]) * v[live]
         quad_tol = np.array([configs[i].quad_tol for i in live])
-        # normalized, the tail on the threshold's side of the mean is the upper
-        # tail of G or of -G; far out, a proven bound pins it to 0 as its error
+        # normalized, the tail on the threshold's side of the mean is the upper tail of G
+        # or of -G; far out (g_side = +inf past a double) a proven bound pins it to 0 as its error
         with np.errstate(over="ignore"):
+            g = np.array([dbm_to_watt(configs[i].w0_dbm) for i in live]) * v[live]
             mean, var = forms.moments()
-        if not np.isfinite([mean, var]).all():
-            raise AccuracyError("the outage form's mean or variance overflows a double; "
-                                "the powers or the rate are too large for the analytic route")
-        upper = g > mean
-        sign, scale = np.where(upper, 1.0, -1.0), np.sqrt(var)
-        side, g_side = forms.scaled(sign / scale), sign * g / scale
+            if not np.isfinite([mean, var]).all():
+                raise AccuracyError("the outage form's mean or variance overflows a double; "
+                                    "the powers or the rate are too large for the analytic route")
+            upper = g > mean
+            sign, scale = np.where(upper, 1.0, -1.0), np.sqrt(var)
+            side, g_side = forms.scaled(sign / scale), sign * g / scale
         bound, c, log_mc = saddle_point(side, g_side)
         tail, tail_err = np.zeros(live.size), bound.copy()
         inv = ~(bound <= 1e-3 * quad_tol)

@@ -3,8 +3,8 @@ Rayleigh channel generation.
 
 Channel entries are circularly-symmetric complex Gaussians whose total
 variance per link is the inverse linear path loss; real and imaginary
-parts carry half of it each.  Randomness comes from counter-based Philox
-substreams so that draws are bit-reproducible and order-independent.
+parts carry half of it each.  Randomness comes from SFC64 substreams seeded
+by SeedSequence(seed, spawn_key=(stream id,)): bit-reproducible and order-independent.
 
 The gain alpha of the active RIS part is a per-element POWER gain (the
 signal scales by sqrt(alpha), and the 0-30 dB cap applies to alpha); it
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .config import (DISTANCE_RANGE_M, FC_RANGE_GHZ, SystemConfig, clamp_alpha,
                      dbm_to_watt)
@@ -119,16 +119,16 @@ def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
 class RandomStream:
     """A (seed, stream id) pair naming one independent random substream.
 
-    Distinct pairs yield statistically independent sequences; a given pair
-    is bit-reproducible across runs and thread counts.
+    Distinct pairs give independent sequences with overwhelming probability;
+    a given pair is bit-reproducible across runs and thread counts.
     """
 
     seed: int
     stream_id: int
 
     def generator(self) -> Generator:
-        # each stream owns a disjoint 2^128-counter block of the Philox cycle
-        return Generator(Philox(key=self.seed, counter=self.stream_id << 128))
+        # SeedSequence hashes the pair into SFC64's initial state
+        return Generator(SFC64(SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
 
 def _draw_block(config: SystemConfig, rng: Generator, buf: np.ndarray):

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -531,6 +532,19 @@ class TestAnalyticOutage:
         cfg = rn.validate(rn.SystemConfig(**{name: value}))
         with pytest.raises(rn.AccuracyError, match="overflows a double"):
             rn.analytic_outages([cfg, cfg], [1, 2])
+
+    @pytest.mark.parametrize("rate", [2.0, 100.0])
+    def test_threshold_past_a_double_is_sure_outage(self, rate):
+        # w0 = 1e297 W: the threshold over the form's spread, or w0 v itself at
+        # rate 100, overflows to +inf, a sure outage with no warning on the way;
+        # the batch's finite member keeps its own value
+        cfg = rn.validate(rn.SystemConfig(w0_dbm=3000.0, rate_threshold_bps_hz=rate))
+        plain = rn.validate(rn.SystemConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rn.analytic_outages([cfg, cfg, plain], [1, 2, 1])
+        assert [(r.op, r.std_err) for r in res[:2]] == [(1.0, 0.0)] * 2
+        assert res[2] == rn.analytic_outage(plain, 1)
 
 
 class TestBatchedOutages:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import SFC64, Generator, SeedSequence
 from scipy import stats as sstats
 
 import risnoma as rn
@@ -112,3 +113,27 @@ class TestDrawRealization:
         assert np.mean(np.abs(r.h1) ** 2) == pytest.approx(4.0, rel=0.05)
         assert np.mean(np.abs(r.h2) ** 2) == pytest.approx(1.0, rel=0.05)
         assert np.mean(np.abs(r.h_bs) ** 2) == pytest.approx(0.25, rel=0.05)
+
+
+class TestRandomStream:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("stream_id", [0, 3])
+    def test_is_sfc64_of_spawn_key(self, seed, stream_id):
+        want = Generator(SFC64(SeedSequence(seed, spawn_key=(stream_id,))))
+        got = rn.RandomStream(seed, stream_id).generator()
+        assert isinstance(got.bit_generator, SFC64)
+        assert np.array_equal(got.standard_exponential(1000), want.standard_exponential(1000))
+        assert np.array_equal(got.standard_normal(1000), want.standard_normal(1000))
+
+    def test_swapped_pair_differs(self):
+        x = rn.RandomStream(1, 2).generator().standard_exponential(1000)
+        y = rn.RandomStream(2, 1).generator().standard_exponential(1000)
+        assert not np.any(x == y)
+
+    def test_adjacent_seeds_independent(self):
+        # the bound of test_stream_independence, across seeds in place of stream ids
+        cfg = unit_config(m_active=50_000, n_passive=1)
+        x = np.real(draw_realization(cfg, rn.RandomStream(5, 0)).h1)
+        y = np.real(draw_realization(cfg, rn.RandomStream(6, 0)).h1)
+        rho = np.corrcoef(x, y)[0, 1]
+        assert abs(rho) < 4.0 / np.sqrt(x.size)

@@ -237,12 +237,12 @@ class TestOutageBatch:
 
 class TestSampleSinr:
     def test_bytes_pinned(self):
-        # recorded with the per-block SINR worker that sample_sinr replaced
-        # (numpy 2.4, x86-64): two blocks of the 64+64 unit config
+        # recorded on the SFC64 substreams of RandomStream (numpy 2.4,
+        # x86-64): two blocks of the 64+64 unit config
         cfg = unit_config()
         digests = {
-            1: "42ab9fefded789c49df8da05bdc48d83394395bc415de5cff920534d9b5bb350",
-            2: "06bbc0c8f140c4f5be7702ed7885a494f6273611a9bb2ac6d27213de5417ed8f",
+            1: "dea785315f6dd0471174c3ba0609e699ab9edf0be9f1e23365fa2702ac4b71a8",
+            2: "2adf833672d44b35d8355528aff8166799d1cdb6ea14d2c4f67ba1378bb848ad",
         }
         for user, digest in digests.items():
             s = rn.sample_sinr(cfg, user, 3000)
