@@ -3,9 +3,8 @@ NOMA system enabled over-the-air by a hybrid active/passive RIS."""
 
 __version__ = "0.1.0"
 
-from .analytic import (AccuracyError, QfComponent, QuadForm, TermStats,
-                       analytic_outage, analytic_outages, build_quadform, log_cf,
-                       gil_pelaez_cdf, term_statistics)
+from .analytic import (AccuracyError, QuadForm, analytic_outage, analytic_outages, log_cf,
+                       gil_pelaez_cdf)
 from .channel import (LinkVariances, RandomStream, alpha_from_power, at_budget,
                       channel_variance, link_variances, path_loss_db, resolve_alpha)
 from .config import (ConfigError, ConfigWarning, SystemConfig,

@@ -19,7 +19,6 @@ bound proves the tail below 1e-3 quad_tol.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,35 +32,6 @@ RAYLEIGH_VAR_FACTOR = 1.0 - math.pi**2 / 16.0
 
 class AccuracyError(RuntimeError):
     """The CDF integral failed to converge below the requested tolerance."""
-
-
-class TermStats(NamedTuple):
-    mu: float    # mean (complex terms have mu = 0 here)
-    var: float   # total variance
-
-
-def term_statistics(config: SystemConfig):
-    """The TermStats of (a, b, c, d) implied by a config's geometry and gain;
-    the active part carries a and c, the passive part b and d."""
-    x = np.array(_form_rows(config)[True])
-    mu, var = (y[[0, 1, 3, 2]].tolist() for y in _term_stats(x[0:4], x[4:8], x[8:12], x[12]))
-    return tuple(map(TermStats, mu, var))
-
-
-# the terms of a form's two pairs: real (phase-aligned, with a
-# Rayleigh-product mean), complex (unaligned, zero-mean), real, complex
-_REAL = np.array([1.0, 0.0, 1.0, 0.0])
-_VAR_FACTOR = np.array([RAYLEIGH_VAR_FACTOR, 1.0, RAYLEIGH_VAR_FACTOR, 1.0])
-
-
-def _term_stats(gain, count, hop, bs):
-    """The means and variances of a form's terms (real, complex, real,
-    complex on the last axis) from their gains, element counts and
-    uplink-hop variances, and the RIS-BS hop variance bs; numbers or arrays
-    alike.  Squares are np.float_power, libm's pow as Python's ** on floats."""
-    s, s_bs = np.sqrt(hop), np.sqrt(bs)
-    mu = np.sqrt(gain) * count * RAYLEIGH_MEAN_FACTOR * s * s_bs * _REAL
-    return mu, gain * count * np.float_power(s, 2) * np.float_power(s_bs, 2) * _VAR_FACTOR
 
 
 def _form_rows(config: SystemConfig):
@@ -87,19 +57,6 @@ def _form_rows(config: SystemConfig):
     return config._memo("_form_rows", rows)
 
 
-class QfComponent(NamedTuple):
-    """One weighted chi-square-like component: weight * sum_{i<dof} X_i^2.
-
-    The X_i are independent Gaussians with common per-component variance
-    `var` and common mean `mean` (0 for central components).
-    """
-
-    weight: float
-    dof: int
-    var: float
-    mean: float = 0.0
-
-
 @dataclass(slots=True)
 class QuadForm:
     """K quadratic forms, each a weighted sum of independent chi-square-like
@@ -113,15 +70,6 @@ class QuadForm:
     var: np.ndarray
     mean: np.ndarray
     central: tuple
-
-    @classmethod
-    def of(cls, forms) -> "QuadForm":
-        """The batch of forms, each a sequence of QfComponents."""
-        size = max(len(f) for f in forms)
-        pad = (QfComponent(weight=0.0, dof=0, var=0.0),)
-        rows = np.array([c for f in forms for c in (*f, *pad * (size - len(f)))], dtype=float)
-        weight, dof, var, mean = rows.reshape(len(forms), size, 4).T
-        return cls(weight, dof, var, mean, tuple((mean == 0.0).all(axis=1).tolist()))
 
     def __getitem__(self, k) -> "QuadForm":
         """Form k, or forms k (an index array or mask)."""
@@ -188,10 +136,14 @@ def log_cf(forms, omega):
 cf_eval = log_cf
 
 
+# the terms of a form's two pairs: real (phase-aligned, with a
+# Rayleigh-product mean), complex (unaligned, zero-mean), real, complex
+_VAR_FACTOR = np.array([RAYLEIGH_VAR_FACTOR, 1.0, RAYLEIGH_VAR_FACTOR, 1.0])
+
+
 def outage_forms(configs, users) -> QuadForm:
     """The outage quadratic forms of users[i]'s decode at configs[i], as the
-    (C, K) fields of one QuadForm (users 1 or 2; `build_quadform` is a batch
-    of one).
+    (C, K) fields of one QuadForm (users 1 or 2).
 
     The squared magnitude of a real-plus-complex sum splits into a
     noncentral 1-dof part (real axis) and a central 1-dof part (imaginary
@@ -205,14 +157,19 @@ def outage_forms(configs, users) -> QuadForm:
     """
     x = np.array([_form_rows(config)[user == config.active_user]
                   for config, user in zip(configs, users)])
-    mu, var = _term_stats(x[:, 0:4], x[:, 4:8], x[:, 8:12], x[:, 12:13])
+    # the terms' means (of the real ones) and variances from their gains,
+    # element counts and hop variances; squares are np.float_power, libm's
+    # pow as Python's ** on floats
+    gain, count, s, s_bs = x[:, 0:4], x[:, 4:8], np.sqrt(x[:, 8:12]), np.sqrt(x[:, 12:13])
+    mu = np.sqrt(gain[:, 0::2]) * count[:, 0::2] * RAYLEIGH_MEAN_FACTOR * s[:, 0::2] * s_bs
+    var = gain * count * np.float_power(s, 2) * np.float_power(s_bs, 2) * _VAR_FACTOR
     fields = np.zeros((len(x), 4, 5))   # per form: weight, dof, var, mean of 5 components
     fields[:, 0] = x[:, [13, 13, 14, 14, 15]]
     fields[:, 1] = x[:, [16, 16, 16, 16, 17]]
     fields[:, 2, 1:4:2] = var[:, 1::2] / 2.0
     fields[:, 2, 0:4:2] = var[:, 0::2] + fields[:, 2, 1:4:2]
     fields[:, 2, 4] = x[:, 18]
-    fields[:, 3, 0:4:2] = mu[:, 0::2]
+    fields[:, 3, 0:4:2] = mu
     fields = fields.transpose(1, 2, 0)
     keep = fields[0] != 0.0
     if not keep.all():
@@ -222,16 +179,6 @@ def outage_forms(configs, users) -> QuadForm:
         fields = packed
     weight, dof, var, mean = fields
     return QuadForm(weight, dof, var, mean, tuple((mean == 0.0).all(axis=1).tolist()))
-
-
-def build_quadform(config: SystemConfig, user: int) -> tuple:
-    """The QfComponents of the outage quadratic form of one user's decode
-    (`outage_forms`, a batch of one)."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    form = outage_forms([config], [user])
-    return tuple(QfComponent(w, int(dof), var, mean) for w, dof, var, mean in
-                 zip(*(x[:, 0].tolist() for x in (form.weight, form.dof, form.var, form.mean))))
 
 
 _CHERNOFF_T = np.geomspace(1e-3, 1e12, 121)
@@ -544,13 +491,19 @@ def analytic_outages(configs, users) -> list[OutageResult]:
     if live.size:
         forms = outage_forms([configs[i] for i in live], [users[i] for i in live])
         quad_tol = np.array([configs[i].quad_tol for i in live])
-        # normalized, the tail on the threshold's side of the mean is the upper tail of G
+        # G < g is scale-free: each form and its g are scaled, exactly, by the power of two
+        # 2^-e, e the binary exponent of the form's largest |w| (var + mean^2) (the factor
+        # at most 2^1022), so finite weights give finite moments.
+        # Normalized, the tail on the threshold's side of the mean is the upper tail of G
         # or of -G; far out (g_side = +inf past a double) a proven bound pins it to 0 as its error
         with np.errstate(over="ignore"):
             g = np.array([dbm_to_watt(configs[i].w0_dbm) for i in live]) * v[live]
+            size = np.max(np.abs(forms.weight) * (forms.var + forms.mean**2), axis=0, initial=0.0)
+            factor = np.ldexp(1.0, -np.frexp(size)[1].clip(-1022))
+            forms, g = forms.scaled(factor), g * factor
             mean, var = forms.moments()
             if not np.isfinite([mean, var]).all():
-                raise AccuracyError("the outage form's mean or variance overflows a double; "
+                raise AccuracyError("an outage form's weight overflows a double; "
                                     "the powers or the rate are too large for the analytic route")
             upper = g > mean
             sign, scale = np.where(upper, 1.0, -1.0), np.sqrt(var)

@@ -1,12 +1,16 @@
-"""The paper's signal model, one channel realization at a time.
+"""The paper's signal model, one channel realization at a time, and the
+closed-form moments of its link sums.
 
 A full draw of the six fading vectors, each partition's phase alignment
 and amplifier gain, the five link terms and the received sample assembled
 term by term.  No route runs this: it is the paper-faithful oracle that
 the reduced Monte-Carlo block draw (`risnoma.channel`, `risnoma._kernels`)
-and the SINR formula (`risnoma.sinr`) are tested against.
+and the SINR formula (`risnoma.sinr`) are tested against.  The link sums'
+means and variances, in Python floats, are the reference for the
+analytic route's outage forms (`risnoma.analytic.outage_forms`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,3 +121,29 @@ def synthesize_received(ch: ChannelRealization, ris: HybridRisState,
     y += sqrt_alpha * np.sum(z * ris.theta * ch.h_bs)
     y += w0_sample
     return complex(y)
+
+
+def link_sum_moments(config: SystemConfig) -> tuple:
+    """The (mean, variance) of each link sum a, b, c, d at a config.
+
+    A coherent sum (a, d) adds count phase-aligned Rayleigh products
+    |h||g|, each of mean sigma_h sigma_g pi/4 and variance
+    sigma_h^2 sigma_g^2 (1 - pi^2/16); a leakage sum (b, c) adds count
+    zero-mean complex products of variance sigma_h^2 sigma_g^2.  The active
+    part's sums (a, c) carry the gain alpha.
+    """
+    var = link_variances(config)
+    alpha = resolve_alpha(config)
+    s_act, s_pas = (math.sqrt(x) for x in var.active_passive(config.active_user))
+    s_bs = math.sqrt(var.bs)
+
+    def coherent(gain, count, s):
+        return (math.sqrt(gain) * count * (math.pi / 4.0) * s * s_bs,
+                gain * count * s**2 * s_bs**2 * (1.0 - math.pi**2 / 16.0))
+
+    def leakage(gain, count, s):
+        return 0.0, gain * count * s**2 * s_bs**2
+
+    m, n = config.m_active, config.n_passive
+    return (coherent(alpha, m, s_act), leakage(1.0, n, s_act),
+            leakage(alpha, m, s_pas), coherent(1.0, n, s_pas))

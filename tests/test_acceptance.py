@@ -13,8 +13,9 @@ import pytest
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import QfComponent, QuadForm, saddle_point
-from test_analytic import ncx2_cdf_series, upper_tail
+from risnoma.analytic import saddle_point
+from oracle import link_sum_moments
+from test_analytic import form, ncx2_cdf_series, upper_tail
 
 PI = np.pi
 
@@ -42,21 +43,20 @@ def unit64_terms():
 def test_c01_link_term_moments(unit64_terms):
     """Closed-form means/variances of the four link sums vs 1e6 samples."""
     terms, elapsed = unit64_terms
-    sa, sb, sc, sd = rn.term_statistics(_unit64())
     checks = []
 
     def moments(x):
         mu = x.mean()
         return mu, float(np.mean(np.abs(x - mu) ** 2))
 
-    for key, st in (("a", sa), ("b", sb), ("c", sc), ("d", sd)):
+    for key, (mu, sigma2) in zip("abcd", link_sum_moments(_unit64())):
         mean, var = moments(terms[key])
-        if st.mu != 0.0:
-            mean_ok = abs(mean.real - st.mu) <= 0.01 * st.mu and abs(mean.imag) < 1e-9
+        if mu != 0.0:
+            mean_ok = abs(mean.real - mu) <= 0.01 * mu and abs(mean.imag) < 1e-9
         else:
             # zero-mean terms: 1% of the term's own standard deviation
-            mean_ok = abs(mean) <= 0.01 * math.sqrt(st.var)
-        var_ok = abs(var - st.var) <= 0.02 * st.var
+            mean_ok = abs(mean) <= 0.01 * math.sqrt(sigma2)
+        var_ok = abs(var - sigma2) <= 0.02 * sigma2
         checks.append((key, mean_ok, var_ok))
     ok = all(m and v for _, m, v in checks) and elapsed < 60.0
     _verdict(1, ok, f"moments of A,B,C,D at 1e6 realizations within 1%/2% "
@@ -95,7 +95,7 @@ def test_c03_gil_pelaez_oracles():
     p = 1.0 - upper_tail(lambda w: 1.0 / (1.0 - 2j * w), 2.0, 0.25)[0]
     if abs(p - (1.0 - math.exp(-1.0))) > 1e-4:
         failures.append("chi2(2)@2")
-    spec = QuadForm.of([(QfComponent(1.0, 1, 1.0, 1.0),)])
+    spec = form((1.0, 1, 1.0, 1.0))
     for g in (0.5, 1.0, 3.0):
         _, c, log_mc = saddle_point(spec, g)
         tilted = spec.tilted(c)

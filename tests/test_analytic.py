@@ -11,18 +11,28 @@ from scipy import integrate
 from scipy import stats as sstats
 
 import risnoma as rn
-from risnoma.analytic import (RAYLEIGH_MEAN_FACTOR, RAYLEIGH_VAR_FACTOR, QfComponent, QuadForm,
-                              _panel_ladder, outage_forms, saddle_point)
-from risnoma import resolve_alpha
+from risnoma.analytic import QuadForm, _panel_ladder, outage_forms, saddle_point
 from risnoma.optimizer import at_budget
 from conftest import mc_outage, unit_config
+from oracle import link_sum_moments
 
 PI = np.pi
 
 
+def forms_of(batch):
+    """The batch of forms, each a sequence of (weight, dof, var, mean)
+    components, padded with zero-weight ones to (C, K) arrays."""
+    size = max(len(f) for f in batch)
+    pad = ((0.0, 0, 0.0, 0.0),)
+    rows = np.array([c for f in batch for c in (*f, *pad * (size - len(f)))], dtype=float)
+    weight, dof, var, mean = rows.reshape(len(batch), size, 4).T
+    return QuadForm(weight, dof, var, mean, tuple((mean == 0.0).all(axis=1).tolist()))
+
+
 def form(*components):
-    """One quadratic form, as a batch of one."""
-    return QuadForm.of([components])
+    """One quadratic form of (weight, dof, var, mean) components, as a batch
+    of one."""
+    return forms_of([components])
 
 
 def moments(forms):
@@ -90,98 +100,92 @@ def ncx2_cdf_series(x: float, dof: int, lam: float, terms: int = 200) -> float:
 
 
 class TestTermStats:
+    """The closed-form link-sum moments that the outage forms are built from."""
+
     def test_stats_a_unit(self):
         # one unit-variance element per partition
-        sa, sb, sc, sd = rn.term_statistics(unit_config(m_active=1, n_passive=1))
-        assert sa.mu == pytest.approx(PI / 4, rel=1e-12)
-        assert sa.var == pytest.approx(1 - PI**2 / 16, rel=1e-12)
-        assert sd.mu == pytest.approx(PI / 4, rel=1e-12)
-        assert sd.var == pytest.approx(1 - PI**2 / 16, rel=1e-12)
+        sa, _, _, sd = link_sum_moments(unit_config(m_active=1, n_passive=1))
+        assert sa == pytest.approx((PI / 4, 1 - PI**2 / 16), rel=1e-12)
+        assert sd == pytest.approx((PI / 4, 1 - PI**2 / 16), rel=1e-12)
 
     def test_stats_a_alpha_scaling(self):
         # the gain scales the active part's sums (a, c), not the passive part's
         kw = dict(m_active=37, n_passive=29, sigma2_u1=0.49, sigma2_u2=1.21,
                   sigma2_bs=1.69)
-        base = rn.term_statistics(unit_config(alpha_linear=1.0, **kw))
-        quad = rn.term_statistics(unit_config(alpha_linear=4.0, **kw))
-        assert quad[0].mu == pytest.approx(2 * base[0].mu, rel=1e-12)
-        assert quad[0].var == pytest.approx(4 * base[0].var, rel=1e-12)
-        assert quad[2].var == pytest.approx(4 * base[2].var, rel=1e-12)
+        base = link_sum_moments(unit_config(alpha_linear=1.0, **kw))
+        quad = link_sum_moments(unit_config(alpha_linear=4.0, **kw))
+        assert quad[0][0] == pytest.approx(2 * base[0][0], rel=1e-12)
+        assert quad[0][1] == pytest.approx(4 * base[0][1], rel=1e-12)
+        assert quad[2][1] == pytest.approx(4 * base[2][1], rel=1e-12)
         assert quad[1] == base[1] and quad[3] == base[3]
 
     def test_stats_a_m100(self):
-        assert rn.term_statistics(unit_config(m_active=100))[0].mu == pytest.approx(
-            25 * PI, rel=1e-12)
+        mu_a, _ = link_sum_moments(unit_config(m_active=100))[0]
+        assert mu_a == pytest.approx(25 * PI, rel=1e-12)
 
     def test_stats_b_c_d(self):
-        _, b, c, _ = rn.term_statistics(unit_config(m_active=1, n_passive=1))
-        assert (b.mu, b.var) == (0.0, 1.0)
-        assert (c.mu, c.var) == (0.0, 1.0)
-        d = rn.term_statistics(unit_config(n_passive=4))[3]
-        assert d.mu == pytest.approx(PI, rel=1e-12)
+        _, b, c, _ = link_sum_moments(unit_config(m_active=1, n_passive=1))
+        assert b == (0.0, 1.0)
+        assert c == (0.0, 1.0)
+        mu_d, _ = link_sum_moments(unit_config(n_passive=4))[3]
+        assert mu_d == pytest.approx(PI, rel=1e-12)
 
     def test_moments_against_simulation(self):
         # the Gaussian surrogate must carry the empirical mean and variance
         cfg = unit_config(m_active=64, n_passive=64, alpha_linear=2.0)
-        sa, sb, sc, sd = rn.term_statistics(cfg)
+        (mu_a, var_a), (_, var_b), (_, var_c), (mu_d, _) = link_sum_moments(cfg)
         terms = rn.sample_link_terms(cfg, 40_000)
-        assert np.mean(terms["a"]) == pytest.approx(sa.mu, rel=0.01)
-        assert np.var(terms["a"]) == pytest.approx(sa.var, rel=0.05)
-        assert np.mean(np.abs(terms["b"] - terms["b"].mean())**2) == pytest.approx(sb.var, rel=0.05)
-        assert np.mean(np.abs(terms["c"] - terms["c"].mean())**2) == pytest.approx(sc.var, rel=0.05)
-        assert np.mean(terms["d"]) == pytest.approx(sd.mu, rel=0.01)
+        assert np.mean(terms["a"]) == pytest.approx(mu_a, rel=0.01)
+        assert np.var(terms["a"]) == pytest.approx(var_a, rel=0.05)
+        assert np.mean(np.abs(terms["b"] - terms["b"].mean())**2) == pytest.approx(var_b, rel=0.05)
+        assert np.mean(np.abs(terms["c"] - terms["c"].mean())**2) == pytest.approx(var_c, rel=0.05)
+        assert np.mean(terms["d"]) == pytest.approx(mu_d, rel=0.01)
 
     def test_role_swap(self):
         cfg1 = unit_config(sigma2_u1=2.0, sigma2_u2=0.5, active_user=1)
         cfg2 = unit_config(sigma2_u1=2.0, sigma2_u2=0.5, active_user=2)
-        a1 = rn.term_statistics(cfg1)[0]
-        a2 = rn.term_statistics(cfg2)[0]
+        mu_a1, _ = link_sum_moments(cfg1)[0]
+        mu_a2, _ = link_sum_moments(cfg2)[0]
         # a's mean is M (pi/4) sigma_h sigma_bs with the active user's sigma_h
-        assert a1.mu == pytest.approx(64 * PI / 4 * np.sqrt(2.0))
-        assert a2.mu == pytest.approx(64 * PI / 4 * np.sqrt(0.5))
+        assert mu_a1 == pytest.approx(64 * PI / 4 * np.sqrt(2.0))
+        assert mu_a2 == pytest.approx(64 * PI / 4 * np.sqrt(0.5))
 
 
 class TestQuadForm:
     def _spec(self, cfg, user):
-        return rn.build_quadform(cfg, user)
+        # one user's outage form, its fields (C,) arrays
+        return outage_forms([cfg], [user])[0]
 
     def test_user_other_than_1_or_2_rejected(self):
-        for fn in (rn.build_quadform, rn.analytic_outage):
-            with pytest.raises(ValueError, match="user must be 1 or 2"):
-                fn(unit_config(), 3)
+        with pytest.raises(ValueError, match="user must be 1 or 2"):
+            rn.analytic_outage(unit_config(), 3)
 
     def test_active_user_structure_at_defaults(self):
         cfg = rn.validate(rn.SystemConfig())
         spec = self._spec(cfg, 1)
-        assert len(spec) == 5
-        assert sorted(c.dof for c in spec) == [1, 1, 1, 1, 2 * 512]
-        negs = [c for c in spec if c.weight < 0]
+        assert sorted(spec.dof.tolist()) == [1, 1, 1, 1, 2 * 512]
         # exactly the threshold-scaled terms are negative
-        assert len(negs) == 3
+        assert (spec.weight < 0).sum() == 3
 
     def test_passive_user_zero_threshold(self):
         cfg = unit_config(rate_threshold_bps_hz=0.0)
         spec = self._spec(cfg, 2)
-        assert all(c.weight > 0 for c in spec)
+        assert (spec.weight > 0).all()
 
     def test_epsilon_adds_components(self):
         cfg0 = unit_config(epsilon_sic=0.0)
         cfg1 = unit_config(epsilon_sic=0.01)
-        assert len(self._spec(cfg1, 2)) == len(self._spec(cfg0, 2)) + 2
+        assert self._spec(cfg1, 2).weight.size == self._spec(cfg0, 2).weight.size + 2
 
     def test_variance_bookkeeping(self):
         # the two quadrature components recompose each complex term's variance
         cfg = unit_config(alpha_linear=3.0)
-        sa, sb, sc, sd = rn.term_statistics(cfg)
+        (_, var_a), (_, var_b), _, _ = link_sum_moments(cfg)
         spec = self._spec(cfg, 1)
-        pos = [c for c in spec if c.weight > 0]
-        assert sum(c.var for c in pos) == pytest.approx(sa.var + sb.var, rel=1e-12)
+        assert spec.var[spec.weight > 0].sum() == pytest.approx(var_a + var_b, rel=1e-12)
 
     def test_moment_formulas_against_sampling(self, rng):
-        mean, var = moments(form(
-            QfComponent(weight=0.8, dof=1, var=1.3, mean=2.0),
-            QfComponent(weight=-0.5, dof=4, var=0.6),
-        ))
+        mean, var = moments(form((0.8, 1, 1.3, 2.0), (-0.5, 4, 0.6, 0.0)))
         draws = (0.8 * (rng.normal(2.0, np.sqrt(1.3), 200_000) ** 2)
                  - 0.5 * np.sum(rng.normal(0, np.sqrt(0.6), (200_000, 4)) ** 2, axis=1))
         assert draws.mean() == pytest.approx(mean, rel=0.01)
@@ -191,20 +195,18 @@ class TestQuadForm:
 class TestCfEval:
     def test_normalized_at_zero(self):
         cfg = rn.validate(rn.SystemConfig())
-        spec = form(*TestQuadForm()._spec(cfg, 1))
+        spec = outage_forms([cfg], [1])
         assert np.exp(rn.log_cf(spec[0], 0.0)) == pytest.approx(1.0 + 0j)
 
     def test_unit_exponential(self):
         # one central 2-dof component with per-component variance 1/2
-        spec = form(QfComponent(1.0, 2, 0.5))
+        spec = form((1.0, 2, 0.5, 0.0))
         assert np.exp(rn.log_cf(spec[0], 1.0)) == pytest.approx(0.5 + 0.5j, rel=1e-12)
 
     def test_conjugate_symmetry_and_bound(self, rng):
         for _ in range(10):
-            spec = form(*(
-                QfComponent(weight=rng.normal(), dof=int(rng.integers(1, 6)),
-                            var=rng.uniform(0.1, 2.0), mean=rng.normal())
-                for _ in range(4)))
+            spec = form(*((rng.normal(), int(rng.integers(1, 6)), rng.uniform(0.1, 2.0),
+                           rng.normal()) for _ in range(4)))
             w = rng.uniform(-50, 50, 64)
             psi = cf_of(spec)(w)
             psi_neg = cf_of(spec)(-w)
@@ -213,7 +215,7 @@ class TestCfEval:
 
     def test_matches_noncentral_chisq_cf(self):
         # weight 1, dof 1, unit variance, mean 1 vs the textbook form
-        spec = form(QfComponent(1.0, 1, 1.0, 1.0))
+        spec = form((1.0, 1, 1.0, 1.0))
         w = np.linspace(-5, 5, 11)
         denom = 1 - 2j * w
         expected = denom**-0.5 * np.exp(1j * w / denom)
@@ -222,20 +224,16 @@ class TestCfEval:
     def test_matches_complex_log_form(self):
         # the textbook log-CF summed in complex arithmetic, per component:
         # -(k/2) log(1 - 2j u s^2) + j u k m^2 / (1 - 2j u s^2), u = weight w
-        components = (
-            QfComponent(weight=1.0, dof=1, var=0.7, mean=1.3),
-            QfComponent(weight=-0.6, dof=1, var=0.4, mean=-0.9),
-            QfComponent(weight=-0.25, dof=6, var=0.5),
-            QfComponent(weight=0.4, dof=2, var=1.1, mean=0.5),
-        )
+        components = ((1.0, 1, 0.7, 1.3), (-0.6, 1, 0.4, -0.9), (-0.25, 6, 0.5, 0.0),
+                      (0.4, 2, 1.1, 0.5))   # (weight, dof, var, mean)
         spec = form(*components)
         mag = np.logspace(-8, 6, 500)
         w = np.concatenate([-mag[::-1], mag])
         log_psi = np.zeros(w.shape, dtype=complex)
-        for c in components:
-            u = c.weight * w
-            denom = 1.0 - 2.0j * u * c.var
-            log_psi += -(c.dof / 2.0) * np.log(denom) + 1.0j * u * c.dof * c.mean**2 / denom
+        for weight, dof, var, mean in components:
+            u = weight * w
+            denom = 1.0 - 2.0j * u * var
+            log_psi += -(dof / 2.0) * np.log(denom) + 1.0j * u * dof * mean**2 / denom
         expected = np.exp(log_psi)
         psi = cf_of(spec)(w)
         assert np.all(np.abs(psi - expected) <= 1e-13 * np.abs(expected))
@@ -246,10 +244,8 @@ class TestCfEval:
         # and the real-arithmetic integrand A (c cos t + w sin t) / (c^2 + w^2)
         # with t = Im L - w g is Re[M(z) e^{-z g} / z], the textbook form
         for _ in range(10):
-            components = tuple(
-                QfComponent(weight=rng.normal(), dof=int(rng.integers(1, 6)),
-                            var=rng.uniform(0.1, 2.0), mean=rng.normal())
-                for _ in range(4))
+            components = tuple((rng.normal(), int(rng.integers(1, 6)), rng.uniform(0.1, 2.0),
+                                rng.normal()) for _ in range(4))
             spec = form(*components)
             mean, var = moments(spec)
             g = mean + rng.uniform(0.5, 3.0) * math.sqrt(var)
@@ -260,9 +256,9 @@ class TestCfEval:
             polar = (np.exp(log_m.real - c * g) * (c * np.cos(theta) + w * np.sin(theta))
                      / (c * c + w * w))
             z = c + 1j * w
-            log_mz = sum(-(k.dof / 2.0) * np.log(1.0 - 2.0 * z * k.weight * k.var)
-                         + k.dof * k.mean**2 * k.weight * z / (1.0 - 2.0 * z * k.weight * k.var)
-                         for k in components)
+            log_mz = sum(-(dof / 2.0) * np.log(1.0 - 2.0 * z * weight * var)
+                         + dof * mean**2 * weight * z / (1.0 - 2.0 * z * weight * var)
+                         for weight, dof, var, mean in components)
             expected = np.real(np.exp(log_mz - z * g) / z)
             assert np.allclose(polar, expected, rtol=1e-9, atol=1e-14)
 
@@ -289,7 +285,7 @@ class TestGilPelaez:
     def test_central_chi2_2dof_far_upper_tail(self, g):
         # P(chi2_2 >= g) = e^{-g/2}: 2e-9 and 9e-14, with relative accuracy
         # at a tolerance tied to the Chernoff bound, as analytic_outage sets it
-        bound, c, _ = saddle_point(form(QfComponent(1.0, 2, 1.0)), g)
+        bound, c, _ = saddle_point(form((1.0, 2, 1.0, 0.0)), g)
         p_up, err = upper_tail(lambda w: 1.0 / (1.0 - 2j * w), g, c, tol=1e-4 * bound)
         assert p_up == pytest.approx(math.exp(-g / 2.0), rel=0.02)
 
@@ -301,7 +297,7 @@ class TestGilPelaez:
             assert p_up == pytest.approx(math.exp(-1.5), abs=1e-8)
 
     def test_noncentral_chi2_series_oracle(self):
-        spec = form(QfComponent(1.0, 1, 1.0, 1.0))
+        spec = form((1.0, 1, 1.0, 1.0))
         for g in (0.5, 1.0, 3.0):
             expected = ncx2_cdf_series(g, 1, 1.0)
             # oracle sanity: the series must agree with scipy's ncx2
@@ -379,7 +375,7 @@ class TestGilPelaez:
         # have their edge below the band
         huge = 2.0**30    # a Gaussian of variance 2^30 at c = 1: sigma ~ 2^-15
         cases = ladder_cases() + [
-            at_saddle(form(QfComponent(1.0, 1, 1.0)), 5000.0),
+            at_saddle(form((1.0, 1, 1.0, 0.0)), 5000.0),
             (lambda w: huge * (1.0 + 1j * w) ** 2 / 2.0 + huge / 2.0, huge, 1.0)]
         for i, (log_m, g, c) in enumerate(cases):
             args = (lambda w, k: log_m(w), *(np.array([x]) for x in (g, c, 1e-6)))
@@ -387,8 +383,8 @@ class TestGilPelaez:
             assert [x.tobytes() for x in banded] == [x.tobytes() for x in full_ladder(*args)]
             assert (banded[0][0] < c * 2.0**-12) == (i >= len(cases) - 2)
         # members that need the whole ladder and members that do not share a batch
-        specs = QuadForm.of([[QfComponent(1.0, 1, 1.0)], [QfComponent(1.0, 1, 1.0)],
-                             [QfComponent(0.5, 3, 1.0, 1.0), QfComponent(-0.2, 2, 1.0)]])
+        specs = forms_of([[(1.0, 1, 1.0, 0.0)], [(1.0, 1, 1.0, 0.0)],
+                          [(0.5, 3, 1.0, 1.0), (-0.2, 2, 1.0, 0.0)]])
         g = np.array([5000.0, 3.0, 4.0])
         _, c, log_mc = saddle_point(specs, g)
         tilted = specs.tilted(c)
@@ -507,7 +503,7 @@ class TestAnalyticOutage:
         cfg = rn.validate(rn.SystemConfig(alpha_mode="from_power"))
         rn.analytic_outage(cfg, 1)
         rn.analytic_outage(cfg, 2)
-        rn.term_statistics(cfg)
+        outage_forms([cfg, cfg], [1, 2])
         rn.resolve_alpha(cfg)
         assert len(calls) == 3
 
@@ -525,13 +521,29 @@ class TestAnalyticOutage:
 
     @pytest.mark.parametrize("name, value", [("pt_user_dbm", 2000.0), ("pt_user_dbm", 3000.0),
                                              ("rate_threshold_bps_hz", 600.0),
-                                             ("rate_threshold_bps_hz", 1000.0)])
+                                             ("rate_threshold_bps_hz", 1000.0),
+                                             ("namp_dbm", 3000.0)])
     def test_overflowing_moments_raise(self, name, value):
-        # valid configs whose form moments overflow a double: the inversion
-        # gave 0.25 or 0.75 with a tiny err here, where MC sees 0 or 1
+        # valid configs whose form moments overflow a double in watts: the form
+        # is scaled by a power of two first, so a huge transmit power gives the
+        # interference-limited outages of a moderate one, and a huge rate or
+        # amplifier noise the sure outage MC sees, with no warning.  Only a
+        # weight past a double (pt v or sigma_z^2 alpha v, the case's own value
+        # joined by pt_user_dbm=3000 and rate 600) still raises
         cfg = rn.validate(rn.SystemConfig(**{name: value}))
-        with pytest.raises(rn.AccuracyError, match="overflows a double"):
-            rn.analytic_outages([cfg, cfg], [1, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rn.analytic_outages([cfg, cfg], [1, 2])
+        if name == "pt_user_dbm":
+            moderate = rn.analytic_outages([rn.validate(rn.SystemConfig(pt_user_dbm=1000.0))], [1])
+            assert res[0].op == pytest.approx(moderate[0].op, rel=1e-14)
+            assert 0.0 < res[0].op < 1e-6 and res[1].op == 0.0
+        else:
+            assert [(r.op, r.std_err) for r in res] == [(1.0, 0.0)] * 2
+        over = rn.validate(rn.SystemConfig(**{"pt_user_dbm": 3000.0,
+                                              "rate_threshold_bps_hz": 600.0, name: value}))
+        with pytest.raises(rn.AccuracyError, match="weight overflows a double"):
+            rn.analytic_outages([over, over], [1, 2])
 
     @pytest.mark.parametrize("rate", [2.0, 100.0])
     def test_threshold_past_a_double_is_sure_outage(self, rate):
@@ -545,6 +557,16 @@ class TestAnalyticOutage:
             res = rn.analytic_outages([cfg, cfg, plain], [1, 2, 1])
         assert [(r.op, r.std_err) for r in res[:2]] == [(1.0, 0.0)] * 2
         assert res[2] == rn.analytic_outage(plain, 1)
+
+    def test_subnormal_form_is_scaled_up(self):
+        # at pt_user_dbm=-3000 every |w| (var + mean^2) is subnormal (about
+        # 2^-1048): scaled up by the largest factor, 2^1022, the form gives the
+        # sure outage that MC sees, with no warning
+        cfg = rn.validate(rn.SystemConfig(pt_user_dbm=-3000.0, namp_dbm=-3200.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rn.analytic_outages([cfg, cfg], [1, 2])
+        assert [(r.op, r.std_err) for r in res] == [(1.0, 0.0)] * 2
 
 
 class TestBatchedOutages:
@@ -597,7 +619,7 @@ class TestBatchedOutages:
         # one; the shorter form is padded with zero-weight components
         cfgs = [rn.validate(replace(rn.SystemConfig(), epsilon_sic=eps))
                 for eps in (0.0, 0.01, 0.0)]
-        assert [len(rn.build_quadform(c, 2)) for c in cfgs] == [3, 5, 3]
+        assert [outage_forms([c], [2]).weight.size for c in cfgs] == [3, 5, 3]
         for config, res in zip(cfgs, rn.analytic_outages(cfgs, [2] * len(cfgs))):
             one = rn.analytic_outage(config, 2)
             assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
@@ -684,7 +706,7 @@ def ladder_cases():
     at their saddle points; short and long ladders, by parts and not."""
     norm, _ = _normalized(rn.validate(rn.SystemConfig()), 2)
     norm_mean, _ = moments(norm)
-    slow = form(QfComponent(1.0, 1, 1.0, 1.0))
+    slow = form((1.0, 1, 1.0, 1.0))
     normal = lambda w: np.exp(-w**2 / 2.0)
     expo = lambda w: 1.0 / (1.0 - 1j * w)
     cases = [(log_of(lambda w: normal(w - 1j)), g, 1.0) for g in (-2.0, 0.0, 1.5)]
@@ -744,7 +766,7 @@ def full_ladder(log_m, g, c, tol):
 def _normalized(cfg, user):
     """The unit-variance form (a batch of one) and threshold that
     analytic_outage inverts."""
-    spec = form(*rn.build_quadform(cfg, user))
+    spec = outage_forms([cfg], [user])
     g = rn.dbm_to_watt(cfg.w0_dbm) * rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
     scale = math.sqrt(moments(spec)[1])
     return spec.scaled(1.0 / scale), g / scale
@@ -764,7 +786,7 @@ class TestChernoffBound:
         # G = c X, X ~ chi2_k: the tail of G past c x is that of X on the far
         # side of x from k, and the least Chernoff bound of X there is
         # (x/k)^(k/2) exp((k - x)/2); the grid search must come close to it
-        spec = form(QfComponent(weight=c, dof=k, var=1.0))
+        spec = form((c, k, 1.0, 0.0))
         for x in (0.02 * k, 0.3 * k, 3.0 * k, 20.0 * k):
             exact = sstats.chi2.sf(x, k) if x > k else sstats.chi2.cdf(x, k)
             optimum = (x / k) ** (k / 2.0) * math.exp((k - x) / 2.0)
@@ -773,7 +795,7 @@ class TestChernoffBound:
 
     @pytest.mark.parametrize("mu", [0.5, 2.0, 4.0])
     def test_noncentral_chi2_1(self, mu):
-        spec = form(QfComponent(1.0, 1, 1.0, mu))
+        spec = form((1.0, 1, 1.0, mu))
         mean, _ = moments(spec)
         for g in (0.01, 0.2, mean + 8.0, mean + 30.0):
             cdf = ncx2_cdf_series(g, 1, mu**2)
@@ -783,7 +805,7 @@ class TestChernoffBound:
     def test_lower_tail_of_a_positive_form_is_searched(self):
         # no component limits s below 0, so the bound comes from searching
         # that unbounded side; it is never taken as 0
-        spec = form(QfComponent(0.5, 4, 1.0), QfComponent(2.0, 1, 0.7, 1.5))
+        spec = form((0.5, 4, 1.0, 0.0), (2.0, 1, 0.7, 1.5))
         for g in (1e-3, 0.1, 0.5 * moments(spec)[0]):
             assert 0.0 < tail_bound(spec, g, upper=False) < 1.0
 
@@ -847,12 +869,11 @@ class TestArrayPasses:
     def test_saddle_point_is_the_stacked_formula(self, rng):
         for _ in range(30):
             size = int(rng.integers(1, 7))
-            batch = [[QfComponent(float(rng.normal()), int(rng.integers(1, 6)),
-                                  float(rng.uniform(0.05, 3.0)),
-                                  float(rng.normal(0.0, 2.0)) if rng.random() < 0.5 else 0.0)
+            batch = [[(float(rng.normal()), int(rng.integers(1, 6)), float(rng.uniform(0.05, 3.0)),
+                       float(rng.normal(0.0, 2.0)) if rng.random() < 0.5 else 0.0)
                       for _ in range(int(rng.integers(1, size + 1)))]
                      for _ in range(int(rng.integers(1, 9)))]
-            forms = QuadForm.of(batch)
+            forms = forms_of(batch)
             g = rng.normal(0.0, 3.0, len(batch))
             assert ([x.tobytes() for x in saddle_point(forms, g)]
                     == [x.tobytes() for x in self.stacked_saddle_point(forms, g)])
@@ -878,28 +899,14 @@ class TestArrayPasses:
 
     @staticmethod
     def one_config_components(cfg, user):
-        # the outage form of one user's decode, built in Python floats
-        var = rn.link_variances(cfg)
-        alpha = resolve_alpha(cfg)
-        s_act, s_pas = (math.sqrt(x) for x in var.active_passive(cfg.active_user))
-        s_bs = math.sqrt(var.bs)
-
-        def coherent(gain, count, s):
-            return (math.sqrt(gain) * count * RAYLEIGH_MEAN_FACTOR * s * s_bs,
-                    gain * count * s**2 * s_bs**2 * RAYLEIGH_VAR_FACTOR)
-
-        def leakage(gain, count, s):
-            return 0.0, gain * count * s**2 * s_bs**2
-
-        m, n = cfg.m_active, cfg.n_passive
-        sa, sb = coherent(alpha, m, s_act), leakage(1.0, n, s_act)
-        sc, sd = leakage(alpha, m, s_pas), coherent(1.0, n, s_pas)
+        # the outage form of one user's decode, (weight, dof, var, mean) in Python floats
+        alpha = rn.resolve_alpha(cfg)
+        sa, sb, sc, sd = link_sum_moments(cfg)
         pt = rn.dbm_to_watt(cfg.pt_user_dbm)
         v = rn.rate_to_threshold(cfg.rate_threshold_bps_hz)
 
         def part(weight, real, cplx):
-            return [QfComponent(weight, 1, real[1] + cplx[1] / 2.0, real[0]),
-                    QfComponent(weight, 1, cplx[1] / 2.0)]
+            return [(weight, 1, real[1] + cplx[1] / 2.0, real[0]), (weight, 1, cplx[1] / 2.0, 0.0)]
 
         if user == cfg.active_user:
             comps = part(pt, sa, sb) + part(-pt * v, sd, sc)
@@ -907,9 +914,9 @@ class TestArrayPasses:
             comps = part(pt, sd, sc)
             if cfg.epsilon_sic > 0.0:
                 comps += part(-cfg.epsilon_sic * pt * v, sa, sb)
-        comps.append(QfComponent(-rn.dbm_to_watt(cfg.namp_dbm) * alpha * v, 2 * m,
-                                 var.bs / 2.0))
-        return tuple(c for c in comps if c.weight != 0.0)
+        comps.append((-rn.dbm_to_watt(cfg.namp_dbm) * alpha * v, 2 * cfg.m_active,
+                      rn.link_variances(cfg).bs / 2.0, 0.0))
+        return tuple(c for c in comps if c[0] != 0.0)
 
     def test_outage_forms_are_the_one_config_forms(self, rng):
         base = rn.validate(rn.SystemConfig())
@@ -927,13 +934,15 @@ class TestArrayPasses:
         members = [members[i] for i in rng.permutation(len(members))]
         oracle = [self.one_config_components(cfg, user) for cfg, user in members]
         assert {len(c) for c in oracle} == {2, 3, 4, 5}   # dropped components pad
-        forms = outage_forms(*zip(*members))
-        expected = QuadForm.of(oracle)
-        for field in ("weight", "dof", "var", "mean", "central"):
-            got, want = getattr(forms, field), getattr(expected, field)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+        def raw(forms):
+            return [np.asarray(getattr(forms, field)).tobytes()
+                    for field in ("weight", "dof", "var", "mean", "central")]
+
+        assert raw(outage_forms(*zip(*members))) == raw(forms_of(oracle))
+        # a batch of one, with no padding, is the oracle's form too
         for (cfg, user), comps in zip(members, oracle):
-            assert rn.build_quadform(cfg, user) == comps
+            assert raw(outage_forms([cfg], [user])) == raw(form(*comps))
 
 
 class TestActivePassiveRule:

@@ -365,7 +365,19 @@ class TestCli:
 
     @pytest.mark.parametrize("override", ["pt_user_dbm=3000", "rate_threshold_bps_hz=1000"])
     def test_point_overflowing_moments_are_error_rows(self, override, capsys):
-        assert main(["point", "--method", "analytic", "--set", override, "--json"]) == 1
+        # moments that overflow in watts are scaled away, so each override alone
+        # gives numbers: the interference-limited op1 (op2 = 0) at a huge power,
+        # the sure outage at a huge rate; together they put the weight pt v
+        # past a double, which gives error rows
+        args = ["point", "--method", "analytic", "--json"]
+        assert main(args + ["--set", override]) == 0
+        ops = [r["op"] for r in json.loads(capsys.readouterr().out)]
+        if override.startswith("pt"):
+            assert 0.0 < ops[0] < 1e-6 and ops[1] == 0.0
+        else:
+            assert ops == [1.0, 1.0]
+        both = ["--set", "pt_user_dbm=3000", "--set", "rate_threshold_bps_hz=1000"]
+        assert main(args + both) == 1
         rows = json.loads(capsys.readouterr().out)
         assert [(r["mode"], r["op"]) for r in rows] == [("error:AccuracyError", None)] * 2
 
