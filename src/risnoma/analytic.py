@@ -44,16 +44,15 @@ def _form_rows(config: SystemConfig):
     def rows(config):
         var = link_variances(config)
         alpha, (act, pas) = resolve_alpha(config), var.active_passive(config.active_user)
-        m, n, eps = config.m_active, config.n_passive, config.epsilon_sic
-        pt = dbm_to_watt(config.pt_user_dbm)
+        m, n, pt = config.m_active, config.n_passive, dbm_to_watt(config.pt_user_dbm)
         v = rate_to_threshold(config.rate_threshold_bps_hz)
         tail = -dbm_to_watt(config.namp_dbm) * alpha * v, 1.0, 2 * m, var.bs / 2.0
-        a, b, c, d = (alpha, m, act), (1.0, n, act), (alpha, m, pas), (1.0, n, pas)
-
-        def row(terms, w):
-            gains, counts, hops = zip(*terms)
-            return (*gains, *counts, *hops, var.bs, pt, w, *tail)
-        return row((d, c, a, b), -eps * pt * v), row((a, b, d, c), -pt * v)
+        # the terms (d, c, a, b) and (a, b, d, c), with a = (alpha, m, act),
+        # b = (1, n, act), c = (alpha, m, pas), d = (1, n, pas)
+        return ((1.0, alpha, alpha, 1.0, n, m, m, n, pas, pas, act, act, var.bs, pt,
+                 -config.epsilon_sic * pt * v, *tail),
+                (alpha, 1.0, 1.0, alpha, m, n, n, m, act, act, pas, pas, var.bs, pt,
+                 -pt * v, *tail))
     return config._memo("_form_rows", rows)
 
 
@@ -232,6 +231,7 @@ _NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])          # 15 ascending
 _W_KRONROD = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:15:2] = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
+_W_NODE = np.stack([_W_KRONROD, _W_GAUSS], axis=1)[:, :, None]   # (15, 2, 1): K15, G7
 
 PANEL_CHUNK = 1024   # panels per integrand call: bounds the node pass's memory
 PANEL_PASS = 2048    # first panels per pass of whole inversions: bounds its arrays
@@ -253,10 +253,9 @@ def _gk15(f, lo, hi, k):
 
 
 def _gk15_sums(half, vals):
-    """The Kronrod estimates of one inversion's panels, and their errors."""
-    vals = np.ascontiguousarray(vals.T)   # (panels, 15): the BLAS dot products of a lone call
-    kron = half * (vals @ _W_KRONROD)
-    gauss = half * (vals @ _W_GAUSS)
+    """The panels' Kronrod estimates and their errors, each panel's summed on its own in
+    node order, so that they do not depend on the batch's other panels (a BLAS product's can)."""
+    kron, gauss = half * sum(_W_NODE * vals[:, None])   # node after node, elementwise
     return kron, np.abs(kron - gauss)
 
 
@@ -390,8 +389,8 @@ def _first_panels(first, omega_hi, g):
 
 def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
     """Bisect member k's panels until their error estimate meets tol."""
-    while not errs.sum() <= tol / 2.0:   # a nan error enters too, and raises below
-        total_err = errs.sum()
+    # summed as gil_pelaez_cdf sums a member's panels; a nan error enters too, and raises below
+    while not (total_err := np.add.reduceat(errs, [0])[0]) <= tol / 2.0:
         if lo.size > MAX_PANELS:
             raise AccuracyError(f"panel budget exceeded ({lo.size} panels, err~{total_err:.2e})")
         split = errs > max(total_err / (4.0 * lo.size), tol / (8.0 * lo.size))
@@ -406,7 +405,7 @@ def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
         hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-    return float(vals.sum()), float(errs.sum())
+    return float(np.add.reduceat(vals, [0])[0]), float(total_err)
 
 
 def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
@@ -431,8 +430,11 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     per column of w) the frequencies w belong to.
     The truncation probes and the first panels of all inversions are
     evaluated together, the panels in passes of whole inversions with at
-    most PANEL_PASS panels in all (or one inversion), then each inversion
-    is refined on its own.
+    most PANEL_PASS panels in all (or one inversion).  A pass sums each
+    panel's nodes (`_gk15_sums`) and each inversion's panels (one
+    np.add.reduceat segment) on their own, so no result depends on the
+    batch; an inversion whose error total meets tol / 2 is done there, and
+    only the others are refined, each on its own.
     """
     if np.ndim(g) == 0:
         tail, err = gil_pelaez_cdf(lambda w, k: log_m(w), np.array([g], dtype=float),
@@ -454,13 +456,15 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     start = 0
     while start < g.size:   # members with at most PANEL_PASS first panels in all, or one
         stop = max(start + 1, int(np.searchsorted(ends, starts[start] + PANEL_PASS, side="right")))
-        span = slice(starts[start], ends[stop - 1])
-        half, vals = _gk15(integrand, lo[span], hi[span],
-                           np.repeat(np.arange(start, stop), (ends - starts)[start:stop]))
-        for k in range(start, stop):
+        span, members = slice(starts[start], ends[stop - 1]), slice(start, stop)
+        vals, errs = _gk15_sums(*_gk15(integrand, lo[span], hi[span],
+                                       np.repeat(np.arange(start, stop), (ends - starts)[members])))
+        heads = starts[members] - span.start
+        tail[members], err[members] = np.add.reduceat(vals, heads), np.add.reduceat(errs, heads)
+        for k in start + np.flatnonzero(~(err[members] <= tol[members] / 2.0)):   # a nan too
             a, b = starts[k] - span.start, ends[k] - span.start
-            tail[k], err[k] = _refine(integrand, k, lo[starts[k]:ends[k]], hi[starts[k]:ends[k]],
-                                      *_gk15_sums(half[a:b], vals[:, a:b]), tol[k])
+            tail[k], err[k] = _refine(integrand, k, lo[span][a:b], hi[span][a:b], vals[a:b],
+                                      errs[a:b], tol[k])
         start = stop
     tail = np.clip(tail + past, 0.0, 1.0)
     return tail, err + gauge
@@ -485,19 +489,25 @@ def analytic_outages(configs, users) -> list[OutageResult]:
         raise NotImplementedError(
             "joint decode outage is simulation-only; unset joint_outage_u2"
         )
-    v = np.array([rate_to_threshold(c.rate_threshold_bps_hz) for c in configs])
+    v, w0, quad_tol = np.array([(rate_to_threshold(c.rate_threshold_bps_hz), dbm_to_watt(c.w0_dbm),
+                                 c.quad_tol) for c in configs]).reshape(-1, 3).T
     live = np.flatnonzero(v > 0.0)       # a threshold of 0 is never missed
     op, err = np.zeros((2, len(configs)))
     if live.size:
         forms = outage_forms([configs[i] for i in live], [users[i] for i in live])
-        quad_tol = np.array([configs[i].quad_tol for i in live])
+        # a form with no nonzero weight is G = 0, so P(G < g) is 1 for g > 0, and 0 for g = 0
+        lost = ~forms.weight.any(axis=0)
+        op[live[lost]] = w0[live[lost]] > 0.0
+        live, forms = live[~lost], forms[~lost]
+    if live.size:
+        quad_tol = quad_tol[live]
         # G < g is scale-free: each form and its g are scaled, exactly, by the power of two
         # 2^-e, e the binary exponent of the form's largest |w| (var + mean^2) (the factor
         # at most 2^1022), so finite weights give finite moments.
         # Normalized, the tail on the threshold's side of the mean is the upper tail of G
         # or of -G; far out (g_side = +inf past a double) a proven bound pins it to 0 as its error
         with np.errstate(over="ignore"):
-            g = np.array([dbm_to_watt(configs[i].w0_dbm) for i in live]) * v[live]
+            g = w0[live] * v[live]
             size = np.max(np.abs(forms.weight) * (forms.var + forms.mean**2), axis=0, initial=0.0)
             factor = np.ldexp(1.0, -np.frexp(size)[1].clip(-1022))
             forms, g = forms.scaled(factor), g * factor

@@ -16,7 +16,7 @@ fading vectors of one trial is the test oracle in `tests/oracle.py`.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -108,10 +108,13 @@ def resolve_alpha(config: SystemConfig) -> float:
 def at_budget(config: SystemConfig, pt_ris_dbm: float) -> SystemConfig:
     """The config evaluated at one RIS power budget: the gain follows from
     the budget, and the seed stays, so the mc objective is deterministic.
-    The link variances do not depend on the budget: the new config keeps
-    those already kept on `config`."""
-    out = replace(config, pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power")
-    object.__setattr__(out, "_link_variances", link_variances(config))
+    It is replace(config, pt_ris_dbm=..., alpha_mode="from_power") built without
+    __init__ (SystemConfig has no __post_init__), keeping config's link
+    variances, which do not depend on the budget, and no other memo."""
+    out = object.__new__(type(config))
+    out.__dict__.update({f: config.__dict__[f] for f in config.__dataclass_fields__},
+                        pt_ris_dbm=pt_ris_dbm, alpha_mode="from_power",
+                        _link_variances=link_variances(config))
     return out
 
 

@@ -568,6 +568,21 @@ class TestAnalyticOutage:
             res = rn.analytic_outages([cfg, cfg], [1, 2])
         assert [(r.op, r.std_err) for r in res] == [(1.0, 0.0)] * 2
 
+    def test_form_without_components_is_sure_outage(self):
+        # both powers underflow to 0 W, so every weight is 0 and G = 0: below
+        # g > 0 a sure outage with err 0, as MC sees, taken before the moments
+        # and with no warning, alone or in a batch with a normal config; at
+        # w0 = 0 W too, g = 0 and G < g never holds (MC's 0/0 SINR is no outage)
+        cfg = rn.validate(rn.SystemConfig(pt_user_dbm=-4000.0, namp_dbm=-4000.0))
+        silent = rn.validate(replace(cfg, w0_dbm=-4000.0))
+        plain = rn.validate(rn.SystemConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = [rn.analytic_outage(c, u) for c in (cfg, silent) for u in (1, 2)]
+            mixed = rn.analytic_outages([cfg, plain, silent, cfg], [1, 1, 2, 2])
+        assert [(r.op, r.std_err) for r in alone] == [(1.0, 0.0)] * 2 + [(0.0, 0.0)] * 2
+        assert mixed == [alone[0], rn.analytic_outage(plain, 1), alone[3], alone[1]]
+
 
 class TestBatchedOutages:
     """analytic_outages over the 1 dB budget grid against one-config calls."""
@@ -595,6 +610,34 @@ class TestBatchedOutages:
             assert (res.user, res.method) == (user, "analytic")
             assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
             assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("user", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_is_one_config_calls_exactly(self, case, user):
+        # a member's node sums and panel totals are its own, so the 61-budget
+        # batch gives every config exactly what that config gives alone
+        grid = self._grid(case)
+        batch = rn.analytic_outages(grid, [user] * len(grid))
+        alone = [rn.analytic_outage(config, user) for config in grid]
+        assert [(r.op, r.std_err) for r in batch] == [(r.op, r.std_err) for r in alone]
+
+    def test_panel_sums_do_not_depend_on_the_batch(self, rng):
+        # a slice of panels, as a view or a copy, sums to the same slice of
+        # the whole batch's Kronrod estimates and errors
+        half, vals = rng.random(3000), rng.standard_normal((15, 3000)) * 10.0 ** rng.integers(
+            -300, 300, 3000)
+        kron, err = rn.analytic._gk15_sums(half, vals)
+        # the reference: a panel's weighted nodes added one by one in node order
+        w_k, w_g = rn.analytic._W_KRONROD.tolist(), rn.analytic._W_GAUSS.tolist()
+        for i in rng.integers(0, 3000, 50).tolist():
+            col = vals[:, i].tolist()
+            k = half[i] * sum(w * x for w, x in zip(w_k, col))
+            assert (kron[i], err[i]) == (k, abs(k - half[i] * sum(w * x for w, x in zip(w_g, col))))
+        cuts = np.sort(rng.integers(0, 3001, (200, 2)), axis=1)
+        for a, b in [(0, 1), (2999, 3000), (0, 3000), *cuts[cuts[:, 0] < cuts[:, 1]].tolist()]:
+            for part in (vals[:, a:b], np.ascontiguousarray(vals[:, a:b])):
+                k, e = rn.analytic._gk15_sums(half[a:b], part)
+                assert k.tolist() == kron[a:b].tolist() and e.tolist() == err[a:b].tolist()
 
     @pytest.mark.parametrize("case", CASES)
     def test_both_users_share_one_batch(self, case, monkeypatch):

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from numpy.random import SFC64, Generator, SeedSequence
 from scipy import stats as sstats
 
 import risnoma as rn
+from risnoma.channel import at_budget
 from conftest import unit_config
 from oracle import draw_realization
 
@@ -137,3 +140,29 @@ class TestRandomStream:
         y = np.real(draw_realization(cfg, rn.RandomStream(6, 0)).h1)
         rho = np.corrcoef(x, y)[0, 1]
         assert abs(rho) < 4.0 / np.sqrt(x.size)
+
+
+class TestAtBudget:
+    PARENTS = {
+        "fixed gain": dict(alpha_mode="fixed", epsilon_sic=0.01),
+        "optimized, active user 2": dict(alpha_mode="optimized", active_user=2),
+        "variance overrides": dict(alpha_mode="from_power", sigma2_u1=1e-9, sigma2_bs=2e-9),
+    }
+
+    @pytest.mark.parametrize("parent", PARENTS)
+    def test_copy_is_the_replaced_config(self, parent):
+        cfg = rn.validate(rn.SystemConfig(**self.PARENTS[parent]))
+        cfg.digest()
+        if cfg.alpha_mode != "optimized":
+            rn.analytic._form_rows(cfg)
+        out = at_budget(cfg, -40.0)
+        want = replace(cfg, pt_ris_dbm=-40.0, alpha_mode="from_power")
+        # the parent's link variances are carried; its digest and form rows,
+        # which depend on the budget or the gain rule, are not
+        assert out.__dict__["_link_variances"] is rn.link_variances(cfg)
+        assert "_digest" not in out.__dict__ and "_form_rows" not in out.__dict__
+        assert type(out) is type(want) and out == want and hash(out) == hash(want)
+        assert out.digest() == want.digest() != cfg.digest()
+        assert rn.analytic._form_rows(out) == rn.analytic._form_rows(want)
+        with pytest.raises(FrozenInstanceError):
+            out.pt_ris_dbm = -30.0
