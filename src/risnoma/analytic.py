@@ -234,22 +234,19 @@ _W_GAUSS[1:15:2] = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
 _W_NODE = np.stack([_W_KRONROD, _W_GAUSS], axis=1)[:, :, None]   # (15, 2, 1): K15, G7
 
 PANEL_CHUNK = 1024   # panels per integrand call: bounds the node pass's memory
-PANEL_PASS = 2048    # first panels per pass of whole inversions: bounds its arrays
 
 
 def _gk15(f, lo, hi, k):
-    """The panels' half-widths and G7/K15 node values, node j of panel i at
-    [j, i], panel i belonging to inversion k[i].  f(nodes, k) sees at most
-    PANEL_CHUNK panels at a time."""
-    half = 0.5 * (hi - lo)
-    nodes = 0.5 * (lo + hi) + half * _NODES[:, None]
-    if lo.size <= PANEL_CHUNK:
-        return half, f(nodes, k)
-    vals = np.empty_like(nodes)
+    """The panels' G7/K15 Kronrod estimates and errors (`_gk15_sums`), panel
+    i belonging to inversion k[i].  f(nodes, k) gets node j of panel i at
+    [j, i], for at most PANEL_CHUNK panels at a time."""
+    out = np.empty((2, lo.size))
     for start in range(0, lo.size, PANEL_CHUNK):
         cols = slice(start, start + PANEL_CHUNK)
-        vals[:, cols] = f(nodes[:, cols], k[cols])
-    return half, vals
+        half = 0.5 * (hi[cols] - lo[cols])
+        nodes = 0.5 * (lo[cols] + hi[cols]) + half * _NODES[:, None]
+        out[:, cols] = _gk15_sums(half, f(nodes, k[cols]))
+    return out
 
 
 def _gk15_sums(half, vals):
@@ -387,27 +384,6 @@ def _first_panels(first, omega_hi, g):
     return lo, hi
 
 
-def _refine(f, k: int, lo, hi, vals, errs, tol: float) -> tuple[float, float]:
-    """Bisect member k's panels until their error estimate meets tol."""
-    # summed as gil_pelaez_cdf sums a member's panels; a nan error enters too, and raises below
-    while not (total_err := np.add.reduceat(errs, [0])[0]) <= tol / 2.0:
-        if lo.size > MAX_PANELS:
-            raise AccuracyError(f"panel budget exceeded ({lo.size} panels, err~{total_err:.2e})")
-        split = errs > max(total_err / (4.0 * lo.size), tol / (8.0 * lo.size))
-        if not split.any():
-            raise AccuracyError(f"quadrature error {total_err:.2e} above "
-                                f"tolerance {tol:.2e}; no panel to split")
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _gk15_sums(*_gk15(f, new_lo, new_hi, np.full(new_lo.size, k)))
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        vals = np.concatenate([vals[~split], new_vals])
-        errs = np.concatenate([errs[~split], new_errs])
-    return float(np.add.reduceat(vals, [0])[0]), float(total_err)
-
-
 def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     """P(G >= g) by inversion along the line Re z = c, 0 < c < s_max, and an
     error estimate (not a bound: in a far tail it can understate the error).
@@ -428,18 +404,22 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
     A batch of K inversions takes (K,) arrays g, c and tol and returns (K,)
     arrays; `log_m(w, k)` then gets the inversions k (an (n,) int array, one
     per column of w) the frequencies w belong to.
-    The truncation probes and the first panels of all inversions are
-    evaluated together, the panels in passes of whole inversions with at
-    most PANEL_PASS panels in all (or one inversion).  A pass sums each
-    panel's nodes (`_gk15_sums`) and each inversion's panels (one
-    np.add.reduceat segment) on their own, so no result depends on the
-    batch; an inversion whose error total meets tol / 2 is done there, and
-    only the others are refined, each on its own.
+    The truncation probes of all inversions are evaluated together, and so
+    are their panels, in one loop: each step totals every open inversion's
+    panels and errors (one np.add.reduceat segment each), retires the
+    inversions whose error total meets tol / 2 and bisects the others'
+    panels in one node pass (`_gk15`), each inversion's panels kept in the
+    order kept, left halves, right halves.  A panel's node sums
+    (`_gk15_sums`) and an inversion's segments depend on nothing else in
+    the batch, so each result is the one its inversion gives alone.  An
+    empty batch gives empty arrays.
     """
     if np.ndim(g) == 0:
         tail, err = gil_pelaez_cdf(lambda w, k: log_m(w), np.array([g], dtype=float),
                                    np.array([c], dtype=float), tol=np.array([tol], dtype=float))
         return float(tail[0]), float(err[0])
+    if not g.size:
+        return np.zeros(0), np.zeros(0)
 
     def integrand(w, k):
         log_w = log_m(w, k)
@@ -450,22 +430,33 @@ def gil_pelaez_cdf(log_m, g, c, *, tol=1e-6):
 
     first, omega_hi, past, gauge = _panel_ladder(log_m, g, c, tol)
     lo, hi = _first_panels(first, omega_hi, g)
-    starts = np.flatnonzero(lo == 0.0)
-    ends = np.append(starts[1:], lo.size)
+    k = np.cumsum(lo == 0.0) - 1          # each panel's inversion
+    vals, errs = _gk15(integrand, lo, hi, k)
     tail, err = np.empty((2, g.size))
-    start = 0
-    while start < g.size:   # members with at most PANEL_PASS first panels in all, or one
-        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + PANEL_PASS, side="right")))
-        span, members = slice(starts[start], ends[stop - 1]), slice(start, stop)
-        vals, errs = _gk15_sums(*_gk15(integrand, lo[span], hi[span],
-                                       np.repeat(np.arange(start, stop), (ends - starts)[members])))
-        heads = starts[members] - span.start
-        tail[members], err[members] = np.add.reduceat(vals, heads), np.add.reduceat(errs, heads)
-        for k in start + np.flatnonzero(~(err[members] <= tol[members] / 2.0)):   # a nan too
-            a, b = starts[k] - span.start, ends[k] - span.start
-            tail[k], err[k] = _refine(integrand, k, lo[span][a:b], hi[span][a:b], vals[a:b],
-                                      errs[a:b], tol[k])
-        start = stop
+    while True:   # a step bisects every open inversion's panels, each inversion's in a row
+        heads = np.flatnonzero(np.diff(k, prepend=-1))
+        inv, n = k[heads], np.diff(heads, append=k.size)
+        tail[inv], err[inv] = np.add.reduceat(vals, heads), np.add.reduceat(errs, heads)
+        unmet = ~(err[inv] <= tol[inv] / 2.0)   # a nan error too, which raises below
+        if not unmet.any():
+            break
+        if (over := unmet & (n > MAX_PANELS)).any():
+            i = over.argmax()
+            raise AccuracyError(f"panel budget exceeded ({n[i]} panels, err~{err[inv[i]]:.2e})")
+        cut = np.where(unmet, np.maximum(err[inv] / (4.0 * n), tol[inv] / (8.0 * n)), np.inf)
+        split = errs > np.repeat(cut, n)
+        if (stuck := unmet & ~np.logical_or.reduceat(split, heads)).any():
+            i = stuck.argmax()
+            raise AccuracyError(f"quadrature error {err[inv[i]]:.2e} above "
+                                f"tolerance {tol[inv[i]]:.2e}; no panel to split")
+        # an inversion's panels are its kept ones, then the left halves, then the right,
+        # in any batch: so its segment sums are the ones it gives alone
+        keep, mid = np.repeat(unmet, n) & ~split, 0.5 * (lo[split] + hi[split])
+        halves = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
+                  np.tile(k[split], 2))
+        parts = zip((lo, hi, k, vals, errs), (*halves, *_gk15(integrand, *halves)))
+        order = np.argsort(np.concatenate([k[keep], halves[2]]), kind="stable")
+        lo, hi, k, vals, errs = (np.concatenate([x[keep], y])[order] for x, y in parts)
     tail = np.clip(tail + past, 0.0, 1.0)
     return tail, err + gauge
 

@@ -407,6 +407,29 @@ class TestGilPelaez:
         with pytest.raises(rn.AccuracyError, match="no panel"):
             rn.gil_pelaez_cdf(partly_nan, 1.0, 0.5)
 
+    def test_nan_member_of_a_batch_is_loud(self):
+        # the same nan inversion next to a good one: the batch raises
+        exact = log_of(lambda w: 1.0 / (1.0 - 1j * (w - 0.5j)))
+        partly_nan = lambda w, k: np.where((k == 1) & (w < 1.0), np.nan, exact(w))
+        with pytest.raises(rn.AccuracyError, match="no panel"):
+            rn.gil_pelaez_cdf(partly_nan, np.ones(2), np.full(2, 0.5), tol=np.full(2, 1e-6))
+
+    def test_budget_passed_in_refinement_of_a_batch_is_loud(self, monkeypatch):
+        # user 1 at rate 8: 9 first panels at each of these budgets; at -40 dBm
+        # they meet tol, at -35 dBm one bisection gives 10 panels that do, and
+        # at -25 dBm two bisections are needed, the second from 11 panels
+        cfg = rn.validate(replace(rn.SystemConfig(), rate_threshold_bps_hz=8.0))
+        grid = [at_budget(cfg, x) for x in (-40.0, -35.0, -25.0)]
+        rn.analytic_outages(grid, [1] * 3)
+        monkeypatch.setattr(rn.analytic, "MAX_PANELS", 10)
+        rn.analytic_outages(grid[:2], [1] * 2)
+        with pytest.raises(rn.AccuracyError, match=r"panel budget exceeded \(11 panels"):
+            rn.analytic_outages(grid, [1] * 3)
+
+    def test_empty_batch_gives_empty_arrays(self):
+        tail, err = rn.gil_pelaez_cdf(lambda w, k: -w, np.zeros(0), np.zeros(0), tol=np.zeros(0))
+        assert tail.shape == err.shape == (0,)
+
 
 class TestAnalyticOutage:
     def test_default_config_values_pinned(self):
@@ -668,31 +691,57 @@ class TestBatchedOutages:
             assert res.op == pytest.approx(one.op, rel=1e-12, abs=0.0)
             assert res.std_err == pytest.approx(one.std_err, rel=1e-12, abs=0.0)
 
-    def test_cases_reach_the_shortcut_and_refinement(self, monkeypatch):
-        inverted, refined = [], []
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Record each gil_pelaez_cdf call's batch size and its number of
+        _gk15 node passes: more than one pass means refinement."""
+        inverted, passes = [], []
         gp, gk15 = rn.analytic.gil_pelaez_cdf, rn.analytic._gk15
 
         def counted_gp(log_m, g, c, *, tol):
             inverted.append(np.size(g))
+            passes.append(0)
             return gp(log_m, g, c, tol=tol)
 
         def counted_gk15(f, lo, hi, k):
-            refined.append(len(set(k.tolist())) == 1)   # one inversion's bisection
+            passes[-1] += 1
             return gk15(f, lo, hi, k)
 
         monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", counted_gp)
         monkeypatch.setattr(rn.analytic, "_gk15", counted_gk15)
+        return inverted, passes
+
+    def test_cases_reach_the_shortcut_and_refinement(self, monkeypatch):
+        inverted, passes = self._count_passes(monkeypatch)
         for case, user in (("default", 2), ("zero rate", 1), ("refined", 1)):
             inverted.clear()
-            refined.clear()
+            passes.clear()
             grid = self._grid(case)
             rn.analytic_outages(grid, [user] * len(grid))
+            refined = [n > 1 for n in passes]
             if case == "default":
                 assert inverted == [42] and not any(refined)   # 19 far tails take the bound
             elif case == "zero rate":
                 assert inverted == []
             else:
                 assert sum(refined) > 0
+
+    def test_refinement_takes_the_deepest_members_passes(self, monkeypatch):
+        # the inversions of a batch are bisected in lockstep: the batch makes
+        # as many node passes as its deepest member alone, not their sum, and
+        # each member's result is still exactly its own
+        grid = self._grid("refined")
+        _, passes = self._count_passes(monkeypatch)
+        batch = rn.analytic_outages(grid, [1] * len(grid))
+        in_batch = passes.copy()
+        alone = []
+        for config, res in zip(grid, batch):
+            passes.clear()
+            one = rn.analytic_outage(config, 1)
+            alone.append(sum(passes))
+            assert (res.op, res.std_err) == (one.op, one.std_err)
+        assert len(set(alone) - {0, 1}) >= 2   # members refined to different depths
+        assert in_batch == [max(alone)]
 
     def test_mixed_shuffled_batch_is_one_config_calls_bit_for_bit(self, rng, monkeypatch):
         # every kind of member in one shuffled batch: each result is exactly
@@ -707,21 +756,9 @@ class TestBatchedOutages:
             (rn.validate(replace(base, epsilon_sic=0.01)), 2),            # five components
         ]
         configs, users = zip(*(members[i] for i in rng.permutation(len(members))))
-        inverted, bisected = [], []
-        gp, gk15 = rn.analytic.gil_pelaez_cdf, rn.analytic._gk15
-
-        def counted_gp(log_m, g, c, *, tol):
-            inverted.append(np.size(g))
-            return gp(log_m, g, c, tol=tol)
-
-        def counted_gk15(f, lo, hi, k):
-            bisected.append(len(set(k.tolist())) == 1)
-            return gk15(f, lo, hi, k)
-
-        monkeypatch.setattr(rn.analytic, "gil_pelaez_cdf", counted_gp)
-        monkeypatch.setattr(rn.analytic, "_gk15", counted_gk15)
+        inverted, passes = self._count_passes(monkeypatch)
         batch = rn.analytic_outages(list(configs), list(users))
-        assert inverted == [len(members) - 2] and any(bisected)
+        assert inverted == [len(members) - 2] and passes[0] > 1   # one member is refined
         monkeypatch.undo()
         for config, user, res in zip(configs, users, batch):
             one = rn.analytic_outage(config, user)
