@@ -758,7 +758,7 @@ class TestBatchedOutages:
         configs, users = zip(*(members[i] for i in rng.permutation(len(members))))
         inverted, passes = self._count_passes(monkeypatch)
         batch = rn.analytic_outages(list(configs), list(users))
-        assert inverted == [len(members) - 2] and passes[0] > 1   # one member is refined
+        assert inverted == [len(members) - 2] and passes[0] > 1   # a member is refined
         monkeypatch.undo()
         for config, user, res in zip(configs, users, batch):
             one = rn.analytic_outage(config, user)
